@@ -38,7 +38,6 @@ from .profile import (
     ProfileSet,
     AssembledProfile,
     build_hierarchy,
-    profile_constants,
     assemble_R,
     invariant_expansions,
     residual_psi,

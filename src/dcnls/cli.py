@@ -277,7 +277,7 @@ def _cmd_report(cfg, run_dir):
     from .groundstate import functional_report, solve_Q_mu
     from .hartree import calibrate_channel_coefficient
     from .linop import nondegeneracy_report
-    from .profile import build_hierarchy, profile_constants
+    from .profile import build_hierarchy
 
     grid = build_grid(cfg["grid_n"], cfg["rmax"], "tanh")
     gs = solve_Q_mu(cfg["mu"], grid)
@@ -290,7 +290,7 @@ def _cmd_report(cfg, run_dir):
     cal = calibrate_channel_coefficient(grid, 0)
     lines.append(("hartree_calibration_ratio_err", abs(cal["fitted_ratio"] - 1), 1e-4))
     ps = build_hierarchy(gs)
-    e_mu, p_mu = profile_constants(ps)
+    e_mu, p_mu = ps.e_mu, ps.p_mu
     lines.append(("profile_solvability", max(ps.solvability.values()), 1e-6))
     lines.append(("e_mu_positive", 0.0 if e_mu > 0 else 1.0, 0.5))
     lines.append(("p_mu_positive", 0.0 if p_mu > 0 else 1.0, 0.5))

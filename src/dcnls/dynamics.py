@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import RadialField, even_interpolator
+from .grid import RadialField, even_interpolator, generator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
 from .hartree import hartree_apply
 
@@ -471,8 +471,8 @@ def _refine_orthogonality(grid, ps, vals, lam, gamma, b):
         r1 = q + b_ * b_ * ps.T20.values
         r2 = b_ * ps.S10.values
         eps = eps - (r1 + 1j * r2)
-        lam_r1 = 1.5 * r1 + r * (grid.d1_free(0) @ r1)
-        lam_r2 = 1.5 * r2 + r * (grid.d1_free(0) @ r2)
+        lam_r1 = generator(grid, r1)
+        lam_r2 = generator(grid, r2)
         db_r1 = 2 * b_ * ps.T20.values
         db_r2 = ps.S10.values
         e1, e2 = np.real(eps), np.imag(eps)
@@ -486,13 +486,6 @@ def _refine_orthogonality(grid, ps, vals, lam, gamma, b):
     if sol.success:
         return float(np.exp(sol.x[0])), float(sol.x[1]), float(sol.x[2])
     return lam, gamma, b
-
-
-def modulation_targets(ps, e0):
-    """The predicted inverse slope of the scale: b/lambda -> 1/B with B = sqrt(e/E0)."""
-    if e0 <= 0:
-        raise ConfigurationError("the scale law needs positive conserved energy")
-    return float(np.sqrt(ps.e_mu / e0))
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,10 @@ __all__ = [
     "build_grid",
     "inner_product",
     "pair_3d",
-    "norm_3d",
+    "h2_norm_3d",
+    "generator",
     "apply_channel_laplacian",
     "apply_generator",
-    "derivative",
 ]
 
 _token_counter = itertools.count(1)
@@ -154,14 +154,7 @@ class RadialGrid:
         """d/dr with parity folding at 0 and one-sided closure at r_max."""
         key = ("d1_free", l % 2)
         if key not in self._cache:
-            self._cache[key] = _build_d1(self, parity=(-1) ** (l % 2), dirichlet=False)
-        return self._cache[key]
-
-    def d1_op(self, l):
-        """d/dr with parity folding at 0 and zero extension beyond r_max."""
-        key = ("d1_op", l % 2)
-        if key not in self._cache:
-            self._cache[key] = _build_d1(self, parity=(-1) ** (l % 2), dirichlet=True)
+            self._cache[key] = _build_d1(self, parity=(-1) ** (l % 2))
         return self._cache[key]
 
     def laplacian(self, l):
@@ -269,8 +262,7 @@ def _blended_weights(nodes, jac, h, r_max):
     x = nodes / r_max
     V = np.vander(x, 6, increasing=True).T          # rows: x^0 .. x^5
     exact = np.array([r_max ** 3 / (k + 3) for k in range(6)])
-    defect = exact - V @ (w_mid * r_max ** 0)       # moments of r^k/r_max^k
-    defect = exact - V @ w_mid
+    defect = exact - V @ w_mid                      # moments of r^k/r_max^k
     omega = w_mid * x ** 8
     A = (V * omega) @ V.T
     alpha = np.linalg.solve(A, defect)
@@ -309,29 +301,24 @@ def _moment_fit_cells(nodes, edges):
 # finite-difference operators
 # ---------------------------------------------------------------------------
 
-def _fd_rows_folded(n, stencil, parity, dirichlet):
+def _fd_rows_folded(n, stencil, parity):
     """Triplets for a centered node stencil with mirror folding at index 0.
 
-    Mirror ghosts: node -k maps to k-1 with sign `parity`.  Beyond the last
-    node either zero extension (dirichlet=True) or rows are skipped for the
-    caller to close one-sidedly.
+    Mirror ghosts: node -k maps to k-1 with sign `parity`.  The last
+    `_HALF_WIDTH` rows are skipped for the caller to close one-sidedly.
     """
     rows, cols, vals = [], [], []
     hw = _HALF_WIDTH
-    for i in range(n):
-        if i >= n - hw and not dirichlet:
-            continue
+    for i in range(n - hw):
         for o, c in enumerate(stencil):
             if c == 0.0:
                 continue
             j = i + o - hw
             if j < 0:
-                jj = -1 - j
-                if jj < n:
-                    rows.append(i)
-                    cols.append(jj)
-                    vals.append(parity * c)
-            elif j < n:
+                rows.append(i)
+                cols.append(-1 - j)
+                vals.append(parity * c)
+            else:
                 rows.append(i)
                 cols.append(j)
                 vals.append(c)
@@ -352,15 +339,14 @@ def _one_sided_d1_rows(n):
     return rows, cols, vals
 
 
-def _build_d1(grid, parity, dirichlet):
+def _build_d1(grid, parity):
     n = grid.n
     h = grid.h_xi
-    rows, cols, vals = _fd_rows_folded(n, _D1_STENCIL, parity, dirichlet)
-    if not dirichlet:
-        r2, c2, v2 = _one_sided_d1_rows(n)
-        rows += r2
-        cols += c2
-        vals += v2
+    rows, cols, vals = _fd_rows_folded(n, _D1_STENCIL, parity)
+    r2, c2, v2 = _one_sided_d1_rows(n)
+    rows += r2
+    cols += c2
+    vals += v2
     d1_xi = sp.csr_matrix((np.array(vals) / h, (rows, cols)), shape=(n, n))
     return sp.diags(1.0 / grid.jac) @ d1_xi
 
@@ -463,8 +449,10 @@ def pair_3d(f, g):
     return complex(ang * np.sum(f.grid.weights * np.conjugate(f.values) * g.values))
 
 
-def norm_3d(f):
-    return float(np.sqrt(max(pair_3d(f, f).real, 0.0)))
+def h2_norm_3d(grid, values, l=0):
+    """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)}."""
+    lf = values + grid.laplacian(l) @ values
+    return float(np.sqrt(4.0 * np.pi * np.sum(grid.weights * np.abs(lf) ** 2)))
 
 
 def apply_channel_laplacian(f):
@@ -472,16 +460,14 @@ def apply_channel_laplacian(f):
     return RadialField(f.grid, f.l, f.grid.laplacian(f.l) @ f.values)
 
 
+def generator(grid, values, l=0):
+    """The dilation generator (3/2) f + r f' on channel-l samples."""
+    return 1.5 * values + grid.nodes * (grid.d1_free(l) @ values)
+
+
 def apply_generator(f):
-    """Apply the scaling generator: (3/2) f + r f'."""
-    fp = f.grid.d1_free(f.l) @ f.values
-    return RadialField(f.grid, f.l, 1.5 * f.values + f.grid.nodes * fp)
-
-
-def derivative(f, dirichlet=False):
-    """Radial derivative of a channel field (parity-consistent stencils)."""
-    op = f.grid.d1_op(f.l) if dirichlet else f.grid.d1_free(f.l)
-    return RadialField(f.grid, f.l, op @ f.values)
+    """Apply the scaling generator to a channel field."""
+    return RadialField(f.grid, f.l, generator(f.grid, f.values, f.l))
 
 
 def even_interpolator(grid, values, k=5):

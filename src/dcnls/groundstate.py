@@ -23,11 +23,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.interpolate import InterpolatedUnivariateSpline
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
-from .grid import RadialField, build_grid, even_interpolator
-from .hartree import build_multipole_kernel, hartree_apply
+from .grid import RadialField, even_interpolator, generator, h2_norm_3d
+from .hartree import hartree_apply
+from .linop import linearize
 
 __all__ = [
     "GroundState",
@@ -52,23 +52,20 @@ def grad_sq_3d(grid, values, l=0):
     dv = grid.d1_free(l) @ values
     return float(4.0 * np.pi * np.sum(grid.weights * np.abs(dv) ** 2))
 
+def power_3d(grid, values):
+    """int |u|^{10/3} over R^3."""
+    return float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** (10.0 / 3.0)))
+
 def hartree_quartic_3d(grid, values):
     """int A(|u|^2) |u|^2 over R^3."""
     dens = np.abs(values) ** 2
     return float(4.0 * np.pi * np.sum(grid.weights * hartree_apply(grid, dens) * dens))
 
 def energy_mu(grid, values, mu):
-    g2 = grad_sq_3d(grid, values)
-    p = float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** (10.0 / 3.0)))
-    e = 0.5 * g2 - 0.3 * p
+    e = 0.5 * grad_sq_3d(grid, values) - 0.3 * power_3d(grid, values)
     if mu != 0.0:
         e -= 0.25 * mu * hartree_quartic_3d(grid, values)
     return e
-
-def h2_norm_3d(grid, values, l=0):
-    """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)}."""
-    lf = values + grid.laplacian(l) @ values
-    return float(np.sqrt(4.0 * np.pi * np.sum(grid.weights * np.abs(lf) ** 2)))
 
 
 def _equation_residual(grid, q, mu):
@@ -82,7 +79,7 @@ def _equation_residual(grid, q, mu):
 def pohozaev_defect(grid, q, mu):
     g2 = grad_sq_3d(grid, q)
     m = mass_3d(grid, q)
-    p = float(4.0 * np.pi * np.sum(grid.weights * np.abs(q) ** (10.0 / 3.0)))
+    p = power_3d(grid, q)
     h = hartree_quartic_3d(grid, q) if mu != 0.0 else 0.0
     lhs = 0.5 * g2 + 1.5 * m
     rhs = 0.9 * p + mu * h
@@ -92,7 +89,7 @@ def pairing_defect(grid, q, mu):
     """Defect of the identity from pairing the equation with Q itself."""
     g2 = grad_sq_3d(grid, q)
     m = mass_3d(grid, q)
-    p = float(4.0 * np.pi * np.sum(grid.weights * np.abs(q) ** (10.0 / 3.0)))
+    p = power_3d(grid, q)
     h = hartree_quartic_3d(grid, q) if mu != 0.0 else 0.0
     lhs = g2 + m
     return abs(lhs - p - mu * h) / lhs
@@ -103,7 +100,7 @@ def gn_local_quotient(grid, values, reference_mass=None):
     The best constant is (5/3) ||Q||^{-4/3}; `reference_mass` is ||Q||^2 of
     the classical soliton (computed on demand when omitted).
     """
-    p = float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** (10.0 / 3.0)))
+    p = power_3d(grid, values)
     m = mass_3d(grid, values)
     g2 = grad_sq_3d(grid, values)
     if reference_mass is None:
@@ -241,19 +238,16 @@ def _shooting_profile(mu=0.0):
 
 
 def _newton_polish(grid, q0, mu, tol=1e-9, maxiter=80):
-    """Collocation Newton with the local part of the Jacobian factored.
+    """Collocation Newton; the Jacobian is the plus-kind l = 0 operator.
 
-    The nonlocal Jacobian piece 2 mu A(Q .) Q is omitted; it is O(mu) small,
-    so the iteration contracts linearly on top of Newton's quadratic phase.
+    At mu != 0 each step solves with the full Jacobian, nonlocal piece
+    2 mu A(Q .) Q included, by GMRES to relative residual 1e-8; only the
+    preconditioner, the sparse LU of the local part, leaves that piece out.
     Iterates until the residual stalls at its rounding floor (the core rows
     of the Laplacian amplify eps by 1/h^2) or `tol` is reached, whichever
     floor is lower.
     """
     q = q0.copy()
-    lap = grid.laplacian(0).tocsc()
-    n = grid.n
-    identity = sp.identity(n, format="csc")
-    kernel = build_multipole_kernel(grid, 0).matrix if mu != 0.0 else None
     best, q_best, stall = np.inf, q.copy(), 0
     for it in range(maxiter):
         res = _equation_residual(grid, q, mu)
@@ -264,28 +258,11 @@ def _newton_polish(grid, q0, mu, tol=1e-9, maxiter=80):
             stall += 1
         if best < 1e-13 or (stall >= 3 and best < tol):
             return q_best, best, it
-        pot = -(7.0 / 3.0) * np.abs(q) ** (4.0 / 3.0)
-        if mu != 0.0:
-            pot = pot - mu * hartree_apply(grid, q ** 2)
-        jac_local = (lap + identity + sp.diags(pot)).tocsc()
-        precond = spla.splu(jac_local)
-        if mu == 0.0:
-            delta = precond.solve(res)
-        else:
-            qc = q.copy()
-
-            def matvec(x):
-                return jac_local @ x - 2.0 * mu * qc * (kernel @ (qc * x))
-
-            op = spla.LinearOperator((n, n), matvec=matvec)
-            pre = spla.LinearOperator((n, n), matvec=precond.solve)
-            delta, info = spla.gmres(op, res, M=pre, rtol=1e-8, atol=0.0,
-                                     restart=80, maxiter=400)
-            if info != 0:
-                raise ConvergenceError(
-                    "Jacobian solve failed in Newton",
-                    diagnostics={"mu": mu, "gmres_info": info, "residual": rnorm},
-                )
+        try:
+            delta = linearize(grid, q, mu, "plus", 0).solve(res, rtol=1e-8)
+        except ConvergenceError as exc:
+            exc.diagnostics["residual"] = rnorm
+            raise
         step = 1.0
         qn = q - step * delta
         # keep the iterate in the positive decreasing basin
@@ -510,13 +487,10 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
     to zero, so the pinned solution satisfies the plain equation).
     """
     n = grid.n
-    w = grid.weights
-    r = grid.nodes
-    lap = grid.laplacian(0).tocsc()
-    kernel = build_multipole_kernel(grid, 0).matrix if mu != 0.0 else None
+    lap = grid.laplacian(0)
     phi = phi0.copy()
     beta = _flow_multiplier(grid, phi, mu)
-    pin = 1.5 * phi + r * (grid.d1_free(0) @ phi)    # dilation generator at entry
+    pin = generator(grid, phi)    # dilation generator at entry
 
     best, best_state, stall = np.inf, (phi.copy(), beta), 0
     for it in range(maxiter):
@@ -531,39 +505,8 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
             stall += 1
         if best < 1e-13 or (stall >= 3 and best < max(tol, 3e-8)):
             return best_state
-        pot = beta - (7.0 / 3.0) * np.abs(phi) ** (4.0 / 3.0)
-        if mu != 0.0:
-            pot = pot - mu * hartree_apply(grid, phi ** 2)
-        local = (lap + sp.diags(pot)).tocsc()
-        wphi = w * phi
-        wpin = w * pin
-        border = sp.bmat(
-            [
-                [local, sp.csc_matrix(phi[:, None]), sp.csc_matrix(pin[:, None])],
-                [sp.csc_matrix(wphi[None, :]), None, None],
-                [sp.csc_matrix(wpin[None, :]), None, None],
-            ],
-            format="csc",
-        )
-        precond = spla.splu(border)
-        rhs = np.concatenate([eq, [cons], [0.0]])
-        if mu == 0.0:
-            sol = precond.solve(rhs)
-        else:
-            qc = phi.copy()
-
-            def matvec(x):
-                head = border @ x
-                head[:n] -= 2.0 * mu * qc * (kernel @ (qc * x[:n]))
-                return head
-
-            op = spla.LinearOperator((n + 2, n + 2), matvec=matvec)
-            pre = spla.LinearOperator((n + 2, n + 2), matvec=precond.solve)
-            sol, info = spla.gmres(op, rhs, M=pre, rtol=1e-9, atol=0.0,
-                                   restart=80, maxiter=400)
-            if info != 0:
-                raise ConvergenceError("constrained Newton linear solve failed",
-                                       diagnostics={"gmres_info": info})
+        op = linearize(grid, phi, mu, "plus", 0, shift=beta - 1.0)
+        sol = op.solve(eq, [phi, pin], tail=[cons, 0.0], rtol=1e-9)
         phi = phi - sol[:n]
         beta = beta - sol[n]
     raise ConvergenceError("constrained Newton did not converge",
@@ -572,19 +515,8 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
 
 def _flow_multiplier(grid, phi, mu):
     g2 = grad_sq_3d(grid, phi)
-    p = float(4.0 * np.pi * np.sum(grid.weights * np.abs(phi) ** (10.0 / 3.0)))
     h = hartree_quartic_3d(grid, phi) if mu != 0.0 else 0.0
-    return (-g2 + p + mu * h) / mass_3d(grid, phi)
-
-
-def _coercive_mass_limit(mu, grid):
-    from scipy.optimize import brentq
-
-    hi = solve_classical_Q(grid).mass
-    f = lambda a: coercivity_bracket(a, mu, grid)
-    if f(hi) > 0:
-        return hi
-    return float(brentq(f, 1e-6, hi))
+    return (-g2 + power_3d(grid, phi) + mu * h) / mass_3d(grid, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,28 +5,35 @@ Each spherical-harmonic channel carries a pair of one-dimensional operators:
     minus kind:  (-Delta)_l + 1 - Q^{4/3} - mu A(Q^2)
     plus  kind:  (-Delta)_l + 1 - 7/3 Q^{4/3} - mu A(Q^2) - 2 mu A_l(Q .) Q
 
-The minus potential is a plain radial multiplication; the plus kind carries
-the nonlocal channel block, a dense matrix dressed with the exponentially
-decaying soliton on both sides.  Spectra are computed from the similarity
-transform B = W^{1/2} M W^{-1/2}, which is symmetric to rounding, and
-constrained solves use saddle-point bordering so discrete orthogonality
-is exact rather than iterative.
+A `ChannelOperator` holds the sparse local part (the channel Laplacian plus
+a diagonal) and, for the plus kind at mu != 0, the nonlocal channel block: a
+dense kernel dressed with the exponentially decaying soliton on both sides.
+Every linear solve goes through `ChannelOperator.solve`, which borders the
+local part with W-weighted constraint rows and factors it with a sparse LU.
+Without a nonlocal block that factor is the solve; with one it
+preconditions GMRES on the full bordered operator.  Newton steps, the
+constrained Newton on the mass sphere and the profile hierarchy all use it,
+and the bordering keeps discrete orthogonality to the constraints exact.
+Spectra are computed from the similarity transform B = W^{1/2} M W^{-1/2},
+which is symmetric to rounding, by a dense eigensolve.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, SolvabilityError
-from .grid import RadialField, inner_product
-from .groundstate import h2_norm_3d
+from .errors import ConfigurationError, ConvergenceError, SolvabilityError
+from .grid import RadialField, generator, h2_norm_3d
 from .hartree import build_multipole_kernel, hartree_apply
 
 __all__ = [
     "ChannelOperator",
     "SpectrumReport",
     "assemble_channel_operator",
+    "linearize",
     "lowest_eigenpairs",
     "solve_with_constraints",
     "nondegeneracy_report",
@@ -42,7 +49,7 @@ L_MAX = 4
 
 @dataclass(eq=False)
 class ChannelOperator:
-    """One channel of the linearization: local part plus optional W_l block."""
+    """One channel of the linearization: sparse local part plus optional W_l block."""
 
     kind: str
     l: int
@@ -51,34 +58,65 @@ class ChannelOperator:
     soliton: np.ndarray
     local_potential: np.ndarray          # diagonal beyond (-Delta)_l + 1
     nonlocal_scale: float                # -2 mu for the plus kind, else 0
-    _dense: np.ndarray = field(default=None, repr=False)
+    local: sp.csc_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.local = (self.grid.laplacian(self.l)
+                      + sp.diags(1.0 + self.local_potential)).tocsc()
+
+    def _nonlocal(self, values):
+        kernel = build_multipole_kernel(self.grid, self.l).matrix
+        return self.nonlocal_scale * self.soliton * (kernel @ (self.soliton * values))
 
     def apply(self, values):
-        grid = self.grid
-        out = grid.laplacian(self.l) @ values + values + self.local_potential * values
+        out = self.local @ values
         if self.nonlocal_scale != 0.0:
-            kernel = build_multipole_kernel(grid, self.l).matrix
-            out += self.nonlocal_scale * self.soliton * (kernel @ (self.soliton * values))
+            out += self._nonlocal(values)
         return out
 
-    def matrix(self):
-        if self._dense is None:
-            grid = self.grid
-            dense = grid.laplacian(self.l).toarray()
-            dense[np.arange(grid.n), np.arange(grid.n)] += 1.0 + self.local_potential
-            if self.nonlocal_scale != 0.0:
-                kernel = build_multipole_kernel(grid, self.l).matrix
-                dense += self.nonlocal_scale * (
-                    self.soliton[:, None] * kernel * self.soliton[None, :]
-                )
-            self._dense = dense
-        return self._dense
+    def solve(self, rhs, constraints=(), tail=None, rtol=1e-11):
+        """Solve the bordered system [[M, C], [(W C)^T, 0]] [x; y] = [rhs; tail].
 
-    def symmetric_form(self):
-        """B = W^{1/2} M W^{-1/2}, numerically symmetrized."""
-        w = np.sqrt(self.grid.weights)
-        b = (w[:, None] * self.matrix()) / w[None, :]
-        return 0.5 * (b + b.T)
+        C holds the constraint profiles as columns and `tail` (zeros when
+        omitted) the prescribed weighted overlaps (W c_j, x).  Returns the
+        stacked [x; y], with one multiplier in y per constraint.  With a
+        nonlocal block, GMRES stops at relative residual `rtol` and raises
+        ConvergenceError if it cannot get there.
+        """
+        n = self.grid.n
+        k = len(constraints)
+        if k:
+            cols = np.column_stack(constraints)
+            border = sp.bmat(
+                [[self.local, sp.csc_matrix(cols)],
+                 [sp.csc_matrix((self.grid.weights[:, None] * cols).T), None]],
+                format="csc",
+            )
+        else:
+            border = self.local
+        full_rhs = np.concatenate([rhs, np.zeros(k) if tail is None else tail])
+        lu = spla.splu(border)
+        if self.nonlocal_scale == 0.0:
+            return lu.solve(full_rhs)
+
+        def matvec(x):
+            out = border @ x
+            out[:n] += self._nonlocal(x[:n])
+            return out
+
+        shape = (n + k, n + k)
+        sol, info = spla.gmres(
+            spla.LinearOperator(shape, matvec=matvec), full_rhs,
+            M=spla.LinearOperator(shape, matvec=lu.solve),
+            rtol=rtol, atol=0.0, restart=80, maxiter=400,
+        )
+        if info != 0:
+            raise ConvergenceError(
+                "bordered GMRES solve did not converge",
+                diagnostics={"gmres_info": info, "kind": self.kind, "l": self.l,
+                             "mu": self.mu, "rtol": rtol},
+            )
+        return sol
 
 
 @dataclass(eq=False)
@@ -88,15 +126,9 @@ class SpectrumReport:
     gaps: np.ndarray
 
 
-def assemble_channel_operator(gs, kind, l):
-    """Build L_{+,l} or L_{-,l} around the given ground state."""
-    if kind not in ("plus", "minus"):
-        raise ConfigurationError(f"kind must be 'plus' or 'minus', got {kind!r}")
-    if l < 0:
-        raise ConfigurationError("channel index must be >= 0")
-    grid = gs.grid
-    q = gs.Q.values
-    mu = gs.mu
+def linearize(grid, q, mu, kind, l, shift=0.0):
+    """L_{kind,l} around the profile q at coupling mu, with `shift` added
+    to its potential (Newton on the mass sphere shifts by beta - 1)."""
     q43 = np.abs(q) ** (4.0 / 3.0)
     pot = -(7.0 / 3.0) * q43 if kind == "plus" else -q43
     if mu != 0.0:
@@ -107,21 +139,34 @@ def assemble_channel_operator(gs, kind, l):
         mu=mu,
         grid=grid,
         soliton=q,
-        local_potential=pot,
+        local_potential=pot + shift,
         nonlocal_scale=(-2.0 * mu if kind == "plus" and mu != 0.0 else 0.0),
     )
+
+
+def assemble_channel_operator(gs, kind, l):
+    """Build L_{+,l} or L_{-,l} around the given ground state."""
+    if kind not in ("plus", "minus"):
+        raise ConfigurationError(f"kind must be 'plus' or 'minus', got {kind!r}")
+    if l < 0:
+        raise ConfigurationError("channel index must be >= 0")
+    return linearize(gs.grid, gs.Q.values, gs.mu, kind, l)
 
 
 def lowest_eigenpairs(op, k):
     """The k lowest eigenpairs; eigenfields are W-orthonormal RadialFields."""
     if k > 10:
         raise ConfigurationError("at most 10 eigenpairs are supported")
-    b = op.symmetric_form()
+    dense = op.local.toarray()
+    if op.nonlocal_scale != 0.0:
+        kernel = build_multipole_kernel(op.grid, op.l).matrix
+        dense += op.nonlocal_scale * (op.soliton[:, None] * kernel * op.soliton[None, :])
+    w = np.sqrt(op.grid.weights)
+    b = (w[:, None] * dense) / w[None, :]
     try:
-        vals, vecs = sla.eigh(b, subset_by_index=[0, k - 1])
+        vals, vecs = sla.eigh(0.5 * (b + b.T), subset_by_index=[0, k - 1])
     except sla.LinAlgError as exc:
         raise ConfigurationError(f"eigensolver failed: {exc}") from exc
-    w = np.sqrt(op.grid.weights)
     fields = []
     for j in range(k):
         profile = vecs[:, j] / w
@@ -161,16 +206,7 @@ def solve_with_constraints(op, source, constraints, rel_tol=1e-8):
             )
         cons.append(cv)
 
-    n = grid.n
-    k = len(cons)
-    mat = np.zeros((n + k, n + k))
-    mat[:n, :n] = op.matrix()
-    for j, cv in enumerate(cons):
-        mat[:n, n + j] = cv
-        mat[n + j, :n] = w * cv
-    rhs = np.concatenate([src, np.zeros(k)])
-    sol = sla.solve(mat, rhs)
-    x = sol[:n]
+    x = op.solve(src, cons)[:grid.n]
 
     res = op.apply(x) - src
     res_norm = np.sqrt(np.sum(w * res ** 2))
@@ -200,7 +236,7 @@ def algebraic_identity_report(gs):
     lp1 = assemble_channel_operator(gs, "plus", 1)
 
     qprime = grid.d1_free(0) @ q
-    lam_q = 1.5 * q + grid.nodes * qprime
+    lam_q = generator(grid, q)
 
     return {
         "minus_on_Q": rel(lm0.apply(q), q),

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import RadialField, apply_generator
+from .grid import RadialField, generator
 from .hartree import build_multipole_kernel
 from .linop import assemble_channel_operator, solve_with_constraints
 
@@ -34,7 +34,6 @@ __all__ = [
     "ProfileSet",
     "AssembledProfile",
     "build_hierarchy",
-    "profile_constants",
     "assemble_R",
     "invariant_expansions",
     "residual_psi",
@@ -146,7 +145,7 @@ def build_hierarchy(gs):
     lp2 = assemble_channel_operator(gs, "plus", 2)
 
     qprime = grid.d1_free(0) @ q
-    lam_q = 1.5 * q + r * qprime
+    lam_q = generator(grid, q)
     qfield = gs.Q
 
     solvability = {}
@@ -162,9 +161,6 @@ def build_hierarchy(gs):
         num = abs(np.sum(w * src_vals * kernel_vals))
         den = np.sqrt(np.sum(w * src_vals ** 2) * np.sum(w * kernel_vals ** 2))
         return float(num / den)
-
-    def gen(vals, l):
-        return 1.5 * vals + r * (grid.d1_free(l) @ vals)
 
     def deriv(vals, l):
         return grid.d1_free(l) @ vals
@@ -184,7 +180,7 @@ def build_hierarchy(gs):
 
     # order b d
     src11 = (
-        s01 - gen(s01, 1) + deriv(s10, 0)
+        s01 - generator(grid, s01, 1) + deriv(s10, 0)
         + (4.0 / 3.0) * q13 * s10 * s01
         + 2.0 * mu * (k1 @ (s10 * s01)) * q
     )
@@ -200,7 +196,7 @@ def build_hierarchy(gs):
 
     # order b^2
     src20 = (
-        (2.0 / 3.0) * q13 * s10 ** 2 + s10 - gen(s10, 0)
+        (2.0 / 3.0) * q13 * s10 ** 2 + s10 - generator(grid, s10, 0)
         + mu * (k0 @ (s10 ** 2)) * q
     )
     T20 = solve_with_constraints(lp0, RadialField(grid, 0, src20), [])
@@ -229,7 +225,7 @@ def build_hierarchy(gs):
     src30 = (
         (4.0 / 3.0) * q13 * t20 * s10
         + (2.0 / 3.0) * s10 ** 3 / np.cbrt(q_floor) ** 2
-        + gen(t20, 0) - 2.0 * t20
+        + generator(grid, t20, 0) - 2.0 * t20
         + mu * (k0 @ (s10 ** 2)) * s10
         + 2.0 * mu * (k0 @ (q * t20)) * s10
     )
@@ -250,7 +246,7 @@ def build_hierarchy(gs):
         -(4.0 / 3.0) * q13 * s10 * s30
         + (14.0 / 9.0) * q13 * t20 ** 2
         - (1.0 / 9.0) * (s10 ** 4 / np.cbrt(q_floor) ** 5 + 4.0 * t20 * s10 ** 2 / np.cbrt(q_floor) ** 2)
-        + 3.0 * s30 - gen(s30, 0)
+        + 3.0 * s30 - generator(grid, s30, 0)
         + mu * b1
     )
     _check_bounded("T40", src40)
@@ -262,7 +258,7 @@ def build_hierarchy(gs):
     src21 = (
         (4.0 / 3.0) * q13 * (T11.values * s10 + t20 * s01)
         + 2.0 * s10 ** 2 * s01 / np.cbrt(q_floor) ** 2
-        - 3.0 * T11.values + gen(T11.values, 1) - deriv(t20, 0)
+        - 3.0 * T11.values + generator(grid, T11.values, 1) - deriv(t20, 0)
         + mu * b2
     )
     _check_bounded("S21", src21)
@@ -274,7 +270,7 @@ def build_hierarchy(gs):
     record("rho1", lp0, rho1, s10)
     r1 = rho1.values
     src_rho2_b = (
-        (4.0 / 3.0) * q13 * s10 * r1 + gen(r1, 0) - 2.0 * t20
+        (4.0 / 3.0) * q13 * s10 * r1 + generator(grid, r1, 0) - 2.0 * t20
         + 2.0 * mu * (k0 @ (q * r1)) * s10
     )
     solvability["rho2"] = solvability_rel(src_rho2_b, q)
@@ -307,11 +303,6 @@ def build_hierarchy(gs):
         e_mu=e_mu, p_mu=p_mu,
         solvability=solvability, residuals=residuals,
     )
-
-
-def profile_constants(ps):
-    """(e_mu, p_mu) from the defining equations of the first-order fields."""
-    return ps.e_mu, ps.p_mu
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +433,7 @@ def residual_psi(ps, b, d, weight_rate=0.5, window=20.0):
     dR_dc = 0.0
     for l, vals in channels.items():
         lap = lap + (grid.laplacian(l) @ vals)[:, None] * _PL[l][None, :]
-        gen_l = 1.5 * vals + r * (grid.d1_free(l) @ vals)
-        lam = lam + gen_l[:, None] * _PL[l][None, :]
+        lam = lam + generator(grid, vals, l)[:, None] * _PL[l][None, :]
         dr = grid.d1_free(l) @ vals
         dR_dr = dR_dr + dr[:, None] * _PL[l][None, :]
         if l == 1:

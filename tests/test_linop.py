@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from dcnls.errors import SolvabilityError
-from dcnls.grid import RadialField, apply_generator, build_grid, inner_product
+from dcnls.errors import ConvergenceError, SolvabilityError
+from dcnls.grid import RadialField, apply_generator, build_grid, generator, inner_product
 from dcnls.groundstate import solve_Q_mu, solve_classical_Q
+from dcnls.hartree import build_multipole_kernel
 from dcnls.linop import (
     algebraic_identity_report,
     assemble_channel_operator,
     constrained_inverse_stats,
+    linearize,
     lowest_eigenpairs,
     nondegeneracy_report,
     solve_with_constraints,
@@ -117,6 +120,64 @@ def test_constrained_solve_roundtrip(grid, gs0):
     assert abs(inner_product(x, gs0.Q)) <= 1e-10 * np.sqrt(
         inner_product(x, x).real * inner_product(gs0.Q, gs0.Q).real
     )
+
+
+def _dense_bordered_solve(op, rhs, constraints, tail):
+    """Reference: the full (n+k)^2 bordered matrix, solved densely."""
+    grid = op.grid
+    n, k = grid.n, len(constraints)
+    mat = np.zeros((n + k, n + k))
+    mat[:n, :n] = op.local.toarray()
+    if op.nonlocal_scale != 0.0:
+        kernel = build_multipole_kernel(grid, op.l).matrix
+        mat[:n, :n] += op.nonlocal_scale * op.soliton[:, None] * kernel * op.soliton[None, :]
+    for j, c in enumerate(constraints):
+        mat[:n, n + j] = c
+        mat[n + j, :n] = grid.weights * c
+    return sla.solve(mat, np.concatenate([rhs, tail]))
+
+
+def _w_rel(grid, x, ref):
+    return np.sqrt(np.sum(grid.weights * (x - ref) ** 2) / np.sum(grid.weights * ref ** 2))
+
+
+def test_bordered_solve_matches_dense_oracle(grid, gs_mu):
+    r = grid.nodes
+    w = grid.weights
+    q = gs_mu.Q.values
+    qprime = grid.d1_free(0) @ q
+    src1 = r * np.exp(-r)
+    src1 = src1 - qprime * np.sum(w * qprime * src1) / np.sum(w * qprime ** 2)
+    cases = (
+        ("minus", 0, generator(grid, q), [q]),
+        ("plus", 0, np.exp(-r) * (1 + r), []),
+        ("plus", 1, src1, [qprime]),
+    )
+    for kind, l, src, cons in cases:
+        op = assemble_channel_operator(gs_mu, kind, l)
+        x = solve_with_constraints(op, RadialField(grid, l, src), cons).values
+        ref = _dense_bordered_solve(op, src, cons, np.zeros(len(cons)))[:grid.n]
+        assert _w_rel(grid, x, ref) <= 1e-10, (kind, l)
+
+    # the constrained-Newton form: two border rows with prescribed overlaps
+    op = assemble_channel_operator(gs_mu, "plus", 0)
+    cons = [q, generator(grid, q)]
+    tail = np.array([0.3, -0.1])
+    sol = op.solve(np.exp(-r), cons, tail=tail)
+    ref = _dense_bordered_solve(op, np.exp(-r), cons, tail)
+    assert _w_rel(grid, sol[:grid.n], ref[:grid.n]) <= 1e-10
+    assert np.allclose(sol[grid.n:], ref[grid.n:], rtol=1e-10, atol=0.0)
+    assert np.allclose([np.sum(w * c * sol[:grid.n]) for c in cons], tail,
+                       rtol=1e-10, atol=0.0)
+
+
+def test_unconverged_bordered_solve_is_typed():
+    small = build_grid(16, 40.0, "tanh")
+    r = small.nodes
+    op = linearize(small, 2.0 * np.exp(-r), 0.05, "plus", 0)
+    with pytest.raises(ConvergenceError) as exc:
+        op.solve(np.exp(-r), rtol=1e-30)
+    assert exc.value.diagnostics["gmres_info"] != 0
 
 
 def test_solvability_violation_detected(grid, gs0):

@@ -8,7 +8,6 @@ from dcnls.profile import (
     assemble_R,
     build_hierarchy,
     invariant_expansions,
-    profile_constants,
     residual_psi,
 )
 
@@ -64,9 +63,8 @@ def test_e0_closed_form(grid, ps0):
 
 def test_constants_positive(ps0, ps_mu):
     for ps in (ps0, ps_mu):
-        e, p = profile_constants(ps)
-        assert e > 0
-        assert p > 0
+        assert ps.e_mu > 0
+        assert ps.p_mu > 0
 
 
 def test_mass_identity(grid, ps_mu):
