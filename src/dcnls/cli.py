@@ -32,11 +32,29 @@ _DEFAULTS = {
     "preset": "minimal-mass",
     "out": "runs",
     "threads": 0,
-    "seed": 0,
 }
 
 _FLOAT_KEYS = {"mu", "rmax", "b", "d"}
-_INT_KEYS = {"grid_n", "lmax", "k", "threads", "seed"}
+_INT_KEYS = {"grid_n", "lmax", "k", "threads"}
+
+# bounds of the `report` checks; the pass/fail checks report 0 or 1 against 0.5
+_REPORT_BOUNDS = {
+    "groundstate_eq_residual": 1e-8,
+    "groundstate_pohozaev": 1e-6,
+    "nondegeneracy": 0.5,
+    "hartree_calibration_ratio_err": 1e-4,
+    "e_mu_positive": 0.5,
+    "p_mu_positive": 0.5,
+}
+
+
+def _tolerances():
+    """The bounds in force: the report table plus the solver constants."""
+    from .linop import GAP_TOL, ZERO_TOL
+    from .profile import SOLVABILITY_TOL
+
+    return {**_REPORT_BOUNDS, "profile_solvability": SOLVABILITY_TOL,
+            "kernel_zero": ZERO_TOL, "kernel_gap": GAP_TOL}
 
 
 def _parse_config_file(path):
@@ -95,12 +113,7 @@ def _finish_run(run_dir, command, cfg, status, started, extra=None):
         "configuration": {k: cfg[k] for k in sorted(cfg)},
         "code_version": __version__,
         "grid": {"n": cfg["grid_n"], "r_max": cfg["rmax"], "stretch": "tanh"},
-        "tolerances": {
-            "eq_residual": 1e-8,
-            "pohozaev": 1e-6,
-            "kernel_zero": 1e-6,
-            "kernel_gap": 1e-3,
-        },
+        "tolerances": _tolerances(),
         "wall_clock_seconds": time.time() - started,
         "status": status,
         "files": inventory,
@@ -221,8 +234,8 @@ def _evolve_pipeline(cfg):
 def _traj_csv(run_dir, traj):
     _write_csv(
         os.path.join(run_dir, "series.csv"),
-        ["t[time]", "mass", "energy", "grad_norm", "variance", "momentum"],
-        [traj.times, traj.mass, traj.energy, traj.grad_norm, traj.xu2, traj.momentum],
+        ["t[time]", "mass", "energy", "grad_norm", "variance"],
+        [traj.times, traj.mass, traj.energy, traj.grad_norm, traj.xu2],
     )
 
 
@@ -281,27 +294,25 @@ def _cmd_report(cfg, run_dir):
 
     grid = build_grid(cfg["grid_n"], cfg["rmax"], "tanh")
     gs = solve_Q_mu(cfg["mu"], grid)
-    lines = []
+    values = {}
     rep = functional_report(gs)
-    lines.append(("groundstate_eq_residual", rep["eq_residual"], 1e-8))
-    lines.append(("groundstate_pohozaev", rep["pohozaev_defect"], 1e-6))
+    values["groundstate_eq_residual"] = rep["eq_residual"]
+    values["groundstate_pohozaev"] = rep["pohozaev_defect"]
     nd = nondegeneracy_report(gs, l_max=cfg["lmax"], k=cfg["k"])
-    lines.append(("nondegeneracy", 0.0 if nd["status"] == "PASSED" else 1.0, 0.5))
+    values["nondegeneracy"] = 0.0 if nd["status"] == "PASSED" else 1.0
     cal = calibrate_channel_coefficient(grid, 0)
-    lines.append(("hartree_calibration_ratio_err", abs(cal["fitted_ratio"] - 1), 1e-4))
+    values["hartree_calibration_ratio_err"] = abs(cal["fitted_ratio"] - 1)
     ps = build_hierarchy(gs)
-    e_mu, p_mu = ps.e_mu, ps.p_mu
-    lines.append(("profile_solvability", max(ps.solvability.values()), 1e-6))
-    lines.append(("e_mu_positive", 0.0 if e_mu > 0 else 1.0, 0.5))
-    lines.append(("p_mu_positive", 0.0 if p_mu > 0 else 1.0, 0.5))
-    names = [l[0] for l in lines]
-    values = [l[1] for l in lines]
-    bounds = [l[2] for l in lines]
-    verdicts = ["PASS" if v <= b else "FAIL" for v, b in zip(values, bounds)]
+    values["profile_solvability"] = max(ps.solvability.values())
+    values["e_mu_positive"] = 0.0 if ps.e_mu > 0 else 1.0
+    values["p_mu_positive"] = 0.0 if ps.p_mu > 0 else 1.0
+    tol = _tolerances()
+    names = list(values)
+    verdicts = ["PASS" if values[k] <= tol[k] else "FAIL" for k in names]
     _write_csv(
         os.path.join(run_dir, "report.csv"),
         ["check", "value", "bound", "verdict"],
-        [names, values, bounds, verdicts],
+        [names, [values[k] for k in names], [tol[k] for k in names], verdicts],
     )
     status = "PASSED" if all(v == "PASS" for v in verdicts) else "FAILED"
     if status != "PASSED":
@@ -337,7 +348,6 @@ def _build_parser():
     parser.add_argument("--preset", choices=["minimal-mass", "gaussian", "soliton"])
     parser.add_argument("--out", help="parent directory for run output")
     parser.add_argument("--threads", type=int, help="BLAS/OpenMP thread cap")
-    parser.add_argument("--seed", type=int, help="seed for randomized sampling")
     return parser
 
 
@@ -370,6 +380,10 @@ def run_command(argv):
 
     run_dir = os.path.join(cfg["out"], f"{args.command}-mu{cfg['mu']:g}-n{cfg['grid_n']}")
     os.makedirs(run_dir, exist_ok=True)
+    for name in os.listdir(run_dir):    # the manifest lists this run's files only
+        path = os.path.join(run_dir, name)
+        if os.path.isfile(path):
+            os.remove(path)
     started = time.time()
     try:
         summary = _COMMANDS[args.command](cfg, run_dir)

@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import RadialField, even_interpolator, generator
+from .grid import RadialField, profile_interpolator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
 from .hartree import hartree_apply
 
@@ -51,7 +51,6 @@ class EvolutionState:
     dt: float
     mass: float
     energy: float
-    momentum: float
     grad_norm: float
 
     @classmethod
@@ -63,7 +62,6 @@ class EvolutionState:
             dt=dt,
             mass=mass_3d(grid, values),
             energy=energy_mu(grid, values, mu),
-            momentum=0.0,
             grad_norm=float(np.sqrt(grad_sq_3d(grid, values))),
         )
 
@@ -78,7 +76,6 @@ class Trajectory:
     energy: np.ndarray
     grad_norm: np.ndarray
     xu2: np.ndarray
-    momentum: np.ndarray
     snapshots: list                    # (t, complex values) pairs
     final: EvolutionState
     stopped_by: str
@@ -114,9 +111,7 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
         if alpha <= 0 or beta <= 0:
             raise ConfigurationError("scaling parameters must be positive")
         grid = gs.grid
-        spline = even_interpolator(grid, gs.Q.values)
-        arg = alpha * beta * grid.nodes
-        vals = alpha ** 1.5 * np.where(arg <= grid.r_max, spline(np.minimum(arg, grid.r_max)), 0.0)
+        vals = alpha ** 1.5 * profile_interpolator(grid, gs.Q.values)(alpha * beta * grid.nodes)
         return EvolutionState.from_values(grid, vals, mu)
 
     if kind == "minimal_mass_profile":
@@ -131,14 +126,8 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
         if params.get("d0", 0.0) != 0.0:
             raise ConfigurationError("the radial path carries no drift")
         grid = gs.grid
-        prof = assemble_R(ps, b0, 0.0)
-        ch0 = prof.channels[0]
-        re_spline = even_interpolator(grid, np.real(ch0))
-        im_spline = even_interpolator(grid, np.imag(ch0))
-        y = grid.nodes / lam0
-        inside = y <= grid.r_max
-        yc = np.minimum(y, grid.r_max)
-        vals = lam0 ** -1.5 * np.where(inside, re_spline(yc) + 1j * im_spline(yc), 0.0)
+        ch0 = assemble_R(ps, b0, 0.0).channels[0]
+        vals = lam0 ** -1.5 * profile_interpolator(grid, ch0)(grid.nodes / lam0)
         # renormalized to the critical mass (the pseudo-conformal phase rides
         # inside the imaginary hierarchy of the assembled profile); the
         # truncated profile itself sits a hair on the dispersal side of the
@@ -268,7 +257,6 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=None, adaptive=False,
         energy=np.array(energies),
         grad_norm=np.array(grads),
         xu2=np.array(xu2s),
-        momentum=np.zeros(len(times)),
         snapshots=snapshots,
         final=final,
         stopped_by=stopped_by,
@@ -366,43 +354,27 @@ class ModulationTrace:
     lam: np.ndarray
     b: np.ndarray
     gamma: np.ndarray
-    alpha: np.ndarray
-    d: np.ndarray
     residual: np.ndarray
     flags: np.ndarray        # True where the frame fit converged
 
 
 def _profile_model(ps):
     """Callable (r, lam, b, gamma) -> model values for the radial profile family."""
-    grid = ps.grid
-    splines = {
-        "q": even_interpolator(grid, ps.gs.Q.values),
-        "t20": even_interpolator(grid, ps.T20.values),
-        "t40": even_interpolator(grid, ps.T40.values),
-        "s10": even_interpolator(grid, ps.S10.values),
-        "s30": even_interpolator(grid, ps.S30.values),
-    }
-    r_max = grid.r_max
+    fields = [ps.gs.Q, ps.T20, ps.T40, ps.S10, ps.S30]
+    spline = profile_interpolator(ps.grid, np.column_stack([f.values for f in fields]))
 
     def model(r, lam, b, gamma):
-        y = r / lam
-        inside = y <= r_max
-        yc = np.minimum(y, r_max)
-        re = splines["q"](yc) + b * b * splines["t20"](yc) + b ** 4 * splines["t40"](yc)
-        im = b * splines["s10"](yc) + b ** 3 * splines["s30"](yc)
-        vals = np.where(inside, re + 1j * im, 0.0)
-        return lam ** -1.5 * vals * np.exp(1j * gamma)
+        coeffs = np.array([1.0, b * b, b ** 4, 1j * b, 1j * b ** 3])
+        return lam ** -1.5 * (spline(r / lam) @ coeffs) * np.exp(1j * gamma)
 
     return model
 
 
-def modulation_extract(traj, gs, ps, residual_cap=0.3, refine=False):
+def modulation_extract(traj, gs, ps, residual_cap=0.3):
     """Per-frame (lambda, b, gamma) by weighted nonlinear least squares.
 
     Frames whose best fit leaves more than `residual_cap` relative residual
-    are flagged and skipped in the series.  With `refine`, the least-squares
-    solution is pushed onto the discrete orthogonality conditions of the
-    soliton-frame decomposition by root finding.
+    are flagged and skipped in the series.
     """
     grid = gs.grid
     w = grid.weights
@@ -431,8 +403,6 @@ def modulation_extract(traj, gs, ps, residual_cap=0.3, refine=False):
         rel = np.sqrt(np.sum(sol.fun ** 2)) / norm
         ok = sol.success and rel <= residual_cap
         lam, gamma, b = float(np.exp(sol.x[0])), float(sol.x[1]), float(sol.x[2])
-        if ok and refine:
-            lam, gamma, b = _refine_orthogonality(grid, ps, vals, lam, gamma, b)
         times.append(t)
         lams.append(lam if ok else np.nan)
         bs.append(b if ok else np.nan)
@@ -441,51 +411,14 @@ def modulation_extract(traj, gs, ps, residual_cap=0.3, refine=False):
         flags.append(ok)
         if ok:
             guess = sol.x
-    nt = len(times)
     return ModulationTrace(
         times=np.array(times),
         lam=np.array(lams),
         b=np.array(bs),
         gamma=np.unwrap(np.array(gammas)),
-        alpha=np.zeros(nt),
-        d=np.zeros(nt),
         residual=np.array(residuals),
         flags=np.array(flags, dtype=bool),
     )
-
-
-def _refine_orthogonality(grid, ps, vals, lam, gamma, b):
-    """Root-find the soliton-frame orthogonality conditions in (lam, gamma, b)."""
-    from scipy.optimize import root
-
-    w = grid.weights
-    r = grid.nodes
-    q = ps.gs.Q.values
-
-    def conditions(x):
-        lam_, gamma_, b_ = np.exp(x[0]), x[1], x[2]
-        spline_re = even_interpolator(grid, np.real(vals))
-        spline_im = even_interpolator(grid, np.imag(vals))
-        y = np.minimum(lam_ * r, grid.r_max)
-        eps = lam_ ** 1.5 * (spline_re(y) + 1j * spline_im(y)) * np.exp(-1j * gamma_)
-        r1 = q + b_ * b_ * ps.T20.values
-        r2 = b_ * ps.S10.values
-        eps = eps - (r1 + 1j * r2)
-        lam_r1 = generator(grid, r1)
-        lam_r2 = generator(grid, r2)
-        db_r1 = 2 * b_ * ps.T20.values
-        db_r2 = ps.S10.values
-        e1, e2 = np.real(eps), np.imag(eps)
-        return [
-            np.sum(w * (e2 * lam_r1 - e1 * lam_r2)),
-            np.sum(w * (e2 * db_r1 - e1 * db_r2)),
-            np.sum(w * (e2 * ps.rho1.values - e1 * ps.rho2_b.values)),
-        ]
-
-    sol = root(conditions, np.array([np.log(lam), gamma, b]), method="hybr")
-    if sol.success:
-        return float(np.exp(sol.x[0])), float(sol.x[1]), float(sol.x[2])
-    return lam, gamma, b
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import make_interp_spline
 
 from .errors import ConfigurationError, GridMismatchError
 
@@ -49,6 +50,7 @@ __all__ = [
     "generator",
     "apply_channel_laplacian",
     "apply_generator",
+    "profile_interpolator",
 ]
 
 _token_counter = itertools.count(1)
@@ -470,11 +472,24 @@ def apply_generator(f):
     return RadialField(f.grid, f.l, generator(f.grid, f.values, f.l))
 
 
-def even_interpolator(grid, values, k=5):
-    """Spline interpolant of an even-parity profile, valid on [0, r_max]."""
-    from scipy.interpolate import InterpolatedUnivariateSpline
+def profile_interpolator(grid, values, l=0):
+    """Quintic spline of channel-l samples as a callable of the radius.
 
+    The first six nodes are mirrored with the channel parity (-1)^l, so the
+    spline is smooth through r = 0.  `values` may be real, complex, or
+    stacked as (n, m); a radius array y maps to shape y.shape + values.shape[1:].
+    Radii are clamped at r_max and the interpolant is 0 beyond it.
+    """
     npad = 6
     r = np.concatenate([-grid.nodes[:npad][::-1], grid.nodes])
-    v = np.concatenate([values[:npad][::-1], values])
-    return InterpolatedUnivariateSpline(r, v, k=k, ext=3)
+    v = np.concatenate([(-1.0) ** l * values[:npad][::-1], values])
+    spline = make_interp_spline(r, v, k=5)
+    r_max = grid.r_max
+
+    def sample(y):
+        y = np.asarray(y, dtype=float)
+        out = spline(np.minimum(y, r_max))
+        inside = (y <= r_max).reshape(y.shape + (1,) * (out.ndim - y.ndim))
+        return np.where(inside, out, 0.0)
+
+    return sample

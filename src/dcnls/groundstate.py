@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
-from .grid import RadialField, even_interpolator, generator, h2_norm_3d
+from .grid import RadialField, generator, h2_norm_3d, profile_interpolator
 from .hartree import hartree_apply
 from .linop import linearize
 
@@ -411,9 +411,7 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
         lam = (np.max(f) / amp_ref) ** (-2.0 / 3.0)
         if abs(lam - 1.0) < 1e-13:
             return f
-        spline = even_interpolator(grid, f)
-        arg = np.minimum(lam * r, grid.r_max)
-        return lam ** 1.5 * np.where(lam * r <= grid.r_max, spline(arg), 0.0)
+        return lam ** 1.5 * profile_interpolator(grid, f)(lam * r)
 
     res_hist = []
     flow_its = 0
@@ -459,9 +457,7 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
     # spline transport pollutes the high-frequency end (the Laplacian
     # amplifies interpolation error by 1/h^2), so the transported state is
     # polished back onto the discrete solution manifold.
-    spline = even_interpolator(grid, phi)
-    arg = r / np.sqrt(beta)
-    q = beta ** (-0.75) * np.where(arg <= grid.r_max, spline(np.minimum(arg, grid.r_max)), 0.0)
+    q = beta ** (-0.75) * profile_interpolator(grid, phi)(r / np.sqrt(beta))
     rescale_shift = None
     try:
         q_pol, _, _ = _newton_polish(grid, q, mu, maxiter=12)

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, QuadratureError
-from .grid import RadialField, RadialGrid, even_interpolator
+from .grid import RadialField, RadialGrid, _fd_weights, profile_interpolator
 
 __all__ = [
     "MultipoleKernel",
@@ -151,19 +151,9 @@ def _lagrange_values(stencil_r, x):
     return np.stack(out, axis=-2)   # (..., 6, npts)
 
 
-_GREG_R = None
-_GREG_L = None
-
-
-def _gregory_weights():
-    """One-sided d/dxi weights at a cell edge from the 4 nodes on one side."""
-    global _GREG_R, _GREG_L
-    if _GREG_R is None:
-        from .grid import _fd_weights
-
-        _GREG_R = _fd_weights(np.array([0.5, 1.5, 2.5, 3.5]), 1)
-        _GREG_L = _fd_weights(np.array([-0.5, -1.5, -2.5, -3.5]), 1)
-    return _GREG_R, _GREG_L
+# one-sided d/dxi weights at a cell edge from the 4 nodes on either side
+_GREG_R = _fd_weights(np.array([0.5, 1.5, 2.5, 3.5]), 1)
+_GREG_L = _fd_weights(np.array([-0.5, -1.5, -2.5, -3.5]), 1)
 
 
 def _exact_cell_rows(grid, l, i, c, singular):
@@ -245,20 +235,19 @@ def build_multipole_kernel(grid, l, band=_BAND):
 
     # Gregory corrections at the cuts between the exact zone and the
     # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
-    fd_r, fd_l = _gregory_weights()
     rows = np.arange(n)
     right0 = rows + band + 1
     ok = right0 + 3 < n
     i = rows[ok]
     for d in range(4):
         j = right0[ok] + d
-        mat[i, j] -= (fd_r[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
+        mat[i, j] -= (_GREG_R[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
     left_edge = rows - band - 1
     ok = (left_edge - 3 >= 0) & (rows > core + band)
     i = rows[ok]
     for d in range(4):
         j = left_edge[ok] - d
-        mat[i, j] += (fd_l[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
+        mat[i, j] += (_GREG_L[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
 
     # no explicit W-symmetrization: each row is an accurate quadrature of the
     # symmetric continuum form, so bilinear symmetry holds to quadrature
@@ -279,8 +268,7 @@ def hartree_potential(f, nonneg=False):
     vals = np.real_if_close(f.values)
     if nonneg and np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ConfigurationError("density has a negative part")
-    kernel = build_multipole_kernel(f.grid, 0)
-    return RadialField(f.grid, 0, kernel.matrix @ f.values)
+    return RadialField(f.grid, 0, hartree_apply(f.grid, f.values))
 
 
 def hartree_apply(grid, density_values):
@@ -351,14 +339,8 @@ def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
     if isinstance(f, RadialField):
         if f.l != 0:
             raise ConfigurationError("the oracle integrates radial (l=0) densities")
-        spline = even_interpolator(f.grid, np.real(f.values))
-        rmax = f.grid.r_max
-
-        def fun(d):
-            out = spline(np.clip(d, 0.0, rmax))
-            return np.where(d <= rmax, out, 0.0)
-
-        s_support = rmax
+        fun = profile_interpolator(f.grid, np.real(f.values))
+        s_support = f.grid.r_max
     else:
         fun = f
         s_support = support if support is not None else 40.0
@@ -395,22 +377,13 @@ def calibrate_channel_coefficient(grid, l, oracle_samples=None):
     The kernel is built with the resolved constant 2*pi; the fitted ratio
     should be 1 to oracle accuracy and is recorded alongside the constant.
     """
-    from scipy.interpolate import InterpolatedUnivariateSpline
-
     kernel = build_multipole_kernel(grid, l)
     r = grid.nodes
     if oracle_samples is None:
         oracle_samples = (0.3, 1.0, 2.0, 4.0, 8.0)
     profile = r ** l * np.exp(-r ** 2)
     mine = channel_convolve(kernel, RadialField(grid, l, profile))
-
-    pad = 6
-    rr = np.concatenate([-grid.nodes[:pad][::-1], grid.nodes])
-    vv = np.concatenate([((-1.0) ** l) * profile[:pad][::-1], profile])
-    spl = InterpolatedUnivariateSpline(rr, vv, k=5, ext=3)
-
-    def fun3d(dist):
-        return np.where(dist <= grid.r_max, spl(np.clip(dist, 0, grid.r_max)), 0.0)
+    fun3d = profile_interpolator(grid, profile, l)
 
     ratios = []
     for radius in oracle_samples:

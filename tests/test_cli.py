@@ -101,3 +101,62 @@ def test_entry_point_runs():
         input="", capture_output=True, text=True,
     )
     assert proc.returncode == 2   # missing required subcommand
+
+
+def _child_env():
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    return env
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dcnls.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_threads_flag_caps_blas(tmp_path):
+    script = (
+        "import sys\n"
+        "from dcnls.cli import run_command\n"
+        "code = run_command(['groundstate', '--grid-n', '256', '--threads', '1',\n"
+        "                    '--out', sys.argv[1]])\n"
+        "threads = [l.split()[1] for l in open('/proc/self/status')\n"
+        "           if l.startswith('Threads:')][0]\n"
+        "print(code, threads)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "1"]
+
+
+def test_failed_rerun_lists_no_stale_files(tmp_path):
+    args = ["groundstate", "--mu", "0.05", "--grid-n", "256"]
+    assert _run(args, str(tmp_path)) == 0
+    assert _run(args + ["--rmax", "-1"], str(tmp_path)) == 2
+    run_dir = tmp_path / "runs" / "groundstate-mu0.05-n256"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"].startswith("FAILED (configuration)")
+    assert manifest["files"] == {}
+
+
+def test_manifest_tolerances_are_the_constants_in_force(tmp_path):
+    import dcnls.cli as cli
+    from dcnls import linop, profile
+
+    assert _run(["groundstate", "--grid-n", "256"], str(tmp_path)) == 0
+    run_dir = tmp_path / "runs" / "groundstate-mu0-n256"
+    tol = json.loads((run_dir / "manifest.json").read_text())["tolerances"]
+    assert tol["kernel_zero"] == linop.ZERO_TOL
+    assert tol["kernel_gap"] == linop.GAP_TOL
+    assert tol["profile_solvability"] == profile.SOLVABILITY_TOL
+    for name, bound in cli._REPORT_BOUNDS.items():
+        assert tol[name] == bound
+    assert len(tol) == len(cli._REPORT_BOUNDS) + 3

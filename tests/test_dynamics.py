@@ -65,7 +65,7 @@ def test_time_reversibility(grid):
 
 def test_scaling_symmetry(grid):
     # evolving a-rescaled data for time t/a^2 reproduces the rescaling
-    from dcnls.grid import even_interpolator
+    from dcnls.grid import profile_interpolator
 
     a = 1.5
     mu = 0.02
@@ -76,8 +76,8 @@ def test_scaling_symmetry(grid):
     ua0 = EvolutionState.from_values(grid, a ** 1.5 * 0.9 *
                                      np.exp(-(a * r) ** 2 / 8).astype(complex), mu)
     traj_a = evolve(ua0, mu, dt=2e-4 / a ** 2, t_final=t_base / a ** 2)
-    spline_re = even_interpolator(grid, np.real(traj.final.field.values))
-    spline_im = even_interpolator(grid, np.imag(traj.final.field.values))
+    spline_re = profile_interpolator(grid, np.real(traj.final.field.values))
+    spline_im = profile_interpolator(grid, np.imag(traj.final.field.values))
     arg = np.minimum(a * r, grid.r_max)
     expect = a ** 1.5 * np.where(a * r <= grid.r_max,
                                  spline_re(arg) + 1j * spline_im(arg), 0.0)
@@ -139,11 +139,11 @@ def test_no_blowup_detected_for_standing_wave(grid, gs):
 
 def test_modulation_recovers_exact_parameters(grid, gs):
     from dcnls.profile import build_hierarchy
-    from dcnls.grid import even_interpolator
+    from dcnls.grid import profile_interpolator
 
     ps = build_hierarchy(gs)
     lam0, gamma0 = 1.3, 0.7
-    spline = even_interpolator(grid, gs.Q.values)
+    spline = profile_interpolator(grid, gs.Q.values)
     arg = np.minimum(grid.nodes / lam0, grid.r_max)
     vals = lam0 ** -1.5 * spline(arg) * np.exp(1j * gamma0)
     u0 = EvolutionState.from_values(grid, vals, 0.0)

@@ -9,6 +9,7 @@ from dcnls.grid import (
     build_grid,
     inner_product,
     pair_3d,
+    profile_interpolator,
 )
 
 
@@ -173,3 +174,38 @@ def test_boundary_report(grid):
     odd = RadialField(grid, 1, r * np.exp(-r ** 2))
     assert abs(even.boundary_report()["slope_at_0"]) <= 1e-3
     assert abs(odd.boundary_report()["value_at_0"]) <= 1e-6
+
+
+def _channel_profiles(r):
+    return [r ** l * np.exp(-r ** 2 / 4) * (1 + 0.3 * np.cos(r)) for l in (0, 1, 2)]
+
+
+def test_profile_interpolator_matches_fitpack_oracle():
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
+    g = build_grid(384, 40.0, "tanh")
+    r = g.nodes
+    # off-node samples: midpoints between nodes, and between 0 and the first node
+    y = 0.5 * (np.concatenate([[-r[0]], r[:-1]]) + r)
+    for l, f in enumerate(_channel_profiles(r)):
+        rr = np.concatenate([-r[:6][::-1], r])
+        vv = np.concatenate([(-1.0) ** l * f[:6][::-1], f])
+        oracle = InterpolatedUnivariateSpline(rr, vv, k=5, ext=3)
+        err = np.max(np.abs(profile_interpolator(g, f, l)(y) - oracle(y)))
+        assert err <= 1e-9 * np.max(np.abs(f))
+
+
+def test_profile_interpolator_complex_stacked_and_tail():
+    g = build_grid(384, 40.0, "tanh")
+    r = g.nodes
+    f0, f1, f2 = _channel_profiles(r)
+    y = np.linspace(0.0, 1.2 * g.r_max, 1001)
+    re, im = profile_interpolator(g, f0)(y), profile_interpolator(g, f2)(y)
+    scale = np.max(np.abs(re + 1j * im))
+    assert np.max(np.abs(profile_interpolator(g, f0 + 1j * f2)(y) - (re + 1j * im))) <= 1e-14 * scale
+    stacked = profile_interpolator(g, np.column_stack([f0, f1, f2]))(y)
+    assert stacked.shape == (y.size, 3)
+    for k, f in enumerate((f0, f1, f2)):
+        assert np.max(np.abs(stacked[:, k] - profile_interpolator(g, f)(y))) <= 1e-14 * scale
+    beyond = y > g.r_max
+    assert np.any(beyond) and np.all(stacked[beyond] == 0.0)

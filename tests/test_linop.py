@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -178,6 +180,16 @@ def test_unconverged_bordered_solve_is_typed():
     with pytest.raises(ConvergenceError) as exc:
         op.solve(np.exp(-r), rtol=1e-30)
     assert exc.value.diagnostics["gmres_info"] != 0
+
+
+def test_unconverged_bordered_solve_fails_fast():
+    g = build_grid(256, 40.0, "tanh")
+    r = g.nodes
+    op = linearize(g, 2.0 * np.exp(-r), 0.05, "plus", 0)
+    started = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        op.solve(np.exp(-r), rtol=1e-30)
+    assert time.perf_counter() - started <= 5.0
 
 
 def test_solvability_violation_detected(grid, gs0):
