@@ -36,6 +36,8 @@ _DEFAULTS = {
 
 _FLOAT_KEYS = {"mu", "rmax", "b", "d"}
 _INT_KEYS = {"grid_n", "lmax", "k", "threads"}
+# keys that name a run directory when they differ from their default
+_RUN_KEYS = ("rmax", "lmax", "k", "b", "d", "preset")
 
 # bounds of the `report` checks; the pass/fail checks report 0 or 1 against 0.5
 _REPORT_BOUNDS = {
@@ -128,11 +130,10 @@ def _finish_run(run_dir, command, cfg, status, started, extra=None):
 
 
 def _field_csv(run_dir, name, grid, values):
-    vals = values if hasattr(values, "real") else values
     _write_csv(
         os.path.join(run_dir, name),
         ["r[length]", "Re", "Im"],
-        [grid.nodes, vals.real, getattr(vals, "imag", vals * 0.0)],
+        [grid.nodes, values.real, values.imag],
     )
 
 
@@ -247,6 +248,8 @@ def _cmd_evolve(cfg, run_dir):
     summary = {
         "stopped_by": traj.stopped_by,
         "t_final": traj.final.t,
+        "steps": traj.steps,
+        "refactorizations": traj.refactorizations,
         "mass_drift_rate": traj.mass_drift_rate(),
     }
     fit = blowup_fit(traj)
@@ -378,7 +381,11 @@ def run_command(argv):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(cfg["threads"])
 
-    run_dir = os.path.join(cfg["out"], f"{args.command}-mu{cfg['mu']:g}-n{cfg['grid_n']}")
+    run_name = f"{args.command}-mu{cfg['mu']:g}-n{cfg['grid_n']}" + "".join(
+        f"-{key}{cfg[key]:g}" if key in _FLOAT_KEYS else f"-{key}{cfg[key]}"
+        for key in _RUN_KEYS if cfg[key] != _DEFAULTS[key]
+    )
+    run_dir = os.path.join(cfg["out"], run_name)
     os.makedirs(run_dir, exist_ok=True)
     for name in os.listdir(run_dir):    # the manifest lists this run's files only
         path = os.path.join(run_dir, name)

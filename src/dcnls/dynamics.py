@@ -6,6 +6,9 @@ is invariant during that substep, so it is exact) and a Crank-Nicolson
 half for the radial Laplacian, which conserves the discrete mass to
 rounding because the Laplacian is exactly symmetric in the quadrature
 inner product.  The composition is time-symmetric, hence reversible.
+As the rotation keeps |u|, a step's trailing potential is the next step's
+leading one; the Crank-Nicolson half is 2 (I + i dt/2 L)^{-1} u - u, one
+solve against a band LU that is refactored only when dt changes.
 
 A small periodic Cartesian box with a spectral Laplacian and the Fourier
 multiplier of the |x|^-2 kernel covers drift and momentum experiments.
@@ -18,13 +21,13 @@ few cells, returning the last trusted state.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import RadialField, profile_interpolator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
-from .hartree import hartree_apply
+from .hartree import hartree_apply, nonlinear_potential
 
 __all__ = [
     "EvolutionState",
@@ -79,6 +82,8 @@ class Trajectory:
     snapshots: list                    # (t, complex values) pairs
     final: EvolutionState
     stopped_by: str
+    steps: int
+    refactorizations: int              # band LU factorisations, one per dt used
     lambda0: float = None
 
     def mass_drift_rate(self):
@@ -154,16 +159,22 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
 # radial evolution
 # ---------------------------------------------------------------------------
 
-def _cn_banded(grid, dt):
-    """LHS/RHS band matrices of the Crank-Nicolson linear half-update."""
+def _cn_factor(grid, dt):
+    """Band LU of I + i dt/2 L, the whole Crank-Nicolson half because
+    (I + i dt/2 L)^{-1} (I - i dt/2 L) = 2 (I + i dt/2 L)^{-1} - I."""
     lap = grid.laplacian_banded(0)
     hw = lap.shape[0] // 2
-    eye = np.zeros_like(lap, dtype=complex)
-    eye[hw, :] = 1.0
-    return eye + 0.5j * dt * lap, eye - 0.5j * dt * lap, hw
+    ab = np.zeros((3 * hw + 1, grid.n), dtype=complex)   # hw extra rows for pivoting
+    ab[hw:] = 0.5j * dt * lap
+    ab[2 * hw] += 1.0
+    lu, piv, info = zgbtrf(ab, hw, hw)
+    if info != 0:
+        raise ConvergenceError("Crank-Nicolson band factorisation failed",
+                               diagnostics={"info": int(info), "dt": dt})
+    return lu, piv, hw
 
 
-def evolve(u0, mu, dt=1e-3, t_final=None, record_every=None, adaptive=False,
+def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
            stop_grad_factor=None, min_scale_cells=8.0, lambda0=None,
            linear_only=False, max_steps=2_000_000):
     """Propagate the radial equation by Strang splitting.
@@ -180,13 +191,10 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=None, adaptive=False,
     t = u0.t
     g0 = u0.grad_norm
     h_core = grid.core_spacing()
-    w = grid.weights
-    r2w = w * grid.nodes ** 2
+    r2w = grid.weights * grid.nodes ** 2
 
     times, masses, energies, grads, xu2s = [], [], [], [], []
     snapshots = []
-    if record_every is None:
-        record_every = 25
 
     def grad_of(vals):
         return float(np.sqrt(grad_sq_3d(grid, vals)))
@@ -204,7 +212,9 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=None, adaptive=False,
     record(u, t)
     stopped_by = "t_final"
     step_dt = dt
-    lhs, rhs, hw = _cn_banded(grid, step_dt)
+    lu, piv, hw = _cn_factor(grid, step_dt)
+    refactorizations = 1
+    pot = None if linear_only else nonlinear_potential(grid, u, mu)
     steps = 0
     direction = 1.0 if dt > 0 else -1.0
     while steps < max_steps:
@@ -226,19 +236,14 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=None, adaptive=False,
             want = direction * min(abs(want), remaining)
         if abs(want - step_dt) > 1e-3 * abs(step_dt):
             step_dt = want
-            lhs, rhs, hw = _cn_banded(grid, step_dt)
+            lu, piv, hw = _cn_factor(grid, step_dt)
+            refactorizations += 1
 
         if not linear_only:
-            pot = np.abs(u) ** (4.0 / 3.0)
-            if mu != 0.0:
-                pot = pot + mu * hartree_apply(grid, np.abs(u) ** 2)
             u = u * np.exp(0.5j * step_dt * pot)
-        u = solve_banded((hw, hw), lhs, rhs[hw, :] * u
-                         + _band_offdiag_apply(rhs, u, hw))
+        u = 2.0 * zgbtrs(lu, hw, hw, u, piv)[0] - u
         if not linear_only:
-            pot = np.abs(u) ** (4.0 / 3.0)
-            if mu != 0.0:
-                pot = pot + mu * hartree_apply(grid, np.abs(u) ** 2)
+            pot = nonlinear_potential(grid, u, mu)
             u = u * np.exp(0.5j * step_dt * pot)
         t += step_dt
         steps += 1
@@ -260,18 +265,10 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=None, adaptive=False,
         snapshots=snapshots,
         final=final,
         stopped_by=stopped_by,
+        steps=steps,
+        refactorizations=refactorizations,
         lambda0=lambda0,
     )
-
-
-def _band_offdiag_apply(band, u, hw):
-    """(band @ u) minus the main-diagonal part, in band storage."""
-    n = u.size
-    out = np.zeros_like(u)
-    for d in range(1, hw + 1):
-        out[:-d] += band[hw - d, d:] * u[d:]
-        out[d:] += band[hw + d, :-d] * u[:-d]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,28 +497,23 @@ def refined_energy(state, w_state, lam, b, M, cutoff, mu=None, alpha=0.0):
     kin = 0.5 * 4 * np.pi * np.sum(wq * np.abs(dut) ** 2)
     mass_term = 0.5 / lam ** 2 * 4 * np.pi * np.sum(wq * np.abs(ut) ** 2)
 
-    def F(v):
-        return 0.3 * np.abs(v) ** (10.0 / 3.0)
-
-    fw = np.abs(wv) ** (4.0 / 3.0) * wv
-    local = -4 * np.pi * np.sum(wq * (F(u) - F(wv) - np.real(fw * np.conj(ut))))
-
-    nonlocal_term = 0.0
-    if mu != 0.0:
-        def G(v):
+    def potential_density(v):
+        """(3/10)|v|^{10/3} + (mu/4) A(|v|^2) |v|^2, whose derivative is V(v) v."""
+        out = 0.3 * np.abs(v) ** (10.0 / 3.0)
+        if mu != 0.0:
             dens = np.abs(v) ** 2
-            return 0.25 * hartree_apply(grid, dens) * dens
+            out = out + 0.25 * mu * hartree_apply(grid, dens) * dens
+        return out
 
-        gw = hartree_apply(grid, np.abs(wv) ** 2) * wv
-        nonlocal_term = -mu * 4 * np.pi * np.sum(
-            wq * (G(u) - G(wv) - np.real(gw * np.conj(ut)))
-        )
+    force = nonlinear_potential(grid, wv, mu) * wv
+    potential = -4 * np.pi * np.sum(wq * (potential_density(u) - potential_density(wv)
+                                          - np.real(force * np.conj(ut))))
 
     phi1_spline, _ = cutoff.interpolators()
     morawetz = 0.5 * (b / lam) * 4 * np.pi * np.imag(
         np.sum(wq * M * phi1_spline((r - alpha) / (M * lam)) * dut * np.conj(ut))
     )
-    return float(kin + mass_term + local + nonlocal_term + morawetz)
+    return float(kin + mass_term + potential + morawetz)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +563,16 @@ class CartesianEvolver:
         nl = -0.25 * self.mu * np.sum(self.hartree(dens) * dens) * self.dx ** 3
         return float(kin + loc + nl)
 
+    def potential(self, u):
+        pot = np.abs(u) ** (4.0 / 3.0)
+        if self.mu != 0.0:
+            pot = pot + self.mu * self.hartree(np.abs(u) ** 2)
+        return pot
+
     def step(self, u, dt):
-        pot = np.abs(u) ** (4.0 / 3.0)
-        if self.mu != 0.0:
-            pot = pot + self.mu * self.hartree(np.abs(u) ** 2)
-        u = u * np.exp(0.5j * dt * pot)
+        u = u * np.exp(0.5j * dt * self.potential(u))
         u = np.fft.ifftn(np.fft.fftn(u) * np.exp(-1j * dt * self.k2))
-        pot = np.abs(u) ** (4.0 / 3.0)
-        if self.mu != 0.0:
-            pot = pot + self.mu * self.hartree(np.abs(u) ** 2)
-        return u * np.exp(0.5j * dt * pot)
+        return u * np.exp(0.5j * dt * self.potential(u))
 
     def run(self, u, dt, steps):
         for _ in range(steps):

@@ -407,10 +407,9 @@ def _build_laplacian(grid, l):
 def _to_banded(mat, hw):
     """CSR -> LAPACK general band storage with hw diagonals each side."""
     n = mat.shape[0]
-    dense_rows = mat.toarray()
     ab = np.zeros((2 * hw + 1, n), dtype=mat.dtype)
     for d in range(-hw, hw + 1):
-        diag = np.diagonal(dense_rows, offset=d)
+        diag = mat.diagonal(d)
         ab[hw - d, max(d, 0):max(d, 0) + diag.size] = diag
     return ab
 

@@ -26,7 +26,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
 from .grid import RadialField, generator, h2_norm_3d, profile_interpolator
-from .hartree import hartree_apply
+from .hartree import hartree_apply, nonlinear_potential
 from .linop import linearize
 
 __all__ = [
@@ -70,10 +70,7 @@ def energy_mu(grid, values, mu):
 
 def _equation_residual(grid, q, mu):
     """-Delta Q + Q - |Q|^{4/3} Q - mu A(Q^2) Q, as sampled values."""
-    out = grid.laplacian(0) @ q + q - np.abs(q) ** (4.0 / 3.0) * q
-    if mu != 0.0:
-        out -= mu * hartree_apply(grid, q ** 2) * q
-    return out
+    return grid.laplacian(0) @ q + q - nonlinear_potential(grid, q, mu) * q
 
 
 def pohozaev_defect(grid, q, mu):
@@ -417,19 +414,14 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
     flow_its = 0
     for it in range(maxiter):
         flow_its = it
-        nonlin = np.abs(phi) ** (4.0 / 3.0) * phi
-        if mu != 0.0:
-            nonlin = nonlin + mu * hartree_apply(grid, phi ** 2) * phi
-        psi = stepper.solve(phi + tau * nonlin)
+        psi = stepper.solve(phi + tau * nonlinear_potential(grid, phi, mu) * phi)
         if it % 100 == 0:
             psi = reanchor(psi)
         psi *= np.sqrt(a / mass_3d(grid, psi))
         phi = psi
         if it % 25 == 24:
             beta = _flow_multiplier(grid, phi, mu)
-            res = lap @ phi + beta * phi - np.abs(phi) ** (4.0 / 3.0) * phi
-            if mu != 0.0:
-                res -= mu * hartree_apply(grid, phi ** 2) * phi
+            res = lap @ phi + beta * phi - nonlinear_potential(grid, phi, mu) * phi
             rnorm = np.max(np.abs(res)) / np.max(np.abs(phi))
             res_hist.append(rnorm)
             if rnorm < 5e-3:     # close enough for the constrained Newton
@@ -483,16 +475,13 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
     to zero, so the pinned solution satisfies the plain equation).
     """
     n = grid.n
-    lap = grid.laplacian(0)
     phi = phi0.copy()
     beta = _flow_multiplier(grid, phi, mu)
     pin = generator(grid, phi)    # dilation generator at entry
 
     best, best_state, stall = np.inf, (phi.copy(), beta), 0
     for it in range(maxiter):
-        eq = lap @ phi + beta * phi - np.abs(phi) ** (4.0 / 3.0) * phi
-        if mu != 0.0:
-            eq -= mu * hartree_apply(grid, phi ** 2) * phi
+        eq = _equation_residual(grid, phi, mu) + (beta - 1.0) * phi
         cons = 0.5 * (mass_3d(grid, phi) - a) / (4.0 * np.pi)
         rnorm = np.max(np.abs(eq)) / np.max(np.abs(phi))
         if rnorm < best and abs(cons) < 1e-12 * a:

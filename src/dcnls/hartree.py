@@ -276,6 +276,14 @@ def hartree_apply(grid, density_values):
     return build_multipole_kernel(grid, 0).matrix @ density_values
 
 
+def nonlinear_potential(grid, values, mu):
+    """The self-consistent potential V(u) = |u|^{4/3} + mu A(|u|^2)."""
+    pot = np.abs(values) ** (4.0 / 3.0)
+    if mu != 0.0:
+        pot = pot + mu * hartree_apply(grid, np.abs(values) ** 2)
+    return pot
+
+
 def channel_convolve(kernel, f):
     """Channel-l restriction of |x|^-2 * (f P_l) for f in the kernel's channel."""
     if f.l != kernel.l:

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, ConvergenceError, SolvabilityError
 from .grid import RadialField, generator, h2_norm_3d
-from .hartree import build_multipole_kernel, hartree_apply
+from .hartree import build_multipole_kernel, nonlinear_potential
 
 __all__ = [
     "ChannelOperator",
@@ -132,10 +132,9 @@ class SpectrumReport:
 def linearize(grid, q, mu, kind, l, shift=0.0):
     """L_{kind,l} around the profile q at coupling mu, with `shift` added
     to its potential (Newton on the mass sphere shifts by beta - 1)."""
-    q43 = np.abs(q) ** (4.0 / 3.0)
-    pot = -(7.0 / 3.0) * q43 if kind == "plus" else -q43
-    if mu != 0.0:
-        pot = pot - mu * hartree_apply(grid, q ** 2)
+    pot = -nonlinear_potential(grid, q, mu)
+    if kind == "plus":
+        pot = pot - (4.0 / 3.0) * np.abs(q) ** (4.0 / 3.0)
     return ChannelOperator(
         kind=kind,
         l=l,

@@ -29,7 +29,7 @@ def test_spectrum_smoke(tmp_path):
     code = _run(["spectrum", "--mu", "0.02", "--grid-n", "256", "--lmax", "2",
                  "--k", "3"], str(tmp_path))
     assert code == 0
-    run_dir = tmp_path / "runs" / "spectrum-mu0.02-n256"
+    run_dir = tmp_path / "runs" / "spectrum-mu0.02-n256-lmax2-k3"
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["summary"]["status"] == "PASSED"
 
@@ -125,26 +125,51 @@ def test_threads_flag_caps_blas(tmp_path):
     script = (
         "import sys\n"
         "from dcnls.cli import run_command\n"
-        "code = run_command(['groundstate', '--grid-n', '256', '--threads', '1',\n"
-        "                    '--out', sys.argv[1]])\n"
+        "codes = [run_command(['groundstate', '--grid-n', '256', '--threads', '1',\n"
+        "                      '--out', out]) for out in sys.argv[1:]]\n"
         "threads = [l.split()[1] for l in open('/proc/self/status')\n"
         "           if l.startswith('Threads:')][0]\n"
-        "print(code, threads)\n"
+        "print(*codes, threads)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+    outs = [tmp_path / "a", tmp_path / "b"]
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, outs)],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "1"]
+    assert proc.stdout.split()[-3:] == ["0", "0", "1"]
+    for name in ("Q_mu.csv", "functional_report.csv"):
+        a, b = ((out / "groundstate-mu0-n256" / name).read_bytes() for out in outs)
+        assert a == b
 
 
-def test_failed_rerun_lists_no_stale_files(tmp_path):
+def test_failed_rerun_lists_no_stale_files(tmp_path, monkeypatch):
+    import dcnls.cli as cli
+    from dcnls.errors import ConfigurationError
+
     args = ["groundstate", "--mu", "0.05", "--grid-n", "256"]
     assert _run(args, str(tmp_path)) == 0
-    assert _run(args + ["--rmax", "-1"], str(tmp_path)) == 2
+
+    def refuse(cfg, run_dir):
+        raise ConfigurationError("synthetic bad configuration")
+
+    monkeypatch.setitem(cli._COMMANDS, "groundstate", refuse)
+    assert _run(args, str(tmp_path)) == 2
     run_dir = tmp_path / "runs" / "groundstate-mu0.05-n256"
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"].startswith("FAILED (configuration)")
     assert manifest["files"] == {}
+
+
+def test_runs_differing_only_in_rmax_keep_their_own_results(tmp_path):
+    args = ["groundstate", "--mu", "0.05", "--grid-n", "256"]
+    assert _run(args, str(tmp_path)) == 0
+    assert _run(args + ["--rmax", "30"], str(tmp_path)) == 0
+    for name, r_max in (("groundstate-mu0.05-n256", 40.0),
+                        ("groundstate-mu0.05-n256-rmax30", 30.0)):
+        run_dir = tmp_path / "runs" / name
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["grid"]["r_max"] == r_max
+        assert "Q_mu.csv" in manifest["files"]
+        assert (run_dir / "Q_mu.csv").exists()
 
 
 def test_manifest_tolerances_are_the_constants_in_force(tmp_path):

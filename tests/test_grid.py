@@ -209,3 +209,16 @@ def test_profile_interpolator_complex_stacked_and_tail():
         assert np.max(np.abs(stacked[:, k] - profile_interpolator(g, f)(y))) <= 1e-14 * scale
     beyond = y > g.r_max
     assert np.any(beyond) and np.all(stacked[beyond] == 0.0)
+
+
+def test_laplacian_banded_matches_sparse():
+    g = build_grid(64, 40.0, "tanh")
+    for l in (0, 1, 2):
+        lap = g.laplacian(l)
+        ab = g.laplacian_banded(l)
+        hw = ab.shape[0] // 2
+        dense = np.zeros((g.n, g.n))
+        for d in range(-hw, hw + 1):
+            lo = max(d, 0)
+            dense += np.diag(ab[hw - d, lo:lo + g.n - abs(d)], d)
+        assert np.array_equal(dense, lap.toarray())

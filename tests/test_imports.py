@@ -1,4 +1,4 @@
-"""Every import in the package modules is used (a stdlib-only lint)."""
+"""Every import and private helper in the package modules is used (stdlib-only lints)."""
 
 import ast
 import pathlib
@@ -34,3 +34,24 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_no_dead_private_helpers():
+    modules = sorted(SRC.glob("*.py"))
+    helpers = {}
+    referenced = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                helpers[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert helpers
+    dead = sorted(f"{where} {name}" for name, where in helpers.items()
+                  if name not in referenced)
+    assert dead == []
