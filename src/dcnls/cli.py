@@ -250,6 +250,7 @@ def _cmd_evolve(cfg, run_dir):
         "t_final": traj.final.t,
         "steps": traj.steps,
         "refactorizations": traj.refactorizations,
+        "dt_min": traj.dt_min,
         "mass_drift_rate": traj.mass_drift_rate(),
     }
     fit = blowup_fit(traj)

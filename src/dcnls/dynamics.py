@@ -7,8 +7,8 @@ half for the radial Laplacian, which conserves the discrete mass to
 rounding because the Laplacian is exactly symmetric in the quadrature
 inner product.  The composition is time-symmetric, hence reversible.
 As the rotation keeps |u|, a step's trailing potential is the next step's
-leading one; the Crank-Nicolson half is 2 (I + i dt/2 L)^{-1} u - u, one
-solve against a band LU that is refactored only when dt changes.
+leading one; the Crank-Nicolson half is u - i dt (I + i dt/2 L)^{-1} L u,
+one solve against a band LU that is refactored only when dt changes.
 
 A small periodic Cartesian box with a spectral Laplacian and the Fourier
 multiplier of the |x|^-2 kernel covers drift and momentum experiments.
@@ -84,6 +84,7 @@ class Trajectory:
     stopped_by: str
     steps: int
     refactorizations: int              # band LU factorisations, one per dt used
+    dt_min: float                      # smallest |dt| a step used; None if none ran
     lambda0: float = None
 
     def mass_drift_rate(self):
@@ -161,7 +162,10 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
 
 def _cn_factor(grid, dt):
     """Band LU of I + i dt/2 L, the whole Crank-Nicolson half because
-    (I + i dt/2 L)^{-1} (I - i dt/2 L) = 2 (I + i dt/2 L)^{-1} - I."""
+    (I + i dt/2 L)^{-1} (I - i dt/2 L) = I - i dt (I + i dt/2 L)^{-1} L.
+
+    In the correction form the solve only yields the small update, so its
+    rounding scales with the update rather than with u."""
     lap = grid.laplacian_banded(0)
     hw = lap.shape[0] // 2
     ab = np.zeros((3 * hw + 1, grid.n), dtype=complex)   # hw extra rows for pivoting
@@ -212,10 +216,12 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     record(u, t)
     stopped_by = "t_final"
     step_dt = dt
+    lap = grid.laplacian(0)
     lu, piv, hw = _cn_factor(grid, step_dt)
     refactorizations = 1
     pot = None if linear_only else nonlinear_potential(grid, u, mu)
     steps = 0
+    dt_min = np.inf
     direction = 1.0 if dt > 0 else -1.0
     while steps < max_steps:
         if t_final is not None:
@@ -241,12 +247,13 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
 
         if not linear_only:
             u = u * np.exp(0.5j * step_dt * pot)
-        u = 2.0 * zgbtrs(lu, hw, hw, u, piv)[0] - u
+        u = u - 1j * step_dt * zgbtrs(lu, hw, hw, lap @ u, piv)[0]
         if not linear_only:
             pot = nonlinear_potential(grid, u, mu)
             u = u * np.exp(0.5j * step_dt * pot)
         t += step_dt
         steps += 1
+        dt_min = min(dt_min, abs(step_dt))
         if steps % record_every == 0:
             record(u, t)
     else:
@@ -267,6 +274,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
         stopped_by=stopped_by,
         steps=steps,
         refactorizations=refactorizations,
+        dt_min=dt_min if steps else None,
         lambda0=lambda0,
     )
 

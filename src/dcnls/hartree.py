@@ -14,7 +14,9 @@ with rational coefficients is used to dodge the cancellation in the
 closed forms.
 
 The channel operator is materialized as a dense matrix: smooth off-band
-entries use the grid's product-integration node weights, and a band of
+entries use the grid's product-integration node weights, filled in row
+blocks that evaluate the symmetric pointwise kernel once per unordered
+pair of nodes, so no n x n temporary is made; a band of
 cells around the diagonal is re-integrated cell by cell against the local
 degree-5 interpolant, with a double-exponential rule absorbing the
 logarithmic singularity on the diagonal cell itself.  A 3-D quadrature
@@ -123,6 +125,7 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
 _BAND = 12
+_ROWS = 256      # row block of the far-zone fill
 
 
 @dataclass(eq=False)
@@ -204,8 +207,15 @@ def build_multipole_kernel(grid, l, band=_BAND):
     w_mid = grid.h_xi * grid.jac * r ** 2   # pure midpoint weights (Gregory samples)
     sten = grid.cell_stencils
 
+    # the pointwise kernel is symmetric in (r, rho): evaluate each block's
+    # upper triangle once and mirror it, reweighted, below the diagonal
+    mat = np.empty((n, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mat = _kernel_values(l, r[:, None], r[None, :]) * w[None, :]
+        for a in range(0, n, _ROWS):
+            b = min(a + _ROWS, n)
+            blk = _kernel_values(l, r[a:b, None], r[None, a:])
+            mat[a:b, a:] = blk * w[a:]
+            mat[b:, a:b] = blk[:, b - a:].T * w[a:b]
     np.fill_diagonal(mat, 0.0)
 
     core = band + 24     # rows whose exact zone extends down to rho = 0

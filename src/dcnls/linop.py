@@ -162,11 +162,20 @@ def lowest_eigenpairs(op, k):
     dense = op.local.toarray()
     if op.nonlocal_scale != 0.0:
         kernel = build_multipole_kernel(op.grid, op.l).matrix
-        dense += op.nonlocal_scale * (op.soliton[:, None] * kernel * op.soliton[None, :])
+        dressed = op.soliton[:, None] * kernel
+        dressed *= op.soliton[None, :]
+        dressed *= op.nonlocal_scale
+        dense += dressed
+        del dressed
+    # W^{1/2} M W^{-1/2}, symmetrised, overwrites `dense`; the exactly symmetric
+    # result goes to LAPACK as its transpose, which is Fortran-ordered, so uncopied
     w = np.sqrt(op.grid.weights)
-    b = (w[:, None] * dense) / w[None, :]
+    dense *= w[:, None]
+    dense /= w[None, :]
+    dense += dense.T
+    dense *= 0.5
     try:
-        vals, vecs = sla.eigh(0.5 * (b + b.T), subset_by_index=[0, k - 1])
+        vals, vecs = sla.eigh(dense.T, subset_by_index=[0, k - 1], overwrite_a=True)
     except sla.LinAlgError as exc:
         raise ConfigurationError(f"eigensolver failed: {exc}") from exc
     fields = []

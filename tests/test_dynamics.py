@@ -228,6 +228,23 @@ def test_linear_step_matches_dense_crank_nicolson(dt):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_dt_min_is_the_smallest_step_taken():
+    g = build_grid(128, 40.0, "tanh")
+    dt = 1e-3
+    u0 = make_initial_data("gaussian", grid=g, width=1.0, amplitude=5.0)
+    fixed = evolve(u0, 0.0, dt=dt, t_final=20 * dt, record_every=20)
+    assert fixed.steps == 20
+    assert fixed.dt_min == dt
+    # without t_final no step is shortened to land on it, so only the
+    # gradient growth shrinks dt; record_every=1 keeps every step's gradient
+    adaptive = evolve(u0, 0.0, dt=dt, adaptive=True, stop_grad_factor=10.0,
+                      record_every=1, max_steps=40)
+    assert adaptive.steps == 40
+    assert adaptive.dt_min < dt
+    g_max = np.max(adaptive.grad_norm[:-1])
+    assert adaptive.dt_min == pytest.approx(dt * (adaptive.grad_norm[0] / g_max) ** 2, rel=2e-3)
+
+
 def test_one_potential_and_one_factor_per_fixed_dt_run(monkeypatch):
     from dcnls import dynamics, hartree
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import dawsn
 
+from dcnls import hartree
 from dcnls.errors import ConfigurationError, GridMismatchError, QuadratureError
 from dcnls.grid import RadialField, build_grid, inner_product
 from dcnls.hartree import (
@@ -177,3 +180,24 @@ def test_hls_quotient_scale_invariant(grid):
 
     q1, q2 = quotient(1.0), quotient(1.25)
     assert abs(q1 - q2) <= 1e-8 * q1
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_row_block_fill_matches_single_block(monkeypatch, l):
+    # 700 is not a multiple of the row block, so the last block is partial
+    n = 700
+    blocked = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
+    monkeypatch.setattr(hartree, "_ROWS", n)
+    whole = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
+    assert np.array_equal(blocked, whole)
+
+
+def test_kernel_build_makes_no_dense_temporaries():
+    g = build_grid(2048, 40.0, "tanh")
+    tracemalloc.start()
+    try:
+        kernel = build_multipole_kernel(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * kernel.matrix.nbytes
