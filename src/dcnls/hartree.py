@@ -13,15 +13,21 @@ higher g_l follow from the Legendre recurrence; for small t a power series
 with rational coefficients is used to dodge the cancellation in the
 closed forms.
 
-The channel operator is materialized as a dense matrix: smooth off-band
+The channel operator is first filled as a dense matrix: smooth off-band
 entries use the grid's product-integration node weights, filled in row
 blocks that evaluate the symmetric pointwise kernel once per unordered
 pair of nodes, so no n x n temporary is made; a band of
 cells around the diagonal is re-integrated cell by cell against the local
 degree-5 interpolant, with a double-exponential rule absorbing the
-logarithmic singularity on the diagonal cell itself.  A 3-D quadrature
-oracle (spherical shells centered on the evaluation point, which cancels
-the |x|^-2 singularity exactly) provides the independent calibration path.
+logarithmic singularity on the diagonal cell itself.  The dense fill is
+then compressed into a hierarchical off-diagonal low-rank (HODLR) matrix:
+the index range is bisected down to dense diagonal leaves, and each
+off-diagonal block of the bisection, smooth because it stays away from
+the diagonal, is held as a product U V^T truncated at singular values
+1e-14 times its largest, found by a seeded randomized range finder.  The
+dense fill is freed once compressed.  A 3-D quadrature oracle (spherical
+shells centered on the evaluation point, which cancels the |x|^-2
+singularity exactly) provides the independent calibration path.
 """
 
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ __all__ = [
 CHANNEL_COEFFICIENT = 2.0 * np.pi   # resolved normalization of the channel kernel
 
 _SERIES_CUT = 0.45
-_SERIES_TERMS = 48
+_SERIES_TERMS = 30       # t < _SERIES_CUT: terms past k = 30 are below 1e-21
 _L_MAX_TABLE = 8
 
 
@@ -84,7 +90,8 @@ def _g_ratio(l, t):
         t2 = ts * ts
         acc = np.zeros_like(ts)
         for beta in _BETA[l][::-1]:
-            acc = acc * t2 + beta
+            acc *= t2
+            acc += beta
         out[small] = acc * ts ** l
 
     big = ~small
@@ -126,16 +133,97 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 
 _BAND = 12
 _ROWS = 256      # row block of the far-zone fill
+_LEAF = 256      # largest dense diagonal leaf of the compressed kernel
+_SKETCH = 48     # first width of an off-diagonal block's random sketch
+_SVD_CUT = 1e-14  # singular values kept, relative to the block's largest
+
+
+class HodlrMatrix:
+    """A square matrix as dense diagonal leaves plus factored off-diagonal blocks.
+
+    Each block is a (rows, cols, factors) triple whose factors multiply out
+    to the block: (D,) for a dense block, (U, V^T) for a low-rank one.
+    Supports `@` on real, complex and stacked (n, m) operands.
+    """
+
+    def __init__(self, n, blocks):
+        self.shape = (n, n)
+        self.blocks = blocks
+
+    @property
+    def nbytes(self):
+        return sum(f.nbytes for _, _, factors in self.blocks for f in factors)
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"operand of shape {x.shape} does not match {self.shape}")
+        out = np.zeros(x.shape, dtype=np.result_type(float, x.dtype))
+        for rows, cols, factors in self.blocks:
+            y = x[cols]
+            for f in reversed(factors):
+                y = f @ y
+            out[rows] += y
+        return out
+
+    def toarray(self):
+        out = np.empty(self.shape)
+        for rows, cols, factors in self.blocks:
+            out[rows, cols] = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
+        return out
+
+
+def _factor_block(block, rng):
+    """(U, V^T) with U V^T = `block` up to _SVD_CUT, or (copy,) if that is no smaller.
+
+    A Gaussian sketch of `width` columns finds the range (Halko, Martinsson
+    and Tropp 2011); the width doubles while the kept rank is within 8 of it.
+    """
+    p, q = block.shape
+    width = min(_SKETCH, p, q)
+    while True:
+        basis, _ = np.linalg.qr(block @ rng.standard_normal((q, width)))
+        u, s, vt = np.linalg.svd(basis.T @ block, full_matrices=False)
+        rank = int(np.count_nonzero(s > _SVD_CUT * s[0]))
+        if rank <= width - 8 or width == min(p, q):
+            break
+        width = min(2 * width, p, q)
+    if rank * (p + q) >= p * q:
+        return (block.copy(),)
+    return (basis @ (u[:, :rank] * s[:rank]), np.ascontiguousarray(vt[:rank]))
+
+
+def _compress(mat):
+    """HODLR form of `mat`; it copies what it keeps, so `mat` can be freed."""
+    n = mat.shape[0]
+    rng = np.random.default_rng(0)
+    blocks = []
+    stack = [(0, n)]     # an explicit stack: a recursive closure would keep `mat` alive
+    while stack:
+        a, b = stack.pop()
+        if b - a <= _LEAF:
+            blocks.append((slice(a, b), slice(a, b), (mat[a:b, a:b].copy(),)))
+            continue
+        m = (a + b) // 2
+        for rows, cols in ((slice(a, m), slice(m, b)), (slice(m, b), slice(a, m))):
+            blocks.append((rows, cols, _factor_block(mat[rows, cols], rng)))
+        stack += [(m, b), (a, m)]
+    return HodlrMatrix(n, blocks)
 
 
 @dataclass(eq=False)
 class MultipoleKernel:
-    """Dense channel operator for the |x|^-2 convolution at fixed l."""
+    """Channel operator for the |x|^-2 convolution at fixed l.
+
+    `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
+    and off-diagonal blocks held as low-rank products (or densely where that
+    is no smaller); `matrix.toarray()` gives the dense form.
+    """
 
     l: int
     coefficient: float
     grid: RadialGrid
-    matrix: np.ndarray
+    matrix: HodlrMatrix
 
 
 def _lagrange_values(stencil_r, x):
@@ -185,7 +273,23 @@ def _exact_cell_rows(grid, l, i, c, singular):
 
 
 def build_multipole_kernel(grid, l, band=_BAND):
-    """Materialize the dense channel-l operator matrix on `grid`.
+    """The channel-l operator on `grid`, cached on the grid, in HODLR form.
+
+    The dense matrix of `_dense_kernel` is compressed and then freed.
+    """
+    if l < 0 or l >= _L_MAX_TABLE:
+        raise ConfigurationError(f"channel index {l} outside the tabulated range")
+    key = ("hartree_kernel", l)
+    if key not in grid._cache:
+        matrix = _compress(_dense_kernel(grid, l, band))
+        grid._cache[key] = MultipoleKernel(
+            l=l, coefficient=CHANNEL_COEFFICIENT, grid=grid, matrix=matrix
+        )
+    return grid._cache[key]
+
+
+def _dense_kernel(grid, l, band=_BAND):
+    """The dense channel-l operator matrix on `grid`.
 
     Rows are quadratures of k_l(r_i, rho) f(rho) rho^2 drho: midpoint node
     weights away from the diagonal (their Euler-Maclaurin boundary terms
@@ -195,12 +299,6 @@ def build_multipole_kernel(grid, l, band=_BAND):
     plus, for core rows, down to the origin where the kernel varies on the
     scale of rho itself.
     """
-    if l < 0 or l >= _L_MAX_TABLE:
-        raise ConfigurationError(f"channel index {l} outside the tabulated range")
-    key = ("hartree_kernel", l)
-    if key in grid._cache:
-        return grid._cache[key]
-
     n = grid.n
     r = grid.nodes
     w = grid.weights
@@ -263,9 +361,7 @@ def build_multipole_kernel(grid, l, band=_BAND):
     # symmetric continuum form, so bilinear symmetry holds to quadrature
     # accuracy, while forcing entrywise symmetry would corrupt the near-origin
     # rows (midpoint column weights underweight the first nodes individually).
-    kernel = MultipoleKernel(l=l, coefficient=CHANNEL_COEFFICIENT, grid=grid, matrix=mat)
-    grid._cache[key] = kernel
-    return kernel
+    return mat
 
 
 def hartree_potential(f, nonneg=False):

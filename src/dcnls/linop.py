@@ -6,8 +6,9 @@ Each spherical-harmonic channel carries a pair of one-dimensional operators:
     plus  kind:  (-Delta)_l + 1 - 7/3 Q^{4/3} - mu A(Q^2) - 2 mu A_l(Q .) Q
 
 A `ChannelOperator` holds the sparse local part (the channel Laplacian plus
-a diagonal) and, for the plus kind at mu != 0, the nonlocal channel block: a
-dense kernel dressed with the exponentially decaying soliton on both sides.
+a diagonal) and, for the plus kind at mu != 0, the nonlocal channel block:
+the channel kernel (a HODLR matrix, see `hartree`) dressed with the
+exponentially decaying soliton on both sides.
 Every linear solve goes through `ChannelOperator.solve`, which borders the
 local part with W-weighted constraint rows and factors it with a sparse LU.
 Without a nonlocal block that factor is the solve; with one it
@@ -15,7 +16,8 @@ preconditions GMRES on the full bordered operator.  Newton steps, the
 constrained Newton on the mass sphere and the profile hierarchy all use it,
 and the bordering keeps discrete orthogonality to the constraints exact.
 Spectra are computed from the similarity transform B = W^{1/2} M W^{-1/2},
-which is symmetric to rounding, by a dense eigensolve.
+which is symmetric to rounding, by a dense eigensolve; it is the one place
+the kernel is expanded to a dense matrix.
 """
 
 from dataclasses import dataclass, field
@@ -161,8 +163,8 @@ def lowest_eigenpairs(op, k):
         raise ConfigurationError("at most 10 eigenpairs are supported")
     dense = op.local.toarray()
     if op.nonlocal_scale != 0.0:
-        kernel = build_multipole_kernel(op.grid, op.l).matrix
-        dressed = op.soliton[:, None] * kernel
+        dressed = build_multipole_kernel(op.grid, op.l).matrix.toarray()
+        dressed *= op.soliton[:, None]
         dressed *= op.soliton[None, :]
         dressed *= op.nonlocal_scale
         dense += dressed

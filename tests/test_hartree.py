@@ -186,18 +186,72 @@ def test_hls_quotient_scale_invariant(grid):
 def test_row_block_fill_matches_single_block(monkeypatch, l):
     # 700 is not a multiple of the row block, so the last block is partial
     n = 700
-    blocked = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
+    blocked = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), l)
     monkeypatch.setattr(hartree, "_ROWS", n)
-    whole = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
+    whole = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), l)
     assert np.array_equal(blocked, whole)
 
 
 def test_kernel_build_makes_no_dense_temporaries():
-    g = build_grid(2048, 40.0, "tanh")
+    n = 2048
+    g = build_grid(n, 40.0, "tanh")
     tracemalloc.start()
     try:
-        kernel = build_multipole_kernel(g, 2)
+        build_multipole_kernel(g, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * kernel.matrix.nbytes
+    assert peak <= 2.5 * n * n * 8     # the dense fill itself is n*n*8 bytes
+
+
+def test_kernel_build_frees_the_dense_fill():
+    # a dense fill kept alive (say by a reference cycle) would stay resident
+    n = 2048
+    g = build_grid(n, 40.0, "tanh")
+    tracemalloc.start()
+    try:
+        kernel = build_multipole_kernel(g, 0)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current <= 0.4 * n * n * 8
+    assert kernel.matrix.nbytes <= 0.4 * n * n * 8
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_hodlr_kernel_matches_dense_fill(l):
+    n = 1536
+    dense = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), l)
+    kernel = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
+    assert kernel.shape == (n, n)
+    rng = np.random.default_rng(l)
+    real = rng.standard_normal(n)
+    cplx = real + 1j * rng.standard_normal(n)
+    stacked = rng.standard_normal((n, 3))
+    for x in (real, cplx, stacked):
+        out = kernel @ x
+        assert out.shape == x.shape and out.dtype == x.dtype
+        assert _rel(out, dense @ x) <= 1e-12
+    assert np.max(np.abs(kernel.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert kernel.nbytes < 0.5 * dense.nbytes
+
+
+@pytest.mark.parametrize("n", [100, 256])
+def test_small_kernel_is_one_dense_leaf(n):
+    dense = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), 1)
+    kernel = build_multipole_kernel(build_grid(n, 40.0, "tanh"), 1).matrix
+    assert len(kernel.blocks) == 1
+    assert np.array_equal(kernel.toarray(), dense)
+    x = np.random.default_rng(0).standard_normal(n)
+    assert np.array_equal(kernel @ x, dense @ x)
+
+
+def test_kernel_compression_is_reproducible():
+    # the sketch is seeded, so rebuilding on a fresh grid repeats every bit
+    first = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), 0).matrix.toarray()
+    second = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), 0).matrix.toarray()
+    assert np.array_equal(first, second)

@@ -131,7 +131,7 @@ def _dense_bordered_solve(op, rhs, constraints, tail):
     mat = np.zeros((n + k, n + k))
     mat[:n, :n] = op.local.toarray()
     if op.nonlocal_scale != 0.0:
-        kernel = build_multipole_kernel(grid, op.l).matrix
+        kernel = build_multipole_kernel(grid, op.l).matrix.toarray()
         mat[:n, :n] += op.nonlocal_scale * op.soliton[:, None] * kernel * op.soliton[None, :]
     for j, c in enumerate(constraints):
         mat[:n, n + j] = c
