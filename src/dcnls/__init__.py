@@ -10,8 +10,7 @@ thread cap.
 import importlib
 
 _EXPORTS = {
-    "grid": ("RadialGrid", "RadialField", "build_grid", "inner_product", "pair_3d",
-             "apply_channel_laplacian", "apply_generator"),
+    "grid": ("RadialGrid", "RadialField", "build_grid", "inner_product", "apply_generator"),
     "hartree": ("MultipoleKernel", "build_multipole_kernel", "hartree_potential",
                 "channel_convolve", "brute_force_oracle"),
     "groundstate": ("GroundState", "solve_classical_Q", "solve_Q_mu", "minimize_constrained",
@@ -20,9 +19,8 @@ _EXPORTS = {
               "lowest_eigenpairs", "solve_with_constraints", "nondegeneracy_report"),
     "profile": ("ProfileSet", "AssembledProfile", "build_hierarchy", "assemble_R",
                 "invariant_expansions", "residual_psi"),
-    "dynamics": ("EvolutionState", "Trajectory", "ModulationTrace", "CutoffProfile",
-                 "make_initial_data", "evolve", "virial_check", "blowup_fit",
-                 "modulation_extract", "refined_energy"),
+    "dynamics": ("EvolutionState", "Trajectory", "ModulationTrace", "make_initial_data",
+                 "evolve", "virial_check", "blowup_fit", "modulation_extract"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,6 +1,6 @@
-"""Time evolution, blowup experiments, and soliton-frame diagnostics.
+"""Radial time evolution and the diagnostics of blowup runs.
 
-The primary path is the radial reduction: Strang splitting with an exact
+The flow is the radial reduction, advanced by Strang splitting with an exact
 pointwise phase rotation for the local plus Hartree potential (the modulus
 is invariant during that substep, so it is exact) and a Crank-Nicolson
 half for the radial Laplacian, which conserves the discrete mass to
@@ -10,12 +10,14 @@ As the rotation keeps |u|, a step's trailing potential is the next step's
 leading one; the Crank-Nicolson half is u - i dt (I + i dt/2 L)^{-1} L u,
 one solve against a band LU that is refactored only when dt changes.
 
-A small periodic Cartesian box with a spectral Laplacian and the Fourier
-multiplier of the |x|^-2 kernel covers drift and momentum experiments.
-
 Near blowup the step shrinks like the square of the focal scale and a
 resolution guard truncates the run cleanly once the core falls under a
 few cells, returning the last trusted state.
+
+A recorded trajectory is read by three diagnostics: `virial_check`
+compares the curvature of the variance with 16 E, `blowup_fit` fits the
+gradient growth to (T* - t)^-gamma, and `modulation_extract` fits the
+scale, the modulation b and the phase of the profile family frame by frame.
 """
 
 from dataclasses import dataclass
@@ -27,21 +29,17 @@ from scipy.optimize import least_squares
 from .errors import ConfigurationError, ConvergenceError
 from .grid import RadialField, profile_interpolator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
-from .hartree import hartree_apply, nonlinear_potential
+from .hartree import nonlinear_potential
 
 __all__ = [
     "EvolutionState",
     "Trajectory",
-    "CutoffProfile",
     "ModulationTrace",
-    "make_cutoff",
     "make_initial_data",
     "evolve",
     "virial_check",
     "blowup_fit",
     "modulation_extract",
-    "refined_energy",
-    "CartesianEvolver",
 ]
 
 
@@ -85,7 +83,6 @@ class Trajectory:
     steps: int
     refactorizations: int              # band LU factorisations, one per dt used
     dt_min: float                      # smallest |dt| a step used; None if none ran
-    lambda0: float = None
 
     def mass_drift_rate(self):
         span = self.times[-1] - self.times[0]
@@ -275,7 +272,6 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
         steps=steps,
         refactorizations=refactorizations,
         dt_min=dt_min if steps else None,
-        lambda0=lambda0,
     )
 
 
@@ -424,165 +420,3 @@ def modulation_extract(traj, gs, ps, residual_cap=0.3):
         residual=np.array(residuals),
         flags=np.array(flags, dtype=bool),
     )
-
-
-# ---------------------------------------------------------------------------
-# refined energy and the convex cutoff
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class CutoffProfile:
-    s: np.ndarray
-    phi: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-
-    def interpolators(self):
-        from scipy.interpolate import InterpolatedUnivariateSpline
-
-        return (
-            InterpolatedUnivariateSpline(self.s, self.phi1, k=3, ext=3),
-            InterpolatedUnivariateSpline(self.s, self.phi2, k=3, ext=3),
-        )
-
-
-def make_cutoff(s_max=50.0, n=4000):
-    """The convex localization profile: phi'(s) = s inside, 3 - e^{-s} far out.
-
-    The bridge over 1 < s < 2 is the quintic Hermite interpolant of phi'
-    matching value and two derivatives at both ends; its convexity
-    (phi'' >= 0) is verified on the sample grid.
-    """
-    s = np.linspace(0.0, s_max, n)
-    phi1 = np.empty_like(s)
-    inner = s <= 1.0
-    outer = s >= 2.0
-    mid = ~inner & ~outer
-    phi1[inner] = s[inner]
-    phi1[outer] = 3.0 - np.exp(-s[outer])
-
-    # quintic Hermite data for phi' on [1, 2]
-    x = s[mid] - 1.0
-    p0, dp0, ddp0 = 1.0, 1.0, 0.0
-    p1, dp1, ddp1 = 3.0 - np.exp(-2.0), np.exp(-2.0), -np.exp(-2.0)
-    h = 1.0
-    # quintic coefficients from the two-point Taylor data
-    c0, c1, c2 = p0, dp0, ddp0 / 2
-    a = p1 - (c0 + c1 * h + c2 * h * h)
-    bcoef = dp1 - (c1 + 2 * c2 * h)
-    ccoef = ddp1 - 2 * c2
-    c3 = (10 * a - 4 * bcoef * h + ccoef * h * h / 2) / h ** 3
-    c4 = (-15 * a + 7 * bcoef * h - ccoef * h * h) / h ** 4
-    c5 = (6 * a - 3 * bcoef * h + ccoef * h * h / 2) / h ** 5
-    phi1[mid] = c0 + c1 * x + c2 * x ** 2 + c3 * x ** 3 + c4 * x ** 4 + c5 * x ** 5
-
-    phi2 = np.gradient(phi1, s)
-    phi2[inner] = 1.0
-    phi2[outer] = np.exp(-s[outer])
-    if np.min(phi2) < -1e-10:
-        raise ConvergenceError("cutoff bridge lost convexity")
-    phi = np.concatenate([[0.0], np.cumsum(0.5 * (phi1[1:] + phi1[:-1]) * np.diff(s))])
-    return CutoffProfile(s=s, phi=phi, phi1=phi1, phi2=np.maximum(phi2, 0.0))
-
-
-def refined_energy(state, w_state, lam, b, M, cutoff, mu=None, alpha=0.0):
-    """The localized refined energy of the deviation from a reference profile."""
-    grid = state.field.grid
-    if w_state.field.grid.token != grid.token:
-        raise ConfigurationError("state and reference live on different grids")
-    if mu is None:
-        mu = 0.0
-    wq = grid.weights
-    r = grid.nodes
-    u = state.field.values
-    wv = w_state.field.values
-    ut = u - wv
-    if np.all(ut == 0):
-        return 0.0
-
-    d1 = grid.d1_free(0)
-    dut = d1 @ ut
-    kin = 0.5 * 4 * np.pi * np.sum(wq * np.abs(dut) ** 2)
-    mass_term = 0.5 / lam ** 2 * 4 * np.pi * np.sum(wq * np.abs(ut) ** 2)
-
-    def potential_density(v):
-        """(3/10)|v|^{10/3} + (mu/4) A(|v|^2) |v|^2, whose derivative is V(v) v."""
-        out = 0.3 * np.abs(v) ** (10.0 / 3.0)
-        if mu != 0.0:
-            dens = np.abs(v) ** 2
-            out = out + 0.25 * mu * hartree_apply(grid, dens) * dens
-        return out
-
-    force = nonlinear_potential(grid, wv, mu) * wv
-    potential = -4 * np.pi * np.sum(wq * (potential_density(u) - potential_density(wv)
-                                          - np.real(force * np.conj(ut))))
-
-    phi1_spline, _ = cutoff.interpolators()
-    morawetz = 0.5 * (b / lam) * 4 * np.pi * np.imag(
-        np.sum(wq * M * phi1_spline((r - alpha) / (M * lam)) * dut * np.conj(ut))
-    )
-    return float(kin + mass_term + potential + morawetz)
-
-
-# ---------------------------------------------------------------------------
-# optional 3-D Cartesian path
-# ---------------------------------------------------------------------------
-
-class CartesianEvolver:
-    """Periodic-box split-step evolution for drift and momentum experiments."""
-
-    def __init__(self, n=64, length=40.0, mu=0.0):
-        self.n = n
-        self.length = length
-        self.mu = mu
-        self.dx = length / n
-        x1 = (np.arange(n) - n // 2) * self.dx
-        self.x = np.meshgrid(x1, x1, x1, indexing="ij")
-        k1 = 2 * np.pi * np.fft.fftfreq(n, d=self.dx)
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-        self.k2 = kx ** 2 + ky ** 2 + kz ** 2
-        self.kvec = (kx, ky, kz)
-        kmag = np.sqrt(self.k2)
-        # Fourier multiplier of |x|^-2; the zero mode takes the value of the
-        # sphere-truncated kernel, which only shifts the potential by a
-        # constant inside localized experiments
-        mult = np.where(kmag > 0, 2 * np.pi ** 2 / np.maximum(kmag, 1e-300), 0.0)
-        mult[0, 0, 0] = 4 * np.pi * (length / 2)
-        self.hartree_mult = mult
-
-    def hartree(self, dens):
-        return np.real(np.fft.ifftn(np.fft.fftn(dens) * self.hartree_mult))
-
-    def mass(self, u):
-        return float(np.sum(np.abs(u) ** 2) * self.dx ** 3)
-
-    def momentum(self, u):
-        uh = np.fft.fftn(u)
-        out = []
-        for k in self.kvec:
-            out.append(float(np.sum(k * np.abs(uh) ** 2)) * self.dx ** 3 / self.n ** 3)
-        return np.array(out)
-
-    def energy(self, u):
-        uh = np.fft.fftn(u)
-        kin = 0.5 * np.sum(self.k2 * np.abs(uh) ** 2) / self.n ** 3 * self.dx ** 3
-        dens = np.abs(u) ** 2
-        loc = -0.3 * np.sum(dens ** (5.0 / 3.0)) * self.dx ** 3
-        nl = -0.25 * self.mu * np.sum(self.hartree(dens) * dens) * self.dx ** 3
-        return float(kin + loc + nl)
-
-    def potential(self, u):
-        pot = np.abs(u) ** (4.0 / 3.0)
-        if self.mu != 0.0:
-            pot = pot + self.mu * self.hartree(np.abs(u) ** 2)
-        return pot
-
-    def step(self, u, dt):
-        u = u * np.exp(0.5j * dt * self.potential(u))
-        u = np.fft.ifftn(np.fft.fftn(u) * np.exp(-1j * dt * self.k2))
-        return u * np.exp(0.5j * dt * self.potential(u))
-
-    def run(self, u, dt, steps):
-        for _ in range(steps):
-            u = self.step(u, dt)
-        return u

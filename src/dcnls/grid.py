@@ -14,8 +14,9 @@ Legendre factor P_l(cos theta) with respect to a fixed axis.  The plain
 channel inner product is (f, g) = sum w_i conj(f_i) g_i, a discrete
 integral of conj(f) g r^2 dr; `inner_product(..., convention="3d")`
 attaches the 4*pi solid angle for genuinely three-dimensional l = 0
-integrals, and `pair_3d` attaches the angular norm 4*pi/(2l+1) of the
-un-normalized P_l factor for any channel.
+integrals.  Operators act on raw sample arrays: `grid.laplacian(l) @ f`
+applies (-Delta)_l and `generator(grid, f, l)` the dilation generator
+(`apply_generator` wraps the latter for a RadialField).
 
 Quadrature weights are midpoint weights in the computational coordinate,
 which integrate smooth decaying fields with spectral accuracy (all
@@ -45,10 +46,8 @@ __all__ = [
     "RadialField",
     "build_grid",
     "inner_product",
-    "pair_3d",
     "h2_norm_3d",
     "generator",
-    "apply_channel_laplacian",
     "apply_generator",
     "profile_interpolator",
 ]
@@ -443,22 +442,10 @@ def inner_product(f, g, convention="channel"):
     raise ConfigurationError(f"unknown convention {convention!r}")
 
 
-def pair_3d(f, g):
-    """Three-dimensional pairing including the P_l angular norm 4 pi/(2l+1)."""
-    _check_pair(f, g)
-    ang = 4.0 * np.pi / (2 * f.l + 1)
-    return complex(ang * np.sum(f.grid.weights * np.conjugate(f.values) * g.values))
-
-
 def h2_norm_3d(grid, values, l=0):
     """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)}."""
     lf = values + grid.laplacian(l) @ values
     return float(np.sqrt(4.0 * np.pi * np.sum(grid.weights * np.abs(lf) ** 2)))
-
-
-def apply_channel_laplacian(f):
-    """Apply (-Delta)_l = -d^2/dr^2 - (2/r) d/dr + l(l+1)/r^2 to a channel field."""
-    return RadialField(f.grid, f.l, f.grid.laplacian(f.l) @ f.values)
 
 
 def generator(grid, values, l=0):

@@ -131,7 +131,7 @@ _DE_X, _DE_W = _tanh_sinh_rule()
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
-_BAND = 12
+_BAND = 12       # cells each side of the diagonal integrated exactly
 _ROWS = 256      # row block of the far-zone fill
 _LEAF = 256      # largest dense diagonal leaf of the compressed kernel
 _SKETCH = 48     # first width of an off-diagonal block's random sketch
@@ -272,7 +272,7 @@ def _exact_cell_rows(grid, l, i, c, singular):
     return np.einsum("ip,imp->im", wq * x ** 2 * kv, lag)
 
 
-def build_multipole_kernel(grid, l, band=_BAND):
+def build_multipole_kernel(grid, l):
     """The channel-l operator on `grid`, cached on the grid, in HODLR form.
 
     The dense matrix of `_dense_kernel` is compressed and then freed.
@@ -281,14 +281,14 @@ def build_multipole_kernel(grid, l, band=_BAND):
         raise ConfigurationError(f"channel index {l} outside the tabulated range")
     key = ("hartree_kernel", l)
     if key not in grid._cache:
-        matrix = _compress(_dense_kernel(grid, l, band))
+        matrix = _compress(_dense_kernel(grid, l))
         grid._cache[key] = MultipoleKernel(
             l=l, coefficient=CHANNEL_COEFFICIENT, grid=grid, matrix=matrix
         )
     return grid._cache[key]
 
 
-def _dense_kernel(grid, l, band=_BAND):
+def _dense_kernel(grid, l):
     """The dense channel-l operator matrix on `grid`.
 
     Rows are quadratures of k_l(r_i, rho) f(rho) rho^2 drho: midpoint node
@@ -316,7 +316,7 @@ def _dense_kernel(grid, l, band=_BAND):
             mat[b:, a:b] = blk[:, b - a:].T * w[a:b]
     np.fill_diagonal(mat, 0.0)
 
-    core = band + 24     # rows whose exact zone extends down to rho = 0
+    core = _BAND + 24    # rows whose exact zone extends down to rho = 0
 
     def replace_cells(i, c):
         singular = bool(np.any(c == i))
@@ -327,7 +327,7 @@ def _dense_kernel(grid, l, band=_BAND):
         mat[i, c] -= naive
         np.add.at(mat, (i[:, None], sten[c]), corr)
 
-    for off in range(-band, band + 1):
+    for off in range(-_BAND, _BAND + 1):
         i = np.arange(n)
         c = i + off
         ok = (c >= 0) & (c < n)
@@ -336,22 +336,22 @@ def _dense_kernel(grid, l, band=_BAND):
 
     # extend the exact zone to the origin for core rows
     for c in range(core):
-        i = np.arange(band + 1 + c, min(core + band + 1, n))
-        i = i[(i - band) > c]
+        i = np.arange(_BAND + 1 + c, min(core + _BAND + 1, n))
+        i = i[(i - _BAND) > c]
         if i.size:
             replace_cells(i, np.full(i.size, c))
 
     # Gregory corrections at the cuts between the exact zone and the
     # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
     rows = np.arange(n)
-    right0 = rows + band + 1
+    right0 = rows + _BAND + 1
     ok = right0 + 3 < n
     i = rows[ok]
     for d in range(4):
         j = right0[ok] + d
         mat[i, j] -= (_GREG_R[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
-    left_edge = rows - band - 1
-    ok = (left_edge - 3 >= 0) & (rows > core + band)
+    left_edge = rows - _BAND - 1
+    ok = (left_edge - 3 >= 0) & (rows > core + _BAND)
     i = rows[ok]
     for d in range(4):
         j = left_edge[ok] - d
@@ -485,7 +485,10 @@ def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
     return out
 
 
-def calibrate_channel_coefficient(grid, l, oracle_samples=None):
+_ORACLE_RADII = (0.3, 1.0, 2.0, 4.0, 8.0)   # where the calibration meets the oracle
+
+
+def calibrate_channel_coefficient(grid, l):
     """Fit the channel coefficient against the 3-D oracle; returns the report.
 
     The kernel is built with the resolved constant 2*pi; the fitted ratio
@@ -493,14 +496,12 @@ def calibrate_channel_coefficient(grid, l, oracle_samples=None):
     """
     kernel = build_multipole_kernel(grid, l)
     r = grid.nodes
-    if oracle_samples is None:
-        oracle_samples = (0.3, 1.0, 2.0, 4.0, 8.0)
     profile = r ** l * np.exp(-r ** 2)
     mine = channel_convolve(kernel, RadialField(grid, l, profile))
     fun3d = profile_interpolator(grid, profile, l)
 
     ratios = []
-    for radius in oracle_samples:
+    for radius in _ORACLE_RADII:
         # compare on the node nearest the requested radius; the convolution of
         # p(|y|) P_l(cos theta) on the axis equals the channel profile itself
         idx = int(np.argmin(np.abs(r - radius)))

@@ -345,6 +345,12 @@ def _hartree_on_grid(grid, dens_samples, lmax=4):
     return pot
 
 
+def _derivatives_on_product_grid(grid, channels):
+    """dR/dr and dR/dc (c = cos theta) of the l = 0, 1 profile, as P_1' = P_0."""
+    dR_dr = _on_product_grid({l: grid.d1_free(l) @ vals for l, vals in channels.items()})
+    return dR_dr, _on_product_grid({0: channels[1]})
+
+
 def _functionals(grid, channels, mu):
     w = grid.weights
     r = grid.nodes
@@ -356,15 +362,7 @@ def _functionals(grid, channels, mu):
 
     mass = integrate(absR2)
 
-    dR_dr = 0.0
-    dR_dc = 0.0
-    for l, vals in channels.items():
-        dr = grid.d1_free(l) @ vals
-        dR_dr = dR_dr + dr[:, None] * _PL[l][None, :]
-        if l == 1:
-            dR_dc = dR_dc + vals[:, None] * np.ones_like(_CG)[None, :]
-        elif l == 2:
-            dR_dc = dR_dc + vals[:, None] * (3.0 * _CG)[None, :]
+    dR_dr, dR_dc = _derivatives_on_product_grid(grid, channels)
     grad2 = np.abs(dR_dr) ** 2 + (1.0 - _CG ** 2)[None, :] * np.abs(dR_dc) ** 2 / r[:, None] ** 2
     kinetic = integrate(grad2)
 
@@ -427,17 +425,9 @@ def residual_psi(ps, b, d, weight_rate=0.5, window=20.0):
         1: b * ps.T11.values + 1j * (ps.S01.values + b * b * ps.S21.values),
     }
 
-    lap = 0.0
-    lam = 0.0
-    dR_dr = 0.0
-    dR_dc = 0.0
-    for l, vals in channels.items():
-        lap = lap + (grid.laplacian(l) @ vals)[:, None] * _PL[l][None, :]
-        lam = lam + generator(grid, vals, l)[:, None] * _PL[l][None, :]
-        dr = grid.d1_free(l) @ vals
-        dR_dr = dR_dr + dr[:, None] * _PL[l][None, :]
-        if l == 1:
-            dR_dc = dR_dc + vals[:, None] * np.ones_like(_CG)[None, :]
+    lap = _on_product_grid({l: grid.laplacian(l) @ vals for l, vals in channels.items()})
+    lam = _on_product_grid({l: generator(grid, vals, l) for l, vals in channels.items()})
+    dR_dr, dR_dc = _derivatives_on_product_grid(grid, channels)
     dx1 = _CG[None, :] * dR_dr + (1.0 - _CG ** 2)[None, :] * dR_dc / r[:, None]
 
     absR2 = np.abs(R) ** 2

@@ -5,14 +5,11 @@ from dcnls.errors import ConfigurationError
 from dcnls.grid import build_grid
 from dcnls.groundstate import mass_3d, solve_classical_Q, solve_Q_mu
 from dcnls.dynamics import (
-    CartesianEvolver,
     EvolutionState,
     blowup_fit,
     evolve,
-    make_cutoff,
     make_initial_data,
     modulation_extract,
-    refined_energy,
     virial_check,
 )
 
@@ -155,65 +152,6 @@ def test_modulation_recovers_exact_parameters(grid, gs):
     assert abs(trace.b[0]) <= 1e-6
 
 
-def test_cutoff_profile_properties():
-    cut = make_cutoff()
-    s = cut.s
-    inner = s <= 1.0
-    outer = s >= 2.0
-    assert np.allclose(cut.phi1[inner], s[inner], atol=1e-12)
-    assert np.allclose(cut.phi1[outer], 3.0 - np.exp(-s[outer]), atol=1e-12)
-    assert np.min(cut.phi2) >= 0.0
-
-
-def test_refined_energy_zero_and_quadratic(grid, gs):
-    cut = make_cutoff()
-    w_state = EvolutionState.from_values(grid, gs.Q.values.astype(complex), 0.0)
-    assert refined_energy(w_state, w_state, lam=1.0, b=0.1, M=5.0, cutoff=cut) == 0.0
-    # perturb where the reference is exponentially small, so the nonlinear
-    # difference terms are negligible against the free quadratic form
-    eps = 1e-3 * np.exp(-((grid.nodes - 15.0) ** 2)) * (1 + 0.5j)
-    state = EvolutionState.from_values(grid, gs.Q.values + eps, 0.0)
-    j = refined_energy(state, w_state, lam=1.0, b=0.05, M=5.0, cutoff=cut)
-    du = grid.d1_free(0) @ eps
-    quad = (0.5 * 4 * np.pi * np.sum(grid.weights * np.abs(du) ** 2)
-            + 0.5 * 4 * np.pi * np.sum(grid.weights * np.abs(eps) ** 2))
-    assert abs(j - quad) <= 0.1 * abs(j)
-
-
-def test_cartesian_box_conserves_mass_and_momentum():
-    ev = CartesianEvolver(n=32, length=20.0, mu=0.02)
-    x, y, z = ev.x
-    u = (np.exp(-(x ** 2 + y ** 2 + z ** 2) / 4) * np.exp(0.3j * x)).astype(complex)
-    m0 = ev.mass(u)
-    p0 = ev.momentum(u)
-    u = ev.run(u, 2e-3, 150)
-    assert ev.mass(u) == pytest.approx(m0, rel=1e-10)
-    assert ev.momentum(u)[0] == pytest.approx(p0[0], rel=1e-6)
-    assert abs(p0[1]) <= 1e-10 and abs(p0[2]) <= 1e-10
-
-
-def test_cartesian_hartree_multiplier_calibration():
-    # difference of the box potential between two radii matches the
-    # free-space Dawson form (differences cancel the zero-mode choice)
-    from scipy.special import dawsn
-
-    ev = CartesianEvolver(n=64, length=24.0, mu=1.0)
-    x, y, z = ev.x
-    r2 = x ** 2 + y ** 2 + z ** 2
-    dens = np.exp(-r2)
-    pot = ev.hartree(dens)
-    rr = np.sqrt(r2)
-
-    def free(rv):
-        return 2 * np.pi ** 1.5 * dawsn(rv) / rv
-
-    i1 = np.unravel_index(np.argmin(np.abs(rr - 1.0)), rr.shape)
-    i2 = np.unravel_index(np.argmin(np.abs(rr - 3.0)), rr.shape)
-    got = pot[i1] - pot[i2]
-    want = free(rr[i1]) - free(rr[i2])
-    assert got == pytest.approx(want, rel=2e-2)
-
-
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
 def test_linear_step_matches_dense_crank_nicolson(dt):
     g = build_grid(128, 40.0, "tanh")
@@ -246,7 +184,7 @@ def test_dt_min_is_the_smallest_step_taken():
 
 
 def test_one_potential_and_one_factor_per_fixed_dt_run(monkeypatch):
-    from dcnls import dynamics, hartree
+    from dcnls import hartree
 
     g = build_grid(128, 40.0, "tanh")
     mu, dt, n_steps = 0.02, 1e-3, 10
@@ -260,7 +198,6 @@ def test_one_potential_and_one_factor_per_fixed_dt_run(monkeypatch):
 
     # records go through groundstate's own binding, so only step-loop calls count
     monkeypatch.setattr(hartree, "hartree_apply", counted)
-    monkeypatch.setattr(dynamics, "hartree_apply", counted)
     traj = evolve(u0, mu, dt=dt, t_final=n_steps * dt, record_every=n_steps)
     assert len(calls) == n_steps + 1
     assert traj.steps == n_steps

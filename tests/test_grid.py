@@ -4,11 +4,9 @@ import pytest
 from dcnls.errors import ConfigurationError, GridMismatchError
 from dcnls.grid import (
     RadialField,
-    apply_channel_laplacian,
     apply_generator,
     build_grid,
     inner_product,
-    pair_3d,
     profile_interpolator,
 )
 
@@ -96,24 +94,21 @@ def test_inner_product_rejects_mismatch(grid):
 
 
 def test_laplacian_of_constant_vanishes(grid):
-    c = RadialField(grid, 0, np.ones(grid.n))
-    out = apply_channel_laplacian(c)
-    assert np.max(np.abs(out.values[grid.nodes < 35])) <= 1e-8
+    out = grid.laplacian(0) @ np.ones(grid.n)
+    assert np.max(np.abs(out[grid.nodes < 35])) <= 1e-8
 
 
 def test_laplacian_of_r_in_l1_vanishes(grid):
-    f = RadialField(grid, 1, grid.nodes.copy())
-    out = apply_channel_laplacian(f)
-    assert np.max(np.abs(out.values[grid.nodes < 30])) <= 1e-6
+    out = grid.laplacian(1) @ grid.nodes
+    assert np.max(np.abs(out[grid.nodes < 30])) <= 1e-6
 
 
 def test_laplacian_of_gaussian(grid):
     r = grid.nodes
-    f = RadialField(grid, 0, np.exp(-r ** 2 / 2))
-    out = apply_channel_laplacian(f)
+    out = grid.laplacian(0) @ np.exp(-r ** 2 / 2)
     exact = -(r ** 2 - 3) * np.exp(-r ** 2 / 2)
     mask = r < 10
-    err = np.max(np.abs(out.values[mask] - exact[mask]))
+    err = np.max(np.abs(out[mask] - exact[mask]))
     assert err <= 1e-8 * np.max(np.abs(exact))
 
 
@@ -122,8 +117,8 @@ def test_laplacian_symmetric_under_inner_product(grid):
     for l in (0, 1, 2):
         f = RadialField(grid, l, r ** l * np.exp(-r))
         g = RadialField(grid, l, r ** l * np.exp(-r ** 2 / 3) * (1 + r))
-        s1 = inner_product(apply_channel_laplacian(f), g)
-        s2 = inner_product(f, apply_channel_laplacian(g))
+        s1 = inner_product(f.copy(grid.laplacian(l) @ f.values), g)
+        s2 = inner_product(f, g.copy(grid.laplacian(l) @ g.values))
         assert abs(s1 - s2) <= 1e-10 * max(abs(s1), 1e-30)
 
 
@@ -160,14 +155,6 @@ def test_generator_skew_adjoint(grid):
     assert abs(s) <= 1e-8 * ref
 
 
-def test_pair_3d_angular_norms(grid):
-    r = grid.nodes
-    f1 = RadialField(grid, 1, np.exp(-r))
-    v = pair_3d(f1, f1).real
-    ref = 4 * np.pi / 3 * np.sum(grid.weights * np.exp(-2 * r))
-    assert v == pytest.approx(ref)
-
-
 def test_boundary_report(grid):
     r = grid.nodes
     even = RadialField(grid, 0, np.exp(-r ** 2))
@@ -181,7 +168,7 @@ def _channel_profiles(r):
 
 
 def test_profile_interpolator_matches_fitpack_oracle():
-    from scipy.interpolate import InterpolatedUnivariateSpline
+    from scipy.interpolate import UnivariateSpline
 
     g = build_grid(384, 40.0, "tanh")
     r = g.nodes
@@ -190,7 +177,7 @@ def test_profile_interpolator_matches_fitpack_oracle():
     for l, f in enumerate(_channel_profiles(r)):
         rr = np.concatenate([-r[:6][::-1], r])
         vv = np.concatenate([(-1.0) ** l * f[:6][::-1], f])
-        oracle = InterpolatedUnivariateSpline(rr, vv, k=5, ext=3)
+        oracle = UnivariateSpline(rr, vv, k=5, s=0, ext=3)   # FITPACK, interpolating
         err = np.max(np.abs(profile_interpolator(g, f, l)(y) - oracle(y)))
         assert err <= 1e-9 * np.max(np.abs(f))
 

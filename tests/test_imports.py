@@ -1,4 +1,5 @@
-"""Every import and private helper in the package modules is used (stdlib-only lints)."""
+"""Every import and private helper in the package modules is used, and every
+exported name exists (stdlib-only lints, plus one import of the package)."""
 
 import ast
 import pathlib
@@ -6,10 +7,19 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dcnls"
 
 
+def _module_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return ()
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
-    exported = set()
+    exported = set(_module_all(tree))
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -18,10 +28,6 @@ def _unused_imports(path):
                 imported[name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
     return sorted(
         f"{path.name}:{line} {name}"
         for name, line in imported.items()
@@ -55,3 +61,29 @@ def test_no_dead_private_helpers():
     dead = sorted(f"{where} {name}" for name, where in helpers.items()
                   if name not in referenced)
     assert dead == []
+
+
+def _defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_public_names_resolve():
+    import dcnls
+
+    assert dcnls.__all__
+    unresolved = [name for name in dcnls.__all__ if not hasattr(dcnls, name)]
+    assert unresolved == []
+    undefined = []
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = _defined_names(tree)
+        undefined += [f"{path.name} {name}" for name in _module_all(tree) if name not in defined]
+    assert undefined == []
