@@ -25,6 +25,6 @@ for (kind, l), entry in rep["channels"].items():
 print(f"  status: {rep['status']}")
 
 print("\n== constrained-inverse stability constants ==")
-stats = constrained_inverse_stats(gs, "minus", 0)
+stats = constrained_inverse_stats(gs)
 for name, val in stats.items():
     print(f"  {name:24s} {val:.4f}")

@@ -49,18 +49,16 @@ class EvolutionState:
 
     t: float
     field: RadialField
-    dt: float
     mass: float
     energy: float
     grad_norm: float
 
     @classmethod
-    def from_values(cls, grid, values, mu, t=0.0, dt=0.0):
+    def from_values(cls, grid, values, mu, t=0.0):
         values = np.asarray(values, dtype=complex)
         return cls(
             t=t,
             field=RadialField(grid, 0, values),
-            dt=dt,
             mass=mass_3d(grid, values),
             energy=energy_mu(grid, values, mu),
             grad_norm=float(np.sqrt(grad_sq_3d(grid, values))),
@@ -258,7 +256,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
 
     if times[-1] != t:
         record(u, t)
-    final = EvolutionState.from_values(grid, u, mu if not linear_only else 0.0, t=t, dt=step_dt)
+    final = EvolutionState.from_values(grid, u, mu if not linear_only else 0.0, t=t)
     return Trajectory(
         mu=mu,
         times=np.array(times),
@@ -308,11 +306,14 @@ def virial_check(traj):
     }
 
 
-def blowup_fit(traj, growth_required=10.0):
-    """Fit grad_norm ~ C (T* - t)^(-gamma) over the last decade of growth."""
+def blowup_fit(traj):
+    """Fit grad_norm ~ C (T* - t)^(-gamma) over the last decade of growth.
+
+    A run whose gradient norm grew less than tenfold is reported undetected.
+    """
     t = traj.times
     g = traj.grad_norm
-    if g[-1] < growth_required * g[0]:
+    if g[-1] < 10.0 * g[0]:
         return {"detected": False, "growth": float(g[-1] / g[0])}
     window = g >= g[-1] / 10.0
     tw, gw = t[window], g[window]
@@ -371,11 +372,12 @@ def _profile_model(ps):
     return model
 
 
-def modulation_extract(traj, gs, ps, residual_cap=0.3):
+def modulation_extract(traj, gs, ps):
     """Per-frame (lambda, b, gamma) by weighted nonlinear least squares.
 
-    Frames whose best fit leaves more than `residual_cap` relative residual
-    are flagged and skipped in the series.
+    Frames whose best fit leaves more than 0.3 relative residual are
+    flagged and hold NaN in the series; the phase is unwrapped across the
+    converged frames only.
     """
     grid = gs.grid
     w = grid.weights
@@ -402,7 +404,7 @@ def modulation_extract(traj, gs, ps, residual_cap=0.3):
 
         sol = least_squares(resid, x0, method="lm", max_nfev=400)
         rel = np.sqrt(np.sum(sol.fun ** 2)) / norm
-        ok = sol.success and rel <= residual_cap
+        ok = sol.success and rel <= 0.3
         lam, gamma, b = float(np.exp(sol.x[0])), float(sol.x[1]), float(sol.x[2])
         times.append(t)
         lams.append(lam if ok else np.nan)
@@ -412,11 +414,14 @@ def modulation_extract(traj, gs, ps, residual_cap=0.3):
         flags.append(ok)
         if ok:
             guess = sol.x
+    flags = np.array(flags, dtype=bool)
+    gammas = np.array(gammas)
+    gammas[flags] = np.unwrap(gammas[flags])
     return ModulationTrace(
         times=np.array(times),
         lam=np.array(lams),
         b=np.array(bs),
-        gamma=np.unwrap(np.array(gammas)),
+        gamma=gammas,
         residual=np.array(residuals),
-        flags=np.array(flags, dtype=bool),
+        flags=flags,
     )

@@ -59,8 +59,6 @@ _D1_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _HALF_WIDTH = 3
 
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-
 
 def _fd_weights(offsets, order):
     """Interpolatory finite-difference weights for d^order/dx^order at 0."""
@@ -132,8 +130,7 @@ class RadialGrid:
     edges: np.ndarray
     jac: np.ndarray              # dr/dxi at the nodes
     jac_face: np.ndarray         # dr/dxi at the cell edges
-    cell_stencils: np.ndarray    # (n_cells, 6) node indices feeding each cell
-    cell_weights: np.ndarray     # (n_cells, 6) moment-fitted cell weights
+    cell_stencils: np.ndarray    # (n_cells, 6) node indices of each cell's interpolant
     token: int = field(default=0, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -232,7 +229,8 @@ def build_grid(n, r_max, stretch="tanh"):
     jac_face = m1(xi_edges)
 
     weights = _blended_weights(nodes, jac, 1.0 / n, float(r_max))
-    cell_stencils, cell_weights = _moment_fit_cells(nodes, edges)
+    start = np.clip(np.arange(n) - 2, 0, n - 6)
+    cell_stencils = start[:, None] + np.arange(6)[None, :]
     if np.min(weights) <= 0.0:
         raise ConfigurationError("quadrature produced non-positive weights; refine the mesh")
 
@@ -246,7 +244,6 @@ def build_grid(n, r_max, stretch="tanh"):
         jac=jac,
         jac_face=jac_face,
         cell_stencils=cell_stencils,
-        cell_weights=cell_weights,
         token=next(_token_counter),
     )
 
@@ -268,34 +265,6 @@ def _blended_weights(nodes, jac, h, r_max):
     A = (V * omega) @ V.T
     alpha = np.linalg.solve(A, defect)
     return w_mid + omega * (V.T @ alpha)
-
-
-def _moment_fit_cells(nodes, edges):
-    """Per-cell degree-5 product-integration table against r^2 dr.
-
-    Used by the nonlocal-kernel builder, which needs cell-aligned weights
-    that stay accurate near an integrable singularity.
-    """
-    n = nodes.size
-    width = min(6, n)
-    start = np.clip(np.arange(n) - 2, 0, n - width)
-    sten = start[:, None] + np.arange(width)[None, :]
-    sr = nodes[sten]
-
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xg = mid[:, None] + half[:, None] * _GL4_X[None, :]
-    wg = half[:, None] * _GL4_W[None, :]
-
-    cell_w = np.empty((n, width))
-    for k in range(width):
-        lag = np.ones_like(xg)
-        for j in range(width):
-            if j == k:
-                continue
-            lag *= (xg - sr[:, j, None]) / (sr[:, k, None] - sr[:, j, None])
-        cell_w[:, k] = np.sum(wg * xg ** 2 * lag, axis=1)
-    return sten, cell_w
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +411,9 @@ def inner_product(f, g, convention="channel"):
     raise ConfigurationError(f"unknown convention {convention!r}")
 
 
-def h2_norm_3d(grid, values, l=0):
-    """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)}."""
-    lf = values + grid.laplacian(l) @ values
+def h2_norm_3d(grid, values):
+    """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)} of a radial f."""
+    lf = values + grid.laplacian(0) @ values
     return float(np.sqrt(4.0 * np.pi * np.sum(grid.weights * np.abs(lf) ** 2)))
 
 

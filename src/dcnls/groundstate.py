@@ -48,8 +48,8 @@ MU_MAX = 0.1
 def mass_3d(grid, values):
     return float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** 2))
 
-def grad_sq_3d(grid, values, l=0):
-    dv = grid.d1_free(l) @ values
+def grad_sq_3d(grid, values):
+    dv = grid.d1_free(0) @ values
     return float(4.0 * np.pi * np.sum(grid.weights * np.abs(dv) ** 2))
 
 def power_3d(grid, values):
@@ -73,40 +73,22 @@ def _equation_residual(grid, q, mu):
     return grid.laplacian(0) @ q + q - nonlinear_potential(grid, q, mu) * q
 
 
-def pohozaev_defect(grid, q, mu):
-    g2 = grad_sq_3d(grid, q)
-    m = mass_3d(grid, q)
-    p = power_3d(grid, q)
-    h = hartree_quartic_3d(grid, q) if mu != 0.0 else 0.0
+def _integrals(grid, q):
+    """(M, G, P, H): ||q||^2, ||grad q||^2, int |q|^{10/3} and int A(|q|^2) |q|^2."""
+    return mass_3d(grid, q), grad_sq_3d(grid, q), power_3d(grid, q), hartree_quartic_3d(grid, q)
+
+def _pohozaev(integrals, mu):
+    m, g2, p, h = integrals
     lhs = 0.5 * g2 + 1.5 * m
     rhs = 0.9 * p + mu * h
     return abs(lhs - rhs) / lhs
 
-def pairing_defect(grid, q, mu):
-    """Defect of the identity from pairing the equation with Q itself."""
-    g2 = grad_sq_3d(grid, q)
-    m = mass_3d(grid, q)
-    p = power_3d(grid, q)
-    h = hartree_quartic_3d(grid, q) if mu != 0.0 else 0.0
-    lhs = g2 + m
-    return abs(lhs - p - mu * h) / lhs
-
-def gn_local_quotient(grid, values, reference_mass=None):
-    """Local GN quotient normalized by the best constant, so Q scores 1.
-
-    The best constant is (5/3) ||Q||^{-4/3}; `reference_mass` is ||Q||^2 of
-    the classical soliton (computed on demand when omitted).
-    """
-    p = power_3d(grid, values)
-    m = mass_3d(grid, values)
-    g2 = grad_sq_3d(grid, values)
-    if reference_mass is None:
-        reference_mass = solve_classical_Q(grid).mass
-    c_best = (5.0 / 3.0) / reference_mass ** (2.0 / 3.0)
-    return p / (c_best * m ** (2.0 / 3.0) * g2)
+def pohozaev_defect(grid, q, mu):
+    return _pohozaev(_integrals(grid, q), mu)
 
 def gn_nonlocal_quotient(grid, values):
-    return hartree_quartic_3d(grid, values) / (grad_sq_3d(grid, values) * mass_3d(grid, values))
+    m, g2, _, h = _integrals(grid, values)
+    return h / (g2 * m)
 
 
 @dataclass(eq=False)
@@ -130,28 +112,41 @@ class GroundState:
         return self.Q.grid
 
 
-def _finish_state(grid, q, mu, beta, pathway, extra=None, reference_mass=None):
-    gs = GroundState(
+def _finish_state(grid, q, mu, beta, pathway, extra, reference_mass=None):
+    """The GroundState of q with its diagnostics.
+
+    The local GN quotient is normalized by the best constant (5/3) ||Q||^{-4/3},
+    so Q scores 1; `reference_mass` is ||Q||^2 of the classical soliton
+    (computed on demand when omitted).
+    """
+    ints = _integrals(grid, q)
+    m, g2, p, h = ints
+    energy = 0.5 * g2 - 0.3 * p
+    if mu != 0.0:
+        energy -= 0.25 * mu * h
+    if reference_mass is None:
+        reference_mass = solve_classical_Q(grid).mass
+    c_best = (5.0 / 3.0) / reference_mass ** (2.0 / 3.0)
+    return GroundState(
         mu=mu,
         Q=RadialField(grid, 0, q),
         beta=beta,
-        mass=mass_3d(grid, q),
-        energy=energy_mu(grid, q, mu),
+        mass=m,
+        energy=energy,
         eq_residual=float(np.max(np.abs(_equation_residual(grid, q, mu))) / np.max(np.abs(q))),
-        pohozaev_residual=pohozaev_defect(grid, q, mu),
-        gn_local=gn_local_quotient(grid, q, reference_mass=reference_mass),
-        gn_nonlocal=gn_nonlocal_quotient(grid, q),
+        pohozaev_residual=_pohozaev(ints, mu),
+        gn_local=p / (c_best * m ** (2.0 / 3.0) * g2),
+        gn_nonlocal=h / (g2 * m),
         pathway=pathway,
-        diagnostics=extra or {},
+        diagnostics=extra,
     )
-    return gs
 
 
 # ---------------------------------------------------------------------------
 # pathway 1: shooting + collocation Newton
 # ---------------------------------------------------------------------------
 
-def _shoot_once(a0, r_end=30.0):
+def _shoot_once(a0):
     """Integrate the radial equation outward from the center value a0.
 
     Returns (+1, r) on undershoot (profile turns back up at r), (-1, r) on
@@ -176,7 +171,7 @@ def _shoot_once(a0, r_end=30.0):
     undershoot.direction = 1
 
     sol = solve_ivp(
-        rhs, (r0, r_end), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+        rhs, (r0, 30.0), y0, method="DOP853", rtol=1e-12, atol=1e-14,
         events=(overshoot, undershoot), dense_output=True,
     )
     if sol.t_events[0].size:
@@ -186,14 +181,12 @@ def _shoot_once(a0, r_end=30.0):
     return 0, sol
 
 
-def _shooting_profile(mu=0.0):
+def _shooting_profile():
     """Bisect the central value of the classical soliton; returns a spline.
 
     Only mu = 0 is integrated by shooting (the nonlocal term would make the
     ODE an integro-differential equation); Newton continuation handles mu>0.
     """
-    if mu != 0.0:
-        raise ConfigurationError("shooting pathway integrates the local equation only")
     lo, hi = 1.0, 10.0
     s_lo, _ = _shoot_once(lo)
     s_hi, _ = _shoot_once(hi)
@@ -234,16 +227,17 @@ def _shooting_profile(mu=0.0):
     return profile, a_star
 
 
-def _newton_polish(grid, q0, mu, tol=1e-9, maxiter=80):
+def _newton_polish(grid, q0, mu, maxiter=80):
     """Collocation Newton; the Jacobian is the plus-kind l = 0 operator.
 
     At mu != 0 each step solves with the full Jacobian, nonlocal piece
     2 mu A(Q .) Q included, by GMRES to relative residual 1e-8; only the
     preconditioner, the sparse LU of the local part, leaves that piece out.
     Iterates until the residual stalls at its rounding floor (the core rows
-    of the Laplacian amplify eps by 1/h^2) or `tol` is reached, whichever
-    floor is lower.
+    of the Laplacian amplify eps by 1/h^2) or `tol` = 1e-9 is reached,
+    whichever floor is lower.
     """
+    tol = 1e-9
     q = q0.copy()
     best, q_best, stall = np.inf, q.copy(), 0
     for it in range(maxiter):
@@ -295,18 +289,18 @@ def solve_classical_Q(grid):
     return gs
 
 
-def _tail_logderiv(grid, q, window=(15.0, 25.0)):
-    """Mean log-derivative of r Q(r) over the tail window (limit is -1)."""
+def _tail_logderiv(grid, q):
+    """Mean log-derivative of r Q(r) over 15 <= r <= 25 (limit is -1)."""
     r = grid.nodes
-    mask = (r >= window[0]) & (r <= window[1]) & (q > 0)
+    mask = (r >= 15.0) & (r <= 25.0) & (q > 0)
     rq = np.log(r[mask] * q[mask])
     return float(np.polyfit(r[mask], rq, 1)[0])
 
 
-def solve_Q_mu(mu, grid, step=0.02):
+def solve_Q_mu(mu, grid):
     """Continuation in the coupling from the classical soliton.
 
-    0 <= mu <= MU_MAX; each continuation step is Newton-polished, so the
+    0 <= mu <= MU_MAX in steps of 0.02; each step is Newton-polished, so the
     returned state satisfies the full nonlocal equation on the grid.
     """
     if mu < 0 or mu > MU_MAX:
@@ -318,7 +312,7 @@ def solve_Q_mu(mu, grid, step=0.02):
     if mu == 0.0:
         return base
     q = base.Q.values.copy()
-    mus = np.arange(step, mu, step)
+    mus = np.arange(0.02, mu, 0.02)
     last_good = 0.0
     try:
         for m in mus:
@@ -365,7 +359,7 @@ def coercivity_bracket(a, mu, grid):
     return 1.0 - (a / qn2) ** (2.0 / 3.0) - 2.0 * mu * cstar * a
 
 
-def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
+def minimize_constrained(a, mu, grid):
     """Projected imaginary-time flow at fixed mass, then multiplier rescale.
 
     The flow converges onto the soliton's scale family; the Euler-Lagrange
@@ -397,6 +391,7 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
     phi *= np.sqrt(a / mass_3d(grid, phi))
     amp_ref = float(np.max(phi))
     lap = grid.laplacian(0)
+    tau = 0.4        # implicit Euler step of the flow
     stepper = spla.splu((sp.identity(grid.n, format="csc") + tau * lap).tocsc())
 
     # The energy is scale-flat along the soliton family, so the descent can
@@ -412,7 +407,7 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
 
     res_hist = []
     flow_its = 0
-    for it in range(maxiter):
+    for it in range(40000):
         flow_its = it
         psi = stepper.solve(phi + tau * nonlinear_potential(grid, phi, mu) * phi)
         if it % 100 == 0:
@@ -436,7 +431,7 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
 
     # sharpen on the sphere: Newton on the KKT system with the mass
     # constraint and a scale pin that removes the neutral dilation mode
-    phi, beta = _sphere_newton(grid, phi, mu, a, tol=tol)
+    phi, beta = _sphere_newton(grid, phi, mu, a)
     if beta <= 0:
         raise FlowStagnationError(
             "flow converged to a non-solitonic state (multiplier <= 0)",
@@ -466,7 +461,7 @@ def minimize_constrained(a, mu, grid, tau=0.4, tol=1e-11, maxiter=40000):
     return gs
 
 
-def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
+def _sphere_newton(grid, phi0, mu, a):
     """Newton for the constrained critical point on the mass sphere.
 
     Unknowns are (phi, beta); the KKT system is bordered with the mass
@@ -480,7 +475,7 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
     pin = generator(grid, phi)    # dilation generator at entry
 
     best, best_state, stall = np.inf, (phi.copy(), beta), 0
-    for it in range(maxiter):
+    for it in range(30):
         eq = _equation_residual(grid, phi, mu) + (beta - 1.0) * phi
         cons = 0.5 * (mass_3d(grid, phi) - a) / (4.0 * np.pi)
         rnorm = np.max(np.abs(eq)) / np.max(np.abs(phi))
@@ -488,7 +483,7 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
             best, best_state, stall = rnorm, (phi.copy(), beta), 0
         else:
             stall += 1
-        if best < 1e-13 or (stall >= 3 and best < max(tol, 3e-8)):
+        if best < 1e-13 or (stall >= 3 and best < 3e-8):
             return best_state
         op = linearize(grid, phi, mu, "plus", 0, shift=beta - 1.0)
         sol = op.solve(eq, [phi, pin], tail=[cons, 0.0], rtol=1e-9)
@@ -499,9 +494,8 @@ def _sphere_newton(grid, phi0, mu, a, tol=1e-11, maxiter=30):
 
 
 def _flow_multiplier(grid, phi, mu):
-    g2 = grad_sq_3d(grid, phi)
-    h = hartree_quartic_3d(grid, phi) if mu != 0.0 else 0.0
-    return (-g2 + power_3d(grid, phi) + mu * h) / mass_3d(grid, phi)
+    m, g2, p, h = _integrals(grid, phi)
+    return (-g2 + p + mu * h) / m
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +506,18 @@ def functional_report(gs):
     """Mass, energy, identity defects and Gagliardo-Nirenberg quotients."""
     grid = gs.grid
     q = gs.Q.values
+    m, g2, p, h = _integrals(grid, q)
     return {
         "mu": gs.mu,
         "mass": gs.mass,
         "energy": gs.energy,
         "eq_residual": gs.eq_residual,
         "pohozaev_defect": gs.pohozaev_residual,
-        "pairing_defect": pairing_defect(grid, q, gs.mu),
+        # the defect of the identity from pairing the equation with Q itself
+        "pairing_defect": abs(g2 + m - p - gs.mu * h) / (g2 + m),
         "gn_local": gs.gn_local,
         "gn_nonlocal": gs.gn_nonlocal,
-        "grad_norm_sq": grad_sq_3d(grid, q),
+        "grad_norm_sq": g2,
         "tail_logderiv": _tail_logderiv(grid, q),
     }
 

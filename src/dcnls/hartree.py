@@ -117,8 +117,10 @@ def _kernel_values(l, r, rho):
     return CHANNEL_COEFFICIENT * _g_ratio(l, lo / hi) / hi ** 2
 
 
-def _tanh_sinh_rule(m=34, step=0.115):
-    k = np.arange(-m, m + 1)
+def _tanh_sinh_rule():
+    """Tanh-sinh nodes and weights on (0, 1): step 0.115, |k| <= 34."""
+    step = 0.115
+    k = np.arange(-34, 35)
     u = step * k
     x = np.tanh(0.5 * np.pi * np.sinh(u))
     w = step * 0.5 * np.pi * np.cosh(u) / np.cosh(0.5 * np.pi * np.sinh(u)) ** 2

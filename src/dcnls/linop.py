@@ -128,7 +128,6 @@ class ChannelOperator:
 class SpectrumReport:
     eigenvalues: np.ndarray
     eigenfields: list
-    gaps: np.ndarray
 
 
 def linearize(grid, q, mu, kind, l, shift=0.0):
@@ -159,8 +158,8 @@ def assemble_channel_operator(gs, kind, l):
 
 def lowest_eigenpairs(op, k):
     """The k lowest eigenpairs; eigenfields are W-orthonormal RadialFields."""
-    if k > 10:
-        raise ConfigurationError("at most 10 eigenpairs are supported")
+    if not 1 <= k <= 10:
+        raise ConfigurationError(f"between 1 and 10 eigenpairs are supported, got k = {k}")
     dense = op.local.toarray()
     if op.nonlocal_scale != 0.0:
         dressed = build_multipole_kernel(op.grid, op.l).matrix.toarray()
@@ -187,19 +186,16 @@ def lowest_eigenpairs(op, k):
         profile = profile * np.sign(profile[np.argmax(np.abs(profile))])
         norm = np.sqrt(np.sum(op.grid.weights * profile ** 2))
         fields.append(RadialField(op.grid, op.l, profile / norm))
-    return SpectrumReport(
-        eigenvalues=vals,
-        eigenfields=fields,
-        gaps=np.diff(vals),
-    )
+    return SpectrumReport(eigenvalues=vals, eigenfields=fields)
 
 
-def solve_with_constraints(op, source, constraints, rel_tol=1e-8):
+def solve_with_constraints(op, source, constraints):
     """Solve op x = source with exact discrete orthogonality to `constraints`.
 
     The constraints are assumed to span the operator kernel; a source with a
-    kernel component above `rel_tol` (relative) trips SolvabilityError, the
-    discrete face of the solvability conditions.
+    kernel component above 1e-8 (relative) trips SolvabilityError, the
+    discrete face of the solvability conditions, and so does a solution
+    whose relative residual exceeds 1e-8.
     """
     grid = op.grid
     if source.l != op.l:
@@ -212,7 +208,7 @@ def solve_with_constraints(op, source, constraints, rel_tol=1e-8):
         cv = np.asarray(c.values if isinstance(c, RadialField) else c, dtype=float)
         overlap = np.sum(w * cv * src)
         c_norm = np.sqrt(np.sum(w * cv ** 2))
-        if abs(overlap) > rel_tol * src_norm * c_norm:
+        if abs(overlap) > 1e-8 * src_norm * c_norm:
             raise SolvabilityError(
                 "source has a kernel component above tolerance",
                 defect=float(abs(overlap) / (src_norm * c_norm)),
@@ -223,7 +219,7 @@ def solve_with_constraints(op, source, constraints, rel_tol=1e-8):
 
     res = op.apply(x) - src
     res_norm = np.sqrt(np.sum(w * res ** 2))
-    if res_norm > max(rel_tol * src_norm, 1e-13):
+    if res_norm > max(1e-8 * src_norm, 1e-13):
         raise SolvabilityError(
             "constrained solve left a residual above tolerance",
             defect=float(res_norm / src_norm),
@@ -264,8 +260,13 @@ def nondegeneracy_report(gs, l_max=L_MAX, k=6):
     Expected structure: trivial kernel for the plus kind on channel 0, a
     one-dimensional kernel spanned by the soliton derivative on channel 1,
     strict positivity for channels >= 2, and the soliton spanning the
-    kernel of the minus kind on channel 0.
+    kernel of the minus kind on channel 0.  The gap checks read the second
+    eigenvalue of channels 0 and 1, so l_max >= 1 and k >= 2.
     """
+    if l_max < 1:
+        raise ConfigurationError(f"l_max must be >= 1, got {l_max}")
+    if k < 2:
+        raise ConfigurationError(f"k must be >= 2, got {k}")
     grid = gs.grid
     q = gs.Q.values
     w = grid.weights
@@ -324,45 +325,31 @@ def nondegeneracy_report(gs, l_max=L_MAX, k=6):
     }
 
 
-def constrained_inverse_stats(gs, kind="minus", l=0, weight_rate=0.5):
-    """Measured stability constants of the constrained inverse.
+def constrained_inverse_stats(gs):
+    """Measured stability constants of the inverse of L_{-,0} off the soliton.
 
     Reports the H^2 <- L^2 amplification over a family of smooth decaying
-    sources, its exponentially weighted variant (weights e^{c r} applied to
-    source and solution), and the pointwise-domination constant K in
-    |x| <= K Q for sources bounded by e^{-r}.
+    sources projected off Q, its exponentially weighted variant (weights
+    e^{r/2} applied to source and solution), and the pointwise-domination
+    constant K in |x| <= K Q for sources bounded by e^{-r}.
     """
     grid = gs.grid
     q = gs.Q.values
     w = grid.weights
     r = grid.nodes
-    op = assemble_channel_operator(gs, kind, l)
-    if kind == "minus" and l == 0:
-        constraints = [gs.Q]
-    elif kind == "plus" and l == 1:
-        constraints = [RadialField(grid, 1, grid.d1_free(0) @ q)]
-    else:
-        constraints = []
-
-    def orthogonalize(vals):
-        out = vals.copy()
-        for c in constraints:
-            cv = c.values
-            out -= cv * np.sum(w * cv * out) / np.sum(w * cv * cv)
-        return out
+    op = assemble_channel_operator(gs, "minus", 0)
+    ew = np.exp(0.5 * r)
+    mask = r <= 30.0
 
     amp, amp_weighted, dominance = [], [], []
     for shape in (np.exp(-r), r * np.exp(-r), np.exp(-r) / (1 + r)):
-        src_vals = orthogonalize(shape if l == 0 else r * shape)
-        src = RadialField(grid, l, src_vals)
-        x = solve_with_constraints(op, src, constraints)
+        src_vals = shape - q * np.sum(w * q * shape) / np.sum(w * q * q)
+        x = solve_with_constraints(op, RadialField(grid, 0, src_vals), [gs.Q])
         l2_src = np.sqrt(np.sum(w * src_vals ** 2))
-        amp.append(h2_norm_3d(grid, x.values, l) / (np.sqrt(4 * np.pi) * l2_src))
-        ew = np.exp(weight_rate * r)
+        amp.append(h2_norm_3d(grid, x.values) / (np.sqrt(4 * np.pi) * l2_src))
         l2w_src = np.sqrt(np.sum(w * (ew * src_vals) ** 2))
-        h2w_sol = h2_norm_3d(grid, ew * x.values, l) / np.sqrt(4 * np.pi)
+        h2w_sol = h2_norm_3d(grid, ew * x.values) / np.sqrt(4 * np.pi)
         amp_weighted.append(h2w_sol / l2w_src)
-        mask = r <= 30.0
         dominance.append(float(np.max(np.abs(x.values[mask]) / q[mask])
                                / np.max(np.abs(x.values))))
     return {

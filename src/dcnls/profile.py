@@ -44,12 +44,10 @@ _CG, _CW = leggauss(16)
 
 SOLVABILITY_TOL = 1e-6
 
+# P_0 .. P_2 at the angular nodes: R has channels l <= 1, so |R|^2 reaches l = 2
+_PL = np.stack([legval(_CG, np.eye(l + 1)[-1]) for l in range(3)])
 
-def _legendre_factors(lmax=4):
-    return np.stack([legval(_CG, np.eye(l + 1)[-1]) for l in range(lmax + 1)])
-
-
-_PL = _legendre_factors()
+_EXPANSION_SAMPLES = (0.04, 0.06, 0.09, 0.13, 0.2)   # b and d of the expansion fits
 
 
 @dataclass(eq=False)
@@ -86,13 +84,13 @@ class ProfileSet:
             "rho2_b": self.rho2_b, "rho2_d": self.rho2_d,
         }
 
-    def decay_report(self, rate=0.5, r_from=10.0):
-        """Weighted tail sup of every field: sup_{r >= r_from} |f| e^{rate r}."""
+    def decay_report(self, r_from=10.0):
+        """Weighted tail sup of every field: sup_{r >= r_from} |f| e^{r/2}."""
         r = self.grid.nodes
         out = {}
         for name, f in self.fields().items():
             tail = r >= r_from
-            out[name] = float(np.max(np.abs(f.values[tail]) * np.exp(rate * r[tail])))
+            out[name] = float(np.max(np.abs(f.values[tail]) * np.exp(0.5 * r[tail])))
         return out
 
 
@@ -325,17 +323,17 @@ def _on_product_grid(channels):
     return total
 
 
-def _project_channels(samples, lmax):
-    """Project (n, n_c) samples onto Legendre factors P_0 .. P_lmax."""
+def _project_channels(samples):
+    """Project (n, n_c) samples onto Legendre factors P_0 .. P_2."""
     out = {}
-    for l in range(lmax + 1):
+    for l in range(len(_PL)):
         out[l] = (2 * l + 1) / 2.0 * np.sum(samples * (_CW * _PL[l])[None, :], axis=1)
     return out
 
 
-def _hartree_on_grid(grid, dens_samples, lmax=4):
+def _hartree_on_grid(grid, dens_samples):
     """A(dens) evaluated on the product grid from its channel projections."""
-    proj = _project_channels(dens_samples, lmax)
+    proj = _project_channels(dens_samples)
     pot = 0.0
     for l, g_l in proj.items():
         if np.max(np.abs(g_l)) == 0.0:
@@ -369,7 +367,7 @@ def _functionals(grid, channels, mu):
     p103 = integrate(absR2 ** (5.0 / 3.0))
     energy = 0.5 * kinetic - 0.3 * p103
     if mu != 0.0:
-        pot = _hartree_on_grid(grid, absR2, lmax=2)
+        pot = _hartree_on_grid(grid, absR2)
         energy -= 0.25 * mu * integrate(pot * absR2)
 
     # axial momentum 2 int Re(R) d_1 Im(R)
@@ -398,13 +396,13 @@ def assemble_R(ps, b, d):
     )
 
 
-def residual_psi(ps, b, d, weight_rate=0.5, window=20.0):
+def residual_psi(ps, b, d):
     """Residual of the self-similar profile equation for the assembled R.
 
     Returns (psi_samples, weighted_sup, weighted_sup_gradient): psi on the
-    (r, cos theta) grid, and sup over r <= window of |psi| e^{weight_rate r}
-    (the window keeps the exponential weight inside the trustworthy dynamic
-    range of the arithmetic).
+    (r, cos theta) grid, and sup over r <= 20 of |psi| e^{r/2} (the window
+    keeps the exponential weight inside the trustworthy dynamic range of
+    the arithmetic).
     """
     if abs(b) > PARAM_BOX or abs(d) > PARAM_BOX:
         raise ConfigurationError("parameters outside the validity box")
@@ -439,11 +437,11 @@ def residual_psi(ps, b, d, weight_rate=0.5, window=20.0):
         + 1j * b * lam - 1j * d * dx1
     )
     if mu != 0.0:
-        equation = equation + mu * _hartree_on_grid(grid, absR2, lmax=2) * R
+        equation = equation + mu * _hartree_on_grid(grid, absR2) * R
     psi = -equation
 
-    mask = r <= window
-    weight = np.exp(weight_rate * r[mask])[:, None]
+    mask = r <= 20.0
+    weight = np.exp(0.5 * r[mask])[:, None]
     sup = float(np.max(np.abs(psi[mask, :]) * weight))
 
     # gradient bound, finite-differenced; one order looser by construction
@@ -452,15 +450,14 @@ def residual_psi(ps, b, d, weight_rate=0.5, window=20.0):
     return psi, sup, sup_grad
 
 
-def invariant_expansions(ps, b_samples=(0.04, 0.06, 0.09, 0.13, 0.2),
-                         d_samples=(0.04, 0.06, 0.09, 0.13, 0.2)):
+def invariant_expansions(ps):
     """Fit the leading mass/energy/momentum behavior over a parameter grid."""
     base = assemble_R(ps, 0.0, 0.0)
     e_rows, p_rows = [], []
-    for b in b_samples:
+    for b in _EXPANSION_SAMPLES:
         prof = assemble_R(ps, b, 0.0)
         e_rows.append((b, prof.energy))
-    for d in d_samples:
+    for d in _EXPANSION_SAMPLES:
         prof = assemble_R(ps, 0.0, d)
         p_rows.append((d, prof.momentum))
 
@@ -480,8 +477,8 @@ def invariant_expansions(ps, b_samples=(0.04, 0.06, 0.09, 0.13, 0.2),
     # fitted as the largest observed ratio and its spread shows how sharply
     # the two monomials capture the defect
     ratios = []
-    for b in b_samples:
-        for d in d_samples:
+    for b in _EXPANSION_SAMPLES:
+        for d in _EXPANSION_SAMPLES:
             prof = assemble_R(ps, b, d)
             ratios.append(abs(prof.mass - base.mass) / (b ** 4 + d ** 2))
     ratios = np.array(ratios)
@@ -495,5 +492,5 @@ def invariant_expansions(ps, b_samples=(0.04, 0.06, 0.09, 0.13, 0.2),
         "momentum_remainder_exponent": exp_p,
         "mass_defect_K": float(np.max(ratios)),
         "mass_ratio_spread": float(np.max(ratios) / max(np.min(ratios), 1e-300)),
-        "momentum_at_zero_drift": float(assemble_R(ps, max(b_samples), 0.0).momentum),
+        "momentum_at_zero_drift": float(assemble_R(ps, max(_EXPANSION_SAMPLES), 0.0).momentum),
     }

@@ -66,6 +66,15 @@ def test_out_of_range_coupling_exits_2(tmp_path):
     assert manifest["status"].startswith("FAILED (configuration)")
 
 
+@pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--k", "1"], ["--k", "0"]])
+def test_out_of_range_spectrum_request_exits_2(tmp_path, flags):
+    # the kernel checks need L_+ on channels 0 and 1 and two eigenvalues each
+    code = _run(["spectrum", "--mu", "0.02", "--grid-n", "256"] + flags, str(tmp_path))
+    assert code == 2
+    (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
+    assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
+
+
 def test_numerical_failure_exits_1(tmp_path, monkeypatch):
     import dcnls.cli as cli
 

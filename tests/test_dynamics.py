@@ -152,6 +152,23 @@ def test_modulation_recovers_exact_parameters(grid, gs):
     assert abs(trace.b[0]) <= 1e-6
 
 
+def test_flagged_frame_leaves_later_phases(grid, gs):
+    from types import SimpleNamespace
+
+    from dcnls.profile import build_hierarchy
+
+    q = gs.Q.values
+    noise = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, grid.n))
+    noise *= np.sqrt(gs.mass / mass_3d(grid, noise))
+    frames = [q * np.exp(1j * phase) for phase in (0.7, 2.5, 4.0, 5.5)]
+    frames.insert(2, noise)
+    traj = SimpleNamespace(snapshots=list(enumerate(frames)))
+    trace = modulation_extract(traj, gs, build_hierarchy(gs))
+    assert trace.flags.tolist() == [True, True, False, True, True]
+    assert np.isnan(trace.gamma[2])
+    assert trace.gamma[[0, 1, 3, 4]] == pytest.approx([0.7, 2.5, 4.0, 5.5], abs=1e-6)
+
+
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
 def test_linear_step_matches_dense_crank_nicolson(dt):
     g = build_grid(128, 40.0, "tanh")

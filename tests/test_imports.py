@@ -87,3 +87,44 @@ def test_public_names_resolve():
         defined = _defined_names(tree)
         undefined += [f"{path.name} {name}" for name in _module_all(tree) if name not in defined]
     assert undefined == []
+
+
+def _passes(call, index, name):
+    """Whether `call` supplies the parameter at positional `index` or named `name`."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return True
+    return (index is not None and len(call.args) > index) or any(
+        k.arg == name for k in call.keywords
+    )
+
+
+def test_private_defaults_take_two_values():
+    # a default that every call passes, or that no call passes, is a constant
+    helpers, calls = {}, {}
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    for tree in trees:
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                helpers[node.name] = node.args
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in helpers):
+                calls.setdefault(node.func.id, []).append(node)
+    assert calls
+    single = []
+    for name, sites in sorted(calls.items()):
+        args = helpers[name]
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for index, arg in defaulted:
+            passed = [_passes(call, index, arg) for call in sites]
+            if all(passed) or not any(passed):
+                single.append(f"{name}({arg})")
+    assert single == []

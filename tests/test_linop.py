@@ -217,9 +217,9 @@ def test_nondegeneracy_classical_kernels(gs0):
 
 
 def test_constrained_inverse_resolution_stable(gs_mu):
-    stats1 = constrained_inverse_stats(gs_mu, "minus", 0)
+    stats1 = constrained_inverse_stats(gs_mu)
     g2 = build_grid(2048, 40.0, "tanh")
-    stats2 = constrained_inverse_stats(solve_Q_mu(0.05, g2), "minus", 0)
+    stats2 = constrained_inverse_stats(solve_Q_mu(0.05, g2))
     assert stats1["h2_amplification"] == pytest.approx(stats2["h2_amplification"], rel=0.05)
     assert stats1["weighted_amplification"] == pytest.approx(
         stats2["weighted_amplification"], rel=0.05

@@ -76,8 +76,8 @@ def test_mass_identity(grid, ps_mu):
 
 
 def test_fields_decay_exponentially(ps_mu):
-    rep = ps_mu.decay_report(rate=0.5, r_from=10.0)
-    inner = ps_mu.decay_report(rate=0.5, r_from=5.0)
+    rep = ps_mu.decay_report(r_from=10.0)
+    inner = ps_mu.decay_report(r_from=5.0)
     for name in rep:
         assert np.isfinite(rep[name])
         assert rep[name] <= inner[name] * (1 + 1e-12)
