@@ -34,8 +34,6 @@ _DEFAULTS = {
     "threads": 0,
 }
 
-_FLOAT_KEYS = {"mu", "rmax", "b", "d"}
-_INT_KEYS = {"grid_n", "lmax", "k", "threads"}
 # keys that name a run directory when they differ from their default
 _RUN_KEYS = ("rmax", "lmax", "k", "b", "d", "preset")
 
@@ -52,15 +50,15 @@ _REPORT_BOUNDS = {
 
 def _tolerances():
     """The bounds in force: the report table plus the solver constants."""
-    from .linop import GAP_TOL, ZERO_TOL
-    from .profile import SOLVABILITY_TOL
+    from .linop import GAP_TOL, SOLVABILITY_TOL, ZERO_TOL
 
     return {**_REPORT_BOUNDS, "profile_solvability": SOLVABILITY_TOL,
             "kernel_zero": ZERO_TOL, "kernel_gap": GAP_TOL}
 
 
-def _parse_config_file(path):
-    values = {}
+def _config_file_args(path):
+    """The file's flat `key = value` lines as `--key=value` arguments."""
+    args = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -69,16 +67,11 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-def _coerce(key, val):
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    return val
+            key = key.replace("-", "_")
+            if key not in _DEFAULTS:
+                raise ValueError(f"unknown config key {key!r}")
+            args.append(f"--{key.replace('_', '-')}={val}")
+    return args
 
 
 def _fmt(x):
@@ -159,8 +152,9 @@ def _cmd_groundstate(cfg, run_dir):
 def _cmd_spectrum(cfg, run_dir):
     from .grid import build_grid
     from .groundstate import solve_Q_mu
-    from .linop import nondegeneracy_report
+    from .linop import check_spectrum_request, nondegeneracy_report
 
+    check_spectrum_request(cfg["lmax"], cfg["k"])
     grid = build_grid(cfg["grid_n"], cfg["rmax"], "tanh")
     gs = solve_Q_mu(cfg["mu"], grid)
     rep = nondegeneracy_report(gs, l_max=cfg["lmax"], k=cfg["k"])
@@ -293,9 +287,10 @@ def _cmd_report(cfg, run_dir):
     from .grid import build_grid
     from .groundstate import functional_report, solve_Q_mu
     from .hartree import calibrate_channel_coefficient
-    from .linop import nondegeneracy_report
+    from .linop import check_spectrum_request, nondegeneracy_report
     from .profile import build_hierarchy
 
+    check_spectrum_request(cfg["lmax"], cfg["k"])
     grid = build_grid(cfg["grid_n"], cfg["rmax"], "tanh")
     gs = solve_Q_mu(cfg["mu"], grid)
     values = {}
@@ -360,30 +355,28 @@ def run_command(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's values go through the parser ahead of the command
+            # line, so they are typed and checked alike and the command line wins
+            args = parser.parse_args(_config_file_args(args.config) + list(argv))
+    except (OSError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return int(exc.code or 0)
 
     cfg = dict(_DEFAULTS)
-    try:
-        if args.config:
-            for key, val in _parse_config_file(args.config).items():
-                if key not in cfg:
-                    raise ValueError(f"unknown config key {key!r}")
-                cfg[key] = _coerce(key, val)
-        for key in cfg:
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg[key] = val
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    for key in cfg:
+        val = getattr(args, key)
+        if val is not None:
+            cfg[key] = val
 
     if cfg["threads"]:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(cfg["threads"])
 
     run_name = f"{args.command}-mu{cfg['mu']:g}-n{cfg['grid_n']}" + "".join(
-        f"-{key}{cfg[key]:g}" if key in _FLOAT_KEYS else f"-{key}{cfg[key]}"
+        f"-{key}{cfg[key]:g}" if isinstance(cfg[key], float) else f"-{key}{cfg[key]}"
         for key in _RUN_KEYS if cfg[key] != _DEFAULTS[key]
     )
     run_dir = os.path.join(cfg["out"], run_name)

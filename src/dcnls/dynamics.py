@@ -101,8 +101,25 @@ class Trajectory:
 # initial data
 # ---------------------------------------------------------------------------
 
+# the keyword parameters each kind of seed state takes
+_SEED_PARAMS = {
+    "rescaled_soliton": {"alpha", "beta", "mu"},
+    "minimal_mass_profile": {"b0", "mass_factor"},
+    "gaussian": {"width", "amplitude", "mu"},
+}
+
+
 def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
-    """Seed states: rescaled solitons, minimal-mass profiles, Gaussians."""
+    """Seed states: rescaled solitons, minimal-mass profiles, Gaussians.
+
+    A keyword that the kind does not take raises ConfigurationError.
+    """
+    if kind not in _SEED_PARAMS:
+        raise ConfigurationError(f"unknown initial-data kind {kind!r}")
+    unknown = sorted(set(params) - _SEED_PARAMS[kind])
+    if unknown:
+        raise ConfigurationError(f"{kind} takes no parameter {', '.join(unknown)}")
+
     if kind == "rescaled_soliton":
         alpha = float(params.get("alpha", 1.0))
         beta = float(params.get("beta", 1.0))
@@ -119,36 +136,29 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
         from .profile import assemble_R
 
         b0 = float(params.get("b0", 0.2))
-        lam0 = float(params.get("lambda0", 1.0))
         mass_factor = float(params.get("mass_factor", 1.0))
-        mu = gs.mu if gs is not None else 0.0
         if ps is None or gs is None:
             raise ConfigurationError("minimal_mass_profile needs the profile hierarchy")
-        if params.get("d0", 0.0) != 0.0:
-            raise ConfigurationError("the radial path carries no drift")
         grid = gs.grid
-        ch0 = assemble_R(ps, b0, 0.0).channels[0]
-        vals = lam0 ** -1.5 * profile_interpolator(grid, ch0)(grid.nodes / lam0)
+        vals = assemble_R(ps, b0, 0.0).channels[0]
         # renormalized to the critical mass (the pseudo-conformal phase rides
         # inside the imaginary hierarchy of the assembled profile); the
         # truncated profile itself sits a hair on the dispersal side of the
         # minimal-mass manifold, so blowup experiments nudge mass_factor just
         # above 1 to select the collapsing trajectory it shadows
         vals *= np.sqrt(mass_factor * gs.mass / mass_3d(grid, vals))
-        return EvolutionState.from_values(grid, vals, mu)
+        return EvolutionState.from_values(grid, vals, gs.mu)
 
-    if kind == "gaussian":
-        width = float(params.get("width", 2.0))
-        amplitude = float(params.get("amplitude", 1.0))
-        mu = float(params.get("mu", 0.0))
-        if grid is None:
-            raise ConfigurationError("gaussian seed needs a grid")
-        if width <= 0:
-            raise ConfigurationError("width must be positive")
-        vals = amplitude * np.exp(-grid.nodes ** 2 / (2 * width ** 2))
-        return EvolutionState.from_values(grid, vals, mu)
-
-    raise ConfigurationError(f"unknown initial-data kind {kind!r}")
+    # kind == "gaussian"
+    width = float(params.get("width", 2.0))
+    amplitude = float(params.get("amplitude", 1.0))
+    mu = float(params.get("mu", 0.0))
+    if grid is None:
+        raise ConfigurationError("gaussian seed needs a grid")
+    if width <= 0:
+        raise ConfigurationError("width must be positive")
+    vals = amplitude * np.exp(-grid.nodes ** 2 / (2 * width ** 2))
+    return EvolutionState.from_values(grid, vals, mu)
 
 
 # ---------------------------------------------------------------------------

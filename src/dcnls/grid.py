@@ -54,9 +54,8 @@ __all__ = [
 
 _token_counter = itertools.count(1)
 
-# 6th-order centered stencils on a uniform grid (spacing folded in later).
+# 6th-order centered stencil on a uniform grid (spacing folded in later).
 _D1_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _HALF_WIDTH = 3
 
 
@@ -73,36 +72,18 @@ def _fd_weights(offsets, order):
 _DSTAG = _fd_weights(np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]), 1)
 
 
-def _resolve_stretch(stretch):
-    """Normalize a stretch descriptor to ("uniform",) or ("tanh", w, s)."""
-    if stretch is None or stretch == "uniform":
-        return ("uniform",)
-    if stretch == "tanh":
-        return ("tanh", 0.85, 3.0)
-    if isinstance(stretch, (tuple, list)) and stretch and stretch[0] in ("uniform", "tanh"):
-        if stretch[0] == "uniform":
-            return ("uniform",)
-        if len(stretch) == 3:
-            w, s = float(stretch[1]), float(stretch[2])
-            if not (0.0 <= w < 1.0 and s > 0.0):
-                raise ConfigurationError(f"bad tanh stretch parameters {stretch!r}")
-            return ("tanh", w, s)
-    raise ConfigurationError(f"unknown stretch descriptor {stretch!r}")
-
-
-def _stretch_functions(desc, r_max):
-    """Map xi in [0,1] -> r plus first and second derivatives.
+def _stretch_functions(stretch, r_max):
+    """Map xi in [0,1] -> r and its first derivative, for the "uniform" map
+    or the "tanh" grading r ~ xi - (w/s) tanh(s xi), w = 0.85, s = 3.
 
     The map is odd in xi so mirror ghost nodes land on mirrored radii.
     """
-    if desc[0] == "uniform":
-        return (
-            lambda xi: r_max * xi,
-            lambda xi: r_max * np.ones_like(xi),
-            lambda xi: np.zeros_like(xi),
-        )
+    if stretch == "uniform":
+        return (lambda xi: r_max * xi, lambda xi: r_max * np.ones_like(xi))
+    if stretch != "tanh":
+        raise ConfigurationError(f"unknown stretch {stretch!r}")
 
-    _, w, s = desc
+    w, s = 0.85, 3.0
     norm = 1.0 - (w / s) * np.tanh(s)
 
     def m(xi):
@@ -111,11 +92,7 @@ def _stretch_functions(desc, r_max):
     def m1(xi):
         return r_max * (1.0 - w / np.cosh(s * xi) ** 2) / norm
 
-    def m2(xi):
-        c = np.cosh(s * xi)
-        return r_max * (2.0 * w * s * np.tanh(s * xi) / c ** 2) / norm
-
-    return m, m1, m2
+    return m, m1
 
 
 @dataclass(eq=False)
@@ -124,7 +101,6 @@ class RadialGrid:
 
     n: int
     r_max: float
-    stretch: tuple
     nodes: np.ndarray
     weights: np.ndarray          # quadrature for integral of f r^2 dr
     edges: np.ndarray
@@ -209,15 +185,14 @@ class RadialField:
 def build_grid(n, r_max, stretch="tanh"):
     """Build a staggered radial grid with quadrature weights.
 
-    n >= 16 nodes on (0, r_max]; `stretch` is "uniform", "tanh", or
-    ("tanh", w, s) with node density ratio (1 - w sech^2 s)/(1 - w).
+    n >= 16 nodes on (0, r_max]; `stretch` is "uniform" or "tanh", whose
+    node density ratio is (1 - w sech^2 s)/(1 - w) with w = 0.85, s = 3.
     """
     if n < 16:
         raise ConfigurationError(f"need n >= 16 nodes, got {n}")
     if r_max <= 0:
         raise ConfigurationError(f"need r_max > 0, got {r_max}")
-    desc = _resolve_stretch(stretch)
-    m, m1, _ = _stretch_functions(desc, float(r_max))
+    m, m1 = _stretch_functions(stretch, float(r_max))
 
     xi_nodes = (np.arange(n) + 0.5) / n
     xi_edges = np.arange(n + 1) / n
@@ -237,7 +212,6 @@ def build_grid(n, r_max, stretch="tanh"):
     return RadialGrid(
         n=n,
         r_max=float(r_max),
-        stretch=desc,
         nodes=nodes,
         weights=weights,
         edges=edges,

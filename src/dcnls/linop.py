@@ -15,6 +15,11 @@ Without a nonlocal block that factor is the solve; with one it
 preconditions GMRES on the full bordered operator.  Newton steps, the
 constrained Newton on the mass sphere and the profile hierarchy all use it,
 and the bordering keeps discrete orthogonality to the constraints exact.
+A constrained solve (`solve_with_constraints`, and every hierarchy solve in
+`profile`) passes one gate, `_checked_solve`: a non-finite source raises
+ConvergenceError, and a kernel component or a relative residual above
+SOLVABILITY_TOL raises SolvabilityError, the discrete face of the
+solvability conditions.
 Spectra are computed from the similarity transform B = W^{1/2} M W^{-1/2},
 which is symmetric to rounding, by a dense eigensolve; it is the one place
 the kernel is expanded to a dense matrix.
@@ -35,6 +40,7 @@ __all__ = [
     "ChannelOperator",
     "SpectrumReport",
     "assemble_channel_operator",
+    "check_spectrum_request",
     "linearize",
     "lowest_eigenpairs",
     "solve_with_constraints",
@@ -47,6 +53,8 @@ ZERO_TOL = 1e-6      # an eigenvalue is "zero" iff |lambda| <= ZERO_TOL ...
 GAP_TOL = 1e-3       # ... and the next one exceeds GAP_TOL
 
 L_MAX = 4
+MAX_EIGENPAIRS = 10  # lowest_eigenpairs serves 1 .. MAX_EIGENPAIRS eigenpairs
+SOLVABILITY_TOL = 1e-8   # kernel component and residual bound of a constrained solve
 
 
 @dataclass(eq=False)
@@ -158,8 +166,8 @@ def assemble_channel_operator(gs, kind, l):
 
 def lowest_eigenpairs(op, k):
     """The k lowest eigenpairs; eigenfields are W-orthonormal RadialFields."""
-    if not 1 <= k <= 10:
-        raise ConfigurationError(f"between 1 and 10 eigenpairs are supported, got k = {k}")
+    if not 1 <= k <= MAX_EIGENPAIRS:
+        raise ConfigurationError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
     dense = op.local.toarray()
     if op.nonlocal_scale != 0.0:
         dressed = build_multipole_kernel(op.grid, op.l).matrix.toarray()
@@ -189,42 +197,62 @@ def lowest_eigenpairs(op, k):
     return SpectrumReport(eigenvalues=vals, eigenfields=fields)
 
 
-def solve_with_constraints(op, source, constraints):
-    """Solve op x = source with exact discrete orthogonality to `constraints`.
+def _checked_solve(op, src, constraints):
+    """Solve op x = src bordered by `constraints`: the one gate of a constrained solve.
 
-    The constraints are assumed to span the operator kernel; a source with a
-    kernel component above 1e-8 (relative) trips SolvabilityError, the
-    discrete face of the solvability conditions, and so does a solution
-    whose relative residual exceeds 1e-8.
+    The constraints are assumed to span the operator kernel.  Returns
+    (x, kernel defect, relative residual), where the kernel defect is the
+    largest cosine between the source and a constraint.  A non-finite source
+    raises ConvergenceError; a kernel defect or a residual above
+    SOLVABILITY_TOL raises SolvabilityError.
     """
-    grid = op.grid
+    w = op.grid.weights
+    if not np.all(np.isfinite(src)):
+        raise ConvergenceError("constrained-solve source is not finite",
+                               diagnostics={"kind": op.kind, "l": op.l, "mu": op.mu})
+    src_sq = np.sum(w * src ** 2) or 1.0     # a zero source has the zero solution
+    defect = max((float(abs(np.sum(w * src * c)) / np.sqrt(src_sq * np.sum(w * c ** 2)))
+                  for c in constraints), default=0.0)
+    if not defect <= SOLVABILITY_TOL:
+        raise SolvabilityError(f"source for L_{op.kind},{op.l} has a kernel component "
+                               f"{defect:.1e} above {SOLVABILITY_TOL:g}", defect=defect)
+    x = op.solve(src, constraints)[:op.grid.n]
+    res = op.apply(x) - src
+    residual = float(np.sqrt(np.sum(w * res ** 2) / src_sq))
+    if not residual <= SOLVABILITY_TOL:      # NaN fails too
+        raise SolvabilityError(f"solve of L_{op.kind},{op.l} left a residual "
+                               f"{residual:.1e} above {SOLVABILITY_TOL:g}", defect=residual)
+    return x, defect, residual
+
+
+def solve_with_constraints(op, source, constraints):
+    """Solve op x = source with exact discrete orthogonality to `constraints`
+    (RadialFields or sample arrays), gated by `_checked_solve`."""
     if source.l != op.l:
         raise ConfigurationError("source lives in a different channel than the operator")
+    cons = [np.asarray(c.values if isinstance(c, RadialField) else c, dtype=float)
+            for c in constraints]
+    x, _, _ = _checked_solve(op, np.asarray(source.values, dtype=float), cons)
+    return RadialField(op.grid, op.l, x)
+
+
+def _identity_norms(gs, ops):
+    """The identities of `algebraic_identity_report`, from the operators keyed
+    ("minus", 0), ("plus", 0) and ("plus", 1)."""
+    grid = gs.grid
+    q = gs.Q.values
     w = grid.weights
-    src = np.asarray(source.values, dtype=float)
-    src_norm = np.sqrt(np.sum(w * src ** 2))
-    cons = []
-    for c in constraints:
-        cv = np.asarray(c.values if isinstance(c, RadialField) else c, dtype=float)
-        overlap = np.sum(w * cv * src)
-        c_norm = np.sqrt(np.sum(w * cv ** 2))
-        if abs(overlap) > 1e-8 * src_norm * c_norm:
-            raise SolvabilityError(
-                "source has a kernel component above tolerance",
-                defect=float(abs(overlap) / (src_norm * c_norm)),
-            )
-        cons.append(cv)
 
-    x = op.solve(src, cons)[:grid.n]
+    def rel(vals, ref):
+        return float(np.sqrt(np.sum(w * vals ** 2) / np.sum(w * ref ** 2)))
 
-    res = op.apply(x) - src
-    res_norm = np.sqrt(np.sum(w * res ** 2))
-    if res_norm > max(1e-8 * src_norm, 1e-13):
-        raise SolvabilityError(
-            "constrained solve left a residual above tolerance",
-            defect=float(res_norm / src_norm),
-        )
-    return RadialField(grid, op.l, x)
+    qprime = grid.d1_free(0) @ q
+    lam_q = generator(grid, q)
+    return {
+        "minus_on_Q": rel(ops["minus", 0].apply(q), q),
+        "plus1_on_Qprime": rel(ops["plus", 1].apply(qprime), qprime),
+        "plus0_on_LambdaQ_plus_2Q": rel(ops["plus", 0].apply(lam_q) + 2.0 * q, q),
+    }
 
 
 def algebraic_identity_report(gs):
@@ -233,25 +261,18 @@ def algebraic_identity_report(gs):
     L_minus annihilates the soliton, L_plus on channel 1 annihilates its
     radial derivative, and L_plus on channel 0 sends Lambda Q to -2 Q.
     """
-    grid = gs.grid
-    q = gs.Q.values
-    w = grid.weights
+    keys = (("minus", 0), ("plus", 0), ("plus", 1))
+    return _identity_norms(gs, {key: assemble_channel_operator(gs, *key) for key in keys})
 
-    def rel(vals, ref):
-        return float(np.sqrt(np.sum(w * vals ** 2) / np.sum(w * ref ** 2)))
 
-    lm0 = assemble_channel_operator(gs, "minus", 0)
-    lp0 = assemble_channel_operator(gs, "plus", 0)
-    lp1 = assemble_channel_operator(gs, "plus", 1)
-
-    qprime = grid.d1_free(0) @ q
-    lam_q = generator(grid, q)
-
-    return {
-        "minus_on_Q": rel(lm0.apply(q), q),
-        "plus1_on_Qprime": rel(lp1.apply(qprime), qprime),
-        "plus0_on_LambdaQ_plus_2Q": rel(lp0.apply(lam_q) + 2.0 * q, q),
-    }
+def check_spectrum_request(l_max, k):
+    """Refuse, with ConfigurationError, a `nondegeneracy_report` request it
+    cannot serve.  The gap checks read the second eigenvalue of channels 0
+    and 1, so l_max >= 1 and 2 <= k <= MAX_EIGENPAIRS."""
+    if l_max < 1:
+        raise ConfigurationError(f"l_max must be >= 1, got {l_max}")
+    if not 2 <= k <= MAX_EIGENPAIRS:
+        raise ConfigurationError(f"k must be between 2 and {MAX_EIGENPAIRS}, got {k}")
 
 
 def nondegeneracy_report(gs, l_max=L_MAX, k=6):
@@ -260,67 +281,50 @@ def nondegeneracy_report(gs, l_max=L_MAX, k=6):
     Expected structure: trivial kernel for the plus kind on channel 0, a
     one-dimensional kernel spanned by the soliton derivative on channel 1,
     strict positivity for channels >= 2, and the soliton spanning the
-    kernel of the minus kind on channel 0.  The gap checks read the second
-    eigenvalue of channels 0 and 1, so l_max >= 1 and k >= 2.
+    kernel of the minus kind on channel 0.  The request is checked by
+    `check_spectrum_request`; each channel operator is built once and also
+    serves the algebraic identities.
     """
-    if l_max < 1:
-        raise ConfigurationError(f"l_max must be >= 1, got {l_max}")
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
+    check_spectrum_request(l_max, k)
     grid = gs.grid
     q = gs.Q.values
     w = grid.weights
+    # the one-dimensional kernels the symmetries predict: phase and translation
+    kernels = {("minus", 0): ("cosine_with_soliton", q),
+               ("plus", 1): ("cosine_with_minus_Qprime", -(grid.d1_free(0) @ q))}
+    ops = {("minus", 0): assemble_channel_operator(gs, "minus", 0)}
+    ops.update({("plus", l): assemble_channel_operator(gs, "plus", l)
+                for l in range(l_max + 1)})
     channels = {}
-    passed = True
     failures = []
-
-    spec_minus = lowest_eigenpairs(assemble_channel_operator(gs, "minus", 0), k)
-    lam0 = spec_minus.eigenvalues[0]
-    qn = q / np.sqrt(np.sum(w * q ** 2))
-    cosine = abs(np.sum(w * spec_minus.eigenfields[0].values * qn))
-    ok = (abs(lam0) <= ZERO_TOL and spec_minus.eigenvalues[1] >= GAP_TOL
-          and cosine >= 1.0 - 1e-6)
-    channels[("minus", 0)] = {
-        "eigenvalues": spec_minus.eigenvalues.tolist(),
-        "kernel_dim": 1,
-        "cosine_with_soliton": float(cosine),
-        "ok": bool(ok),
-    }
-    if not ok:
-        passed = False
-        failures.append(("minus", 0))
-
-    for l in range(l_max + 1):
-        spec = lowest_eigenpairs(assemble_channel_operator(gs, "plus", l), k)
+    for key, op in ops.items():
+        spec = lowest_eigenpairs(op, k)
         vals = spec.eigenvalues
+        ground = spec.eigenfields[0].values
         entry = {"eigenvalues": vals.tolist()}
-        if l == 0:
-            zero_free = not np.any(np.abs(vals) <= ZERO_TOL)
+        if key in kernels:
+            name, ref = kernels[key]
+            cosine = abs(np.sum(w * ground * (ref / np.sqrt(np.sum(w * ref ** 2)))))
+            entry.update({"kernel_dim": 1, name: float(cosine)})
+            entry["ok"] = bool(abs(vals[0]) <= ZERO_TOL and vals[1] >= GAP_TOL
+                               and cosine >= 1.0 - 1e-6)
+        elif key == ("plus", 0):
             n_negative = int(np.sum(vals < -ZERO_TOL))
             entry.update(kernel_dim=0, negative_count=n_negative,
-                         ok=bool(zero_free and n_negative == 1))
-        elif l == 1:
-            qprime = grid.d1_free(0) @ q
-            psi = -qprime / np.sqrt(np.sum(w * qprime ** 2))
-            cosine = abs(np.sum(w * spec.eigenfields[0].values * psi))
-            ok1 = (abs(vals[0]) <= ZERO_TOL and vals[1] >= GAP_TOL
-                   and cosine >= 1.0 - 1e-6)
-            min_field = np.min(spec.eigenfields[0].values
-                               * np.sign(np.max(spec.eigenfields[0].values)))
-            entry.update(kernel_dim=1, cosine_with_minus_Qprime=float(cosine),
-                         ground_sign_defect=float(min_field), ok=bool(ok1))
+                         ok=bool(not np.any(np.abs(vals) <= ZERO_TOL) and n_negative == 1))
         else:
             entry.update(kernel_dim=0, ok=bool(vals[0] > ZERO_TOL))
-        channels[("plus", l)] = entry
+        if key == ("plus", 1):
+            entry["ground_sign_defect"] = float(np.min(ground * np.sign(np.max(ground))))
+        channels[key] = entry
         if not entry["ok"]:
-            passed = False
-            failures.append(("plus", l))
+            failures.append(key)
 
     return {
         "mu": gs.mu,
         "channels": channels,
-        "identities": algebraic_identity_report(gs),
-        "status": "PASSED" if passed else "FAILED",
+        "identities": _identity_norms(gs, ops),
+        "status": "FAILED" if failures else "PASSED",
         "failures": failures,
     }
 

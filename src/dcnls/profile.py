@@ -3,9 +3,9 @@
 The drift parameter is reduced to the first Cartesian axis, so every
 vector-valued correction lives in the l = 1 channel with angular factor
 cos(theta), and quadratics of drift fields split into l = 0 and l = 2
-parts.  The hierarchy is solved order by order with the constrained
-solver, checking each printed solvability condition numerically before
-inverting.
+parts.  The hierarchy is solved order by order with the checked
+constrained solve of `linop`, which measures each printed solvability
+condition and refuses a source that violates it before inverting.
 
 Assembly note: the l = 2 quadratic response is computed and stored but
 not attached to the traveling profile.  Attaching it would cancel the
@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss, legval
 from .errors import ConfigurationError, ConvergenceError
 from .grid import RadialField, generator
 from .hartree import build_multipole_kernel
-from .linop import assemble_channel_operator, solve_with_constraints
+from .linop import _checked_solve, assemble_channel_operator
 
 __all__ = [
     "ProfileSet",
@@ -41,8 +41,6 @@ __all__ = [
 
 PARAM_BOX = 0.3
 _CG, _CW = leggauss(16)
-
-SOLVABILITY_TOL = 1e-6
 
 # P_0 .. P_2 at the angular nodes: R has channels l <= 1, so |R|^2 reaches l = 2
 _PL = np.stack([legval(_CG, np.eye(l + 1)[-1]) for l in range(3)])
@@ -112,25 +110,21 @@ def _pair(grid, f_vals, g_vals, l):
     return float(ang * np.sum(grid.weights * f_vals * g_vals))
 
 
-def _check_bounded(name, vals):
-    if not np.all(np.isfinite(vals)):
-        raise ConvergenceError(f"hierarchy source {name} is not finite")
-
-
 def build_hierarchy(gs):
     """Solve the profile hierarchy order by order around the ground state.
 
-    Every printed solvability inner product is evaluated and must stay
-    below SOLVABILITY_TOL (relative); each solved field is re-substituted
-    into its equation and the relative residual recorded.
+    Every field comes from `linop._checked_solve`, which refuses a
+    non-finite source (ConvergenceError) and a kernel component or a
+    relative residual above `linop.SOLVABILITY_TOL` (SolvabilityError).
+    The kernel components it measures for the four printed solvability
+    conditions are kept in `solvability` ("b", "bd", "b3", "rho2"), and the
+    relative residual of every field in `residuals`.
     """
     grid = gs.grid
     r = grid.nodes
-    w = grid.weights
     q = gs.Q.values
     mu = gs.mu
     q13 = np.cbrt(q)
-    q23 = q13 ** 2
 
     k0 = build_multipole_kernel(grid, 0).matrix
     k1 = build_multipole_kernel(grid, 1).matrix
@@ -144,34 +138,23 @@ def build_hierarchy(gs):
 
     qprime = grid.d1_free(0) @ q
     lam_q = generator(grid, q)
-    qfield = gs.Q
 
     solvability = {}
     residuals = {}
 
-    def record(name, op, x, src_vals):
-        res = op.apply(x.values) - src_vals
-        residuals[name] = float(
-            np.sqrt(np.sum(w * res ** 2) / np.sum(w * src_vals ** 2))
-        )
-
-    def solvability_rel(src_vals, kernel_vals):
-        num = abs(np.sum(w * src_vals * kernel_vals))
-        den = np.sqrt(np.sum(w * src_vals ** 2) * np.sum(w * kernel_vals ** 2))
-        return float(num / den)
+    def solve(name, op, src, constraints=(), condition=None):
+        x, defect, residuals[name] = _checked_solve(op, src, constraints)
+        if condition is not None:
+            solvability[condition] = defect
+        return RadialField(grid, op.l, x)
 
     def deriv(vals, l):
         return grid.d1_free(l) @ vals
 
     # order b: the scaling mode sources the first imaginary correction
-    solvability["b"] = solvability_rel(lam_q, q)
-    S10 = solve_with_constraints(lm0, RadialField(grid, 0, lam_q), [qfield])
-    record("S10", lm0, S10, lam_q)
-
+    S10 = solve("S10", lm0, lam_q, [q], "b")
     # order d: the translation mode (axial component)
-    src01 = -qprime
-    S01 = solve_with_constraints(lm1, RadialField(grid, 1, src01), [])
-    record("S01", lm1, S01, src01)
+    S01 = solve("S01", lm1, -qprime)
 
     s10 = S10.values
     s01 = S01.values
@@ -182,23 +165,15 @@ def build_hierarchy(gs):
         + (4.0 / 3.0) * q13 * s10 * s01
         + 2.0 * mu * (k1 @ (s10 * s01)) * q
     )
-    qprime_field = RadialField(grid, 1, qprime)
-    solvability["bd"] = solvability_rel(src11, qprime)
-    if solvability["bd"] > SOLVABILITY_TOL:
-        raise ConvergenceError(
-            "solvability failed at order b d",
-            diagnostics={"defect": solvability["bd"]},
-        )
-    T11 = solve_with_constraints(lp1, RadialField(grid, 1, src11), [qprime_field])
-    record("T11", lp1, T11, src11)
+    T11 = solve("T11", lp1, src11, [qprime], "bd")
+    t11 = T11.values
 
     # order b^2
     src20 = (
         (2.0 / 3.0) * q13 * s10 ** 2 + s10 - generator(grid, s10, 0)
         + mu * (k0 @ (s10 ** 2)) * q
     )
-    T20 = solve_with_constraints(lp0, RadialField(grid, 0, src20), [])
-    record("T20", lp0, T20, src20)
+    T20 = solve("T20", lp0, src20)
     t20 = T20.values
 
     # order d^2, split into the scalar and the quadrupole responses
@@ -213,10 +188,8 @@ def build_hierarchy(gs):
         + (4.0 / 9.0) * q13 * s01 ** 2
         + (2.0 * mu / 3.0) * (k2 @ (s01 ** 2)) * q
     )
-    T02_l0 = solve_with_constraints(lp0, RadialField(grid, 0, src02_l0), [])
-    record("T02_l0", lp0, T02_l0, src02_l0)
-    T02_l2 = solve_with_constraints(lp2, RadialField(grid, 2, src02_l2), [])
-    record("T02_l2", lp2, T02_l2, src02_l2)
+    T02_l0 = solve("T02_l0", lp0, src02_l0)
+    T02_l2 = solve("T02_l2", lp2, src02_l2)
 
     # order b^3
     q_floor = np.maximum(q, 1e-120)
@@ -227,15 +200,7 @@ def build_hierarchy(gs):
         + mu * (k0 @ (s10 ** 2)) * s10
         + 2.0 * mu * (k0 @ (q * t20)) * s10
     )
-    _check_bounded("S30", src30)
-    solvability["b3"] = solvability_rel(src30, q)
-    if solvability["b3"] > SOLVABILITY_TOL:
-        raise ConvergenceError(
-            "solvability failed at order b^3",
-            diagnostics={"defect": solvability["b3"]},
-        )
-    S30 = solve_with_constraints(lm0, RadialField(grid, 0, src30), [qfield])
-    record("S30", lm0, S30, src30)
+    S30 = solve("S30", lm0, src30, [q], "b3")
     s30 = S30.values
 
     # order b^4
@@ -247,44 +212,31 @@ def build_hierarchy(gs):
         + 3.0 * s30 - generator(grid, s30, 0)
         + mu * b1
     )
-    _check_bounded("T40", src40)
-    T40 = solve_with_constraints(lp0, RadialField(grid, 0, src40), [])
-    record("T40", lp0, T40, src40)
+    T40 = solve("T40", lp0, src40)
 
     # order b^2 d
     b2 = (k0 @ (2.0 * q * t20 + s10 ** 2)) * s01 + (k1 @ (s10 * s01)) * s10
     src21 = (
-        (4.0 / 3.0) * q13 * (T11.values * s10 + t20 * s01)
+        (4.0 / 3.0) * q13 * (t11 * s10 + t20 * s01)
         + 2.0 * s10 ** 2 * s01 / np.cbrt(q_floor) ** 2
-        - 3.0 * T11.values + generator(grid, T11.values, 1) - deriv(t20, 0)
+        - 3.0 * t11 + generator(grid, t11, 1) - deriv(t20, 0)
         + mu * b2
     )
-    _check_bounded("S21", src21)
-    S21 = solve_with_constraints(lm1, RadialField(grid, 1, src21), [])
-    record("S21", lm1, S21, src21)
+    S21 = solve("S21", lm1, src21)
 
     # dual functions for the phase direction
-    rho1 = solve_with_constraints(lp0, S10, [])
-    record("rho1", lp0, rho1, s10)
+    rho1 = solve("rho1", lp0, s10)
     r1 = rho1.values
     src_rho2_b = (
         (4.0 / 3.0) * q13 * s10 * r1 + generator(grid, r1, 0) - 2.0 * t20
         + 2.0 * mu * (k0 @ (q * r1)) * s10
     )
-    solvability["rho2"] = solvability_rel(src_rho2_b, q)
-    if solvability["rho2"] > SOLVABILITY_TOL:
-        raise ConvergenceError(
-            "the phase dual source is not orthogonal to the soliton",
-            diagnostics={"defect": solvability["rho2"]},
-        )
-    rho2_b = solve_with_constraints(lm0, RadialField(grid, 0, src_rho2_b), [qfield])
-    record("rho2_b", lm0, rho2_b, src_rho2_b)
+    rho2_b = solve("rho2_b", lm0, src_rho2_b, [q], "rho2")
     src_rho2_d = (
-        (4.0 / 3.0) * q13 * s01 * r1 + deriv(r1, 0) + T11.values
+        (4.0 / 3.0) * q13 * s01 * r1 + deriv(r1, 0) + t11
         + 2.0 * mu * (k0 @ (q * r1)) * s01
     )
-    rho2_d = solve_with_constraints(lm1, RadialField(grid, 1, src_rho2_d), [])
-    record("rho2_d", lm1, rho2_d, src_rho2_d)
+    rho2_d = solve("rho2_d", lm1, src_rho2_d)
 
     e_mu = 0.5 * _pair(grid, lam_q, s10, 0)
     p_mu = 2.0 * _pair(grid, -qprime, s01, 1)

@@ -58,6 +58,14 @@ def test_bad_config_key_exits_2(tmp_path):
     assert run_command(["groundstate", "--config", str(cfg)]) == 2
 
 
+def test_bad_config_preset_exits_2(tmp_path):
+    # a config-file value is checked like the same value on the command line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("preset = bogus\n")
+    assert _run(["evolve", "--config", str(cfg), "--grid-n", "256"], str(tmp_path)) == 2
+    assert _run(["evolve", "--preset", "bogus", "--grid-n", "256"], str(tmp_path)) == 2
+
+
 def test_out_of_range_coupling_exits_2(tmp_path):
     code = _run(["groundstate", "--mu", "0.3", "--grid-n", "256"], str(tmp_path))
     assert code == 2
@@ -71,6 +79,19 @@ def test_out_of_range_spectrum_request_exits_2(tmp_path, flags):
     # the kernel checks need L_+ on channels 0 and 1 and two eigenvalues each
     code = _run(["spectrum", "--mu", "0.02", "--grid-n", "256"] + flags, str(tmp_path))
     assert code == 2
+    (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
+    assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "report"])
+def test_spectrum_request_checked_before_the_solve(tmp_path, monkeypatch, command):
+    import dcnls.groundstate
+
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("the ground state was solved")
+
+    monkeypatch.setattr(dcnls.groundstate, "solve_Q_mu", no_solve)
+    assert _run([command, "--grid-n", "256", "--k", "1"], str(tmp_path)) == 2
     (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
     assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
 
@@ -183,14 +204,14 @@ def test_runs_differing_only_in_rmax_keep_their_own_results(tmp_path):
 
 def test_manifest_tolerances_are_the_constants_in_force(tmp_path):
     import dcnls.cli as cli
-    from dcnls import linop, profile
+    from dcnls import linop
 
     assert _run(["groundstate", "--grid-n", "256"], str(tmp_path)) == 0
     run_dir = tmp_path / "runs" / "groundstate-mu0-n256"
     tol = json.loads((run_dir / "manifest.json").read_text())["tolerances"]
     assert tol["kernel_zero"] == linop.ZERO_TOL
     assert tol["kernel_gap"] == linop.GAP_TOL
-    assert tol["profile_solvability"] == profile.SOLVABILITY_TOL
+    assert tol["profile_solvability"] == linop.SOLVABILITY_TOL
     for name, bound in cli._REPORT_BOUNDS.items():
         assert tol[name] == bound
     assert len(tol) == len(cli._REPORT_BOUNDS) + 3

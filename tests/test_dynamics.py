@@ -99,6 +99,11 @@ def test_virial_needs_enough_points(grid):
         virial_check(traj)
 
 
+def test_initial_data_refuses_unknown_keywords(grid):
+    with pytest.raises(ConfigurationError, match="widht"):
+        make_initial_data("gaussian", grid=grid, widht=3.0)
+
+
 def test_negative_coupling_collapse(grid, gs):
     # supercritical-mass soliton data with negative energy collapses;
     # couplings this strongly negative leave no negative-energy rescalings,

@@ -63,6 +63,30 @@ def test_no_dead_private_helpers():
     assert dead == []
 
 
+def test_no_dead_private_constants():
+    constants = {}
+    loaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if (isinstance(name, ast.Name) and name.id.startswith("_")
+                                and not name.id.startswith("__")):
+                            constants[name.id] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert constants
+    dead = sorted(f"{where} {name}" for name, where in constants.items()
+                  if name not in loaded)
+    assert dead == []
+
+
 def _defined_names(tree):
     names = set()
     for node in tree.body:

@@ -201,6 +201,36 @@ def test_solvability_violation_detected(grid, gs0):
     assert exc.value.defect > 1e-8
 
 
+def test_non_finite_source_is_refused(grid, gs0):
+    op = assemble_channel_operator(gs0, "plus", 0)
+    src = np.exp(-grid.nodes)
+    src[grid.n // 2] = np.nan
+    with pytest.raises(ConvergenceError):
+        solve_with_constraints(op, RadialField(grid, 0, src), [])
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.3, True), (3.0, False)])
+def test_kernel_component_gate_is_the_manifest_bound(grid, gs0, factor, accepted):
+    from dcnls.cli import _tolerances
+
+    w = grid.weights
+    q = gs0.Q.values
+    qn = q / np.sqrt(np.sum(w * q ** 2))
+    src = generator(grid, q)
+    src -= qn * np.sum(w * qn * src)
+    src /= np.sqrt(np.sum(w * src ** 2))
+    # a unit source whose kernel cosine with the soliton is `defect` to O(defect^3)
+    defect = factor * _tolerances()["profile_solvability"]
+    polluted = RadialField(grid, 0, src + defect * qn)
+    lm = assemble_channel_operator(gs0, "minus", 0)
+    if accepted:
+        solve_with_constraints(lm, polluted, [gs0.Q])
+    else:
+        with pytest.raises(SolvabilityError) as exc:
+            solve_with_constraints(lm, polluted, [gs0.Q])
+        assert exc.value.defect == pytest.approx(defect, rel=1e-3)
+
+
 def test_nondegeneracy_report_passes(gs_mu):
     rep = nondegeneracy_report(gs_mu)
     assert rep["status"] == "PASSED"
