@@ -145,7 +145,7 @@ class HodlrMatrix:
 
     Each block is a (rows, cols, factors) triple whose factors multiply out
     to the block: (D,) for a dense block, (U, V^T) for a low-rank one.
-    Supports `@` on real, complex and stacked (n, m) operands.
+    Supports `@` on real, complex and stacked (n, m) operands, and `.T`.
     """
 
     def __init__(self, n, blocks):
@@ -167,6 +167,28 @@ class HodlrMatrix:
                 y = f @ y
             out[rows] += y
         return out
+
+    @property
+    def T(self):
+        """The transpose: rows and columns swapped, factors reversed and
+        transposed.  The factors are views of this matrix's."""
+        return HodlrMatrix(self.shape[0], [
+            (cols, rows, tuple(f.T for f in reversed(factors)))
+            for rows, cols, factors in self.blocks
+        ])
+
+    def scaled_frobenius(self, left, right):
+        """The Frobenius norm of diag(left) H diag(right), from the factors."""
+        total = 0.0
+        for rows, cols, factors in self.blocks:
+            if len(factors) == 1:
+                total += np.sum((left[rows, None] * factors[0] * right[None, cols]) ** 2)
+            else:
+                # ||A B||_F^2 = sum((A^T A) * (B B^T)) for the scaled factors A, B
+                u = left[rows, None] * factors[0]
+                vt = factors[1] * right[None, cols]
+                total += np.sum((u.T @ u) * (vt @ vt.T))
+        return float(np.sqrt(total))
 
     def toarray(self):
         out = np.empty(self.shape)
@@ -219,7 +241,8 @@ class MultipoleKernel:
 
     `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
     and off-diagonal blocks held as low-rank products (or densely where that
-    is no smaller); `matrix.toarray()` gives the dense form.
+    is no smaller).  Products go through `@`, and through `.T` for the
+    transpose; `matrix.toarray()` gives the dense form, for tests.
     """
 
     l: int

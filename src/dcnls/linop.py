@@ -20,15 +20,16 @@ A constrained solve (`solve_with_constraints`, and every hierarchy solve in
 ConvergenceError, and a kernel component or a relative residual above
 SOLVABILITY_TOL raises SolvabilityError, the discrete face of the
 solvability conditions.
-Spectra are computed from the similarity transform B = W^{1/2} M W^{-1/2},
-which is symmetric to rounding, by a dense eigensolve; it is the one place
-the kernel is expanded to a dense matrix.
+Spectra are those of the symmetrised similarity transform
+B = sym(W^{1/2} M W^{-1/2}), computed by shift-invert Lanczos from a shift
+below the spectrum: the inverse is the sparse LU of the balanced local part
+or, with a nonlocal block, CG preconditioned by it, so no n x n matrix is
+built.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,6 +56,10 @@ GAP_TOL = 1e-3       # ... and the next one exceeds GAP_TOL
 L_MAX = 4
 MAX_EIGENPAIRS = 10  # lowest_eigenpairs serves 1 .. MAX_EIGENPAIRS eigenpairs
 SOLVABILITY_TOL = 1e-8   # kernel component and residual bound of a constrained solve
+EIGSH_TOL = 1e-10        # ARPACK's relative tolerance on the shift-inverted Ritz values
+INNER_RTOL = 1e-10       # relative residual of each CG solve with B - sigma I
+INNER_MAXITER = 100      # CG steps allowed per shift-invert solve; none took over 6
+                         # at n = 256 .. 4096, mu <= 0.05, so one that needs 100 has failed
 
 
 @dataclass(eq=False)
@@ -165,28 +170,79 @@ def assemble_channel_operator(gs, kind, l):
 
 
 def lowest_eigenpairs(op, k):
-    """The k lowest eigenpairs; eigenfields are W-orthonormal RadialFields."""
+    """The k lowest eigenpairs; eigenfields are W-orthonormal RadialFields,
+    oriented positive where their amplitude peaks.
+
+    They are those of the balanced operator B = sym(W^{1/2} M W^{-1/2}) =
+    B_loc + N: B_loc is the sparse balanced local part and N, for the plus
+    kind at mu != 0, the symmetrised dressed kernel (s/2)(D1 K D2 + D2 K^T D1)
+    with D1 = W^{1/2} q, D2 = q W^{-1/2} and s the nonlocal scale, applied
+    through the HODLR kernel and its transpose.  No n x n array is built.
+    Shift-invert Lanczos (ARPACK) runs on (B - sigma I)^{-1} with the shift
+    sigma = min(1 + local potential + l(l+1)/r^2) - |s| ||D1 K D2||_F, a
+    lower bound on the spectrum, so the k eigenvalues nearest sigma are the k
+    lowest.  The inverse is the sparse LU of B_loc - sigma I or, with N, CG
+    on B - sigma I preconditioned by that LU to relative residual INNER_RTOL.
+    ARPACK stops at relative tolerance EIGSH_TOL and starts from the fixed
+    vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed ARPACK
+    iteration or CG solve raises ConvergenceError.
+    """
     if not 1 <= k <= MAX_EIGENPAIRS:
         raise ConfigurationError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
-    dense = op.local.toarray()
-    if op.nonlocal_scale != 0.0:
-        dressed = build_multipole_kernel(op.grid, op.l).matrix.toarray()
-        dressed *= op.soliton[:, None]
-        dressed *= op.soliton[None, :]
-        dressed *= op.nonlocal_scale
-        dense += dressed
-        del dressed
-    # W^{1/2} M W^{-1/2}, symmetrised, overwrites `dense`; the exactly symmetric
-    # result goes to LAPACK as its transpose, which is Fortran-ordered, so uncopied
+    n = op.grid.n
     w = np.sqrt(op.grid.weights)
-    dense *= w[:, None]
-    dense /= w[None, :]
-    dense += dense.T
-    dense *= 0.5
+    b_loc = sp.diags(w) @ op.local @ sp.diags(1.0 / w)
+    b_loc = 0.5 * (b_loc + b_loc.T)
+    # sigma is a lower bound on the spectrum of B.  (-Delta)_l is the
+    # flux-form stiffness plus the diagonal l(l+1)/r^2, and W times the
+    # stiffness part is symmetric PSD, so lambda_min(B_loc) >= min(1 + local
+    # potential + l(l+1)/r^2); and ||N||_2 <= ||N||_F <= |s| ||D1 K D2||_F.
+    # So B - sigma I and B_loc - sigma I are both SPD, as CG needs.
+    r = op.grid.nodes
+    sigma = float(np.min(1.0 + op.local_potential + op.l * (op.l + 1) / r ** 2))
+    nonlocal_part = None
+    if op.nonlocal_scale != 0.0:
+        kernel = build_multipole_kernel(op.grid, op.l).matrix
+        kernel_t = kernel.T
+        d1 = w * op.soliton
+        d2 = op.soliton / w
+        half = 0.5 * op.nonlocal_scale
+        sigma -= abs(op.nonlocal_scale) * kernel.scaled_frobenius(d1, d2)
+
+        def nonlocal_part(x):
+            return half * (d1 * (kernel @ (d2 * x)) + d2 * (kernel_t @ (d1 * x)))
+
+    def apply_b(x):
+        out = b_loc @ x
+        if nonlocal_part is not None:
+            out += nonlocal_part(x)
+        return out
+
+    lu = spla.splu((b_loc - sigma * sp.identity(n)).tocsc())
+    precond = spla.LinearOperator((n, n), matvec=lu.solve)
+    shifted = spla.LinearOperator((n, n), matvec=lambda x: apply_b(x) - sigma * x)
+    diagnostics = {"kind": op.kind, "l": op.l, "mu": op.mu, "sigma": sigma, "opinv_calls": 0}
+
+    def opinv(x):
+        diagnostics["opinv_calls"] += 1
+        if nonlocal_part is None:
+            return lu.solve(x)
+        sol, info = spla.cg(shifted, x, rtol=INNER_RTOL, atol=0.0,
+                            maxiter=INNER_MAXITER, M=precond)
+        if info != 0:
+            raise ConvergenceError("shift-invert CG solve did not converge",
+                                   diagnostics={**diagnostics, "cg_info": info})
+        return sol
+
     try:
-        vals, vecs = sla.eigh(dense.T, subset_by_index=[0, k - 1], overwrite_a=True)
-    except sla.LinAlgError as exc:
-        raise ConfigurationError(f"eigensolver failed: {exc}") from exc
+        # ARPACK returns the eigenvalues of B itself, in ascending order
+        vals, vecs = spla.eigsh(
+            spla.LinearOperator((n, n), matvec=apply_b), k=k, sigma=sigma, which="LM",
+            v0=w * np.exp(-r), tol=EIGSH_TOL, OPinv=spla.LinearOperator((n, n), matvec=opinv),
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"shift-invert Lanczos did not converge: {exc}",
+                               diagnostics=diagnostics) from exc
     fields = []
     for j in range(k):
         profile = vecs[:, j] / w

@@ -110,6 +110,17 @@ def test_numerical_failure_exits_1(tmp_path, monkeypatch):
     assert manifest["status"].startswith("FAILED (numerical)")
 
 
+def test_failed_eigensolve_exits_1(tmp_path, monkeypatch):
+    from dcnls import linop
+
+    monkeypatch.setattr(linop, "INNER_MAXITER", 1)    # no shift-invert CG solve converges
+    code = _run(["spectrum", "--mu", "0.02", "--grid-n", "256"], str(tmp_path))
+    assert code == 1
+    run_dir = tmp_path / "runs" / "spectrum-mu0.02-n256"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"].startswith("FAILED (numerical)")
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -169,6 +180,20 @@ def test_threads_flag_caps_blas(tmp_path):
     for name in ("Q_mu.csv", "functional_report.csv"):
         a, b = ((out / "groundstate-mu0-n256" / name).read_bytes() for out in outs)
         assert a == b
+
+
+def test_spectrum_byte_identical_across_processes(tmp_path):
+    # the eigensolver starts from a fixed vector, so fresh processes agree
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcnls.cli", "spectrum", "--mu", "0.02", "--grid-n", "256",
+             "--threads", "1", "--out", str(out)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+    a, b = ((out / "spectrum-mu0.02-n256" / "spectrum.csv").read_bytes() for out in outs)
+    assert a == b
 
 
 def test_failed_rerun_lists_no_stale_files(tmp_path, monkeypatch):

@@ -1,13 +1,17 @@
+import functools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
+from dcnls import linop
 from dcnls.errors import ConvergenceError, SolvabilityError
 from dcnls.grid import RadialField, apply_generator, build_grid, generator, inner_product
 from dcnls.groundstate import solve_Q_mu, solve_classical_Q
-from dcnls.hartree import build_multipole_kernel
+from dcnls.hartree import HodlrMatrix, _dense_kernel, build_multipole_kernel
 from dcnls.linop import (
     algebraic_identity_report,
     assemble_channel_operator,
@@ -111,6 +115,74 @@ def test_eigenfields_orthonormal(grid, gs_mu):
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
 
+SPECTRUM_KEYS = [("minus", 0)] + [("plus", l) for l in range(5)]
+
+
+@pytest.mark.parametrize("coupling", ["gs0", "gs_mu"])
+def test_lowest_eigenpairs_match_dense_oracle(request, coupling):
+    # a dense eigensolve of the symmetrised balanced matrix sees every low
+    # eigenvalue, so none may be missing from the shift-invert result
+    gs = request.getfixturevalue(coupling)
+    w = np.sqrt(gs.grid.weights)
+    for key in SPECTRUM_KEYS:
+        op = assemble_channel_operator(gs, *key)
+        spec = lowest_eigenpairs(op, 6)
+        balanced = w[:, None] * _dense_operator(op) / w[None, :]
+        vals, vecs = sla.eigh(0.5 * (balanced + balanced.T), subset_by_index=[0, 5])
+        assert np.max(np.abs(spec.eigenvalues - vals)) <= 1e-9, key
+        for field, vec in zip(spec.eigenfields, vecs.T):
+            cosine = abs(np.sum(gs.grid.weights * field.values * vec / w))
+            assert cosine >= 1.0 - 1e-9, key
+
+
+def test_lowest_eigenpairs_are_deterministic(gs_mu):
+    first, second = (lowest_eigenpairs(assemble_channel_operator(gs_mu, "plus", 0), 6)
+                     for _ in range(2))
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    for a, b in zip(first.eigenfields, second.eigenfields):
+        assert np.array_equal(a.values, b.values)
+
+
+def _assert_eigensolve_diagnostics(exc, op):
+    diag = exc.value.diagnostics
+    assert (diag["kind"], diag["l"], diag["mu"]) == (op.kind, op.l, op.mu)
+    assert diag["sigma"] < -1.0       # below L_+,0's negative eigenvalue
+    assert diag["opinv_calls"] >= 1
+
+
+def test_failed_shift_invert_solve_is_typed(gs_mu, monkeypatch):
+    monkeypatch.setattr(linop, "INNER_MAXITER", 1)
+    op = assemble_channel_operator(gs_mu, "plus", 0)
+    with pytest.raises(ConvergenceError) as exc:
+        lowest_eigenpairs(op, 6)
+    _assert_eigensolve_diagnostics(exc, op)
+    assert exc.value.diagnostics["cg_info"] > 0
+
+
+def test_unconverged_lanczos_is_typed(gs_mu, monkeypatch):
+    monkeypatch.setattr(spla, "eigsh", functools.partial(spla.eigsh, maxiter=1, ncv=7))
+    op = assemble_channel_operator(gs_mu, "plus", 0)
+    with pytest.raises(ConvergenceError) as exc:
+        lowest_eigenpairs(op, 6)
+    _assert_eigensolve_diagnostics(exc, op)
+
+
+def test_hodlr_truncation_leaves_plus_spectra_unmoved(grid_std, gs_std_mu05, monkeypatch):
+    # each kernel block is truncated in the plain norm, not the W-balanced
+    # frame of the spectra; against the dense fill on the same Q that moves
+    # the plus-channel eigenvalues by rounding-sized amounts only
+    for l in range(5):
+        op = assemble_channel_operator(gs_std_mu05, "plus", l)
+        compressed = lowest_eigenpairs(op, 6).eigenvalues
+        fill = HodlrMatrix(grid_std.n, [(slice(None), slice(None),
+                                         (_dense_kernel(grid_std, l),))])
+        with monkeypatch.context() as m:
+            m.setattr(linop, "build_multipole_kernel",
+                      lambda grid, l: SimpleNamespace(matrix=fill))
+            dense = lowest_eigenpairs(op, 6).eigenvalues
+        assert np.max(np.abs(dense - compressed)) <= 1e-9, l
+
+
 def test_constrained_solve_roundtrip(grid, gs0):
     lm = assemble_channel_operator(gs0, "minus", 0)
     src = apply_generator(gs0.Q)
@@ -124,15 +196,21 @@ def test_constrained_solve_roundtrip(grid, gs0):
     )
 
 
+def _dense_operator(op):
+    """Reference: the channel operator as a dense n x n matrix."""
+    mat = op.local.toarray()
+    if op.nonlocal_scale != 0.0:
+        kernel = build_multipole_kernel(op.grid, op.l).matrix.toarray()
+        mat += op.nonlocal_scale * op.soliton[:, None] * kernel * op.soliton[None, :]
+    return mat
+
+
 def _dense_bordered_solve(op, rhs, constraints, tail):
     """Reference: the full (n+k)^2 bordered matrix, solved densely."""
     grid = op.grid
     n, k = grid.n, len(constraints)
     mat = np.zeros((n + k, n + k))
-    mat[:n, :n] = op.local.toarray()
-    if op.nonlocal_scale != 0.0:
-        kernel = build_multipole_kernel(grid, op.l).matrix.toarray()
-        mat[:n, :n] += op.nonlocal_scale * op.soliton[:, None] * kernel * op.soliton[None, :]
+    mat[:n, :n] = _dense_operator(op)
     for j, c in enumerate(constraints):
         mat[:n, n + j] = c
         mat[n + j, :n] = grid.weights * c
