@@ -27,7 +27,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import RadialField, profile_interpolator
+from .grid import RadialField, _parity_spline, profile_interpolator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
 from .hartree import nonlinear_potential
 
@@ -362,57 +362,119 @@ def blowup_fit(traj):
 
 @dataclass(eq=False)
 class ModulationTrace:
+    """Per-frame fit of u(t, r) ~ lam^{-3/2} P_b(r/lam) e^{i gamma}.
+
+    `times` are the frame times; `lam`, `b` and `gamma` the fitted scale,
+    modulation and phase, with the phase unwrapped across the converged
+    frames; `residual` the weighted L2 misfit relative to the frame's norm;
+    `flags` True where the fit converged with residual <= 0.3.  `lam`, `b`
+    and `gamma` hold NaN where `flags` is False; `residual` is always set.
+    """
+
     times: np.ndarray
     lam: np.ndarray
     b: np.ndarray
     gamma: np.ndarray
     residual: np.ndarray
-    flags: np.ndarray        # True where the frame fit converged
+    flags: np.ndarray
 
 
-def _profile_model(ps):
-    """Callable (r, lam, b, gamma) -> model values for the radial profile family."""
+def _profile_family(ps):
+    """The stacked spline S of [Q, T20, T40, S10, S30] and its derivative S'."""
     fields = [ps.gs.Q, ps.T20, ps.T40, ps.S10, ps.S30]
-    spline = profile_interpolator(ps.grid, np.column_stack([f.values for f in fields]))
+    spline = _parity_spline(ps.grid, np.column_stack([f.values for f in fields]), 0)
+    return spline, spline.derivative()
 
-    def model(r, lam, b, gamma):
-        coeffs = np.array([1.0, b * b, b ** 4, 1j * b, 1j * b ** 3])
-        return lam ** -1.5 * (spline(r / lam) @ coeffs) * np.exp(1j * gamma)
 
-    return model
+def _frame_residual(family, grid, vals):
+    """The weighted residual of one frame and its Jacobian, as callables of x.
+
+    x = (log lam, gamma, b).  S and S' are evaluated on the node prefix with
+    r/lam <= r_max only, where the model is nonzero; the residual still
+    covers every node.  The Jacobian reuses the S(r/lam) of the last
+    residual when it is asked at the same x, as MINPACK does.
+    """
+    spline, dspline = family
+    r, sw, r_max, n = grid.nodes, np.sqrt(grid.weights), grid.r_max, grid.n
+    frame = vals * sw
+    last = {"x": None}
+
+    def model(x):
+        if not np.array_equal(last["x"], x):
+            lam, gamma, b = np.exp(x[0]), x[1], x[2]
+            y = r / lam
+            y = y[:np.searchsorted(y, r_max, side="right")]
+            s = spline(y)
+            c = np.array([1.0, b * b, b ** 4, 1j * b, 1j * b ** 3])
+            scale, sc = lam ** -1.5 * np.exp(1j * gamma), s @ c
+            last.update(x=np.array(x), y=y, s=s, c=c, scale=scale, sc=sc, m=scale * sc)
+        return last
+
+    def fun(x):
+        e = model(x)
+        k = e["y"].size
+        d = frame.copy()
+        d[:k] = (vals[:k] - e["m"]) * sw[:k]
+        return np.concatenate([d.real, d.imag])
+
+    def jac(x):
+        e = model(x)
+        b, y, k = x[2], e["y"], e["y"].size
+        dc = np.array([0.0, 2.0 * b, 4.0 * b ** 3, 1j, 3j * b * b])
+        dm = np.column_stack([
+            e["scale"] * (-1.5 * e["sc"] - y * (dspline(y) @ e["c"])),
+            1j * e["m"],
+            e["scale"] * (e["s"] @ dc),
+        ]) * -sw[:k, None]
+        out = np.zeros((2 * n, 3))
+        out[:k] = dm.real
+        out[n:n + k] = dm.imag
+        return out
+
+    return fun, jac
 
 
 def modulation_extract(traj, gs, ps):
     """Per-frame (lambda, b, gamma) by weighted nonlinear least squares.
 
-    Frames whose best fit leaves more than 0.3 relative residual are
-    flagged and hold NaN in the series; the phase is unwrapped across the
-    converged frames only.
+    Each frame u is fitted by the profile family
+
+        m(r) = lam^{-3/2} e^{i gamma} S(y) c(b),   y = r / lam,
+
+    where S(y) stacks the quintic splines of [Q, T20, T40, S10, S30] and
+    c(b) = [1, b^2, b^4, i b, i b^3], minimising the W-weighted |u - m|^2
+    over x = (log lam, gamma, b) by Levenberg-Marquardt with the analytic
+    Jacobian
+
+        dm/dlog lam = lam^{-3/2} e^{i gamma} (-3/2 S(y) c(b) - y S'(y) c(b)),
+        dm/dgamma   = i m,
+        dm/db       = lam^{-3/2} e^{i gamma} S(y) c'(b).
+
+    The model is 0 where r/lam > r_max, so S and S' are evaluated only on
+    the nodes with r/lam <= r_max.  The first frame starts from the scale
+    of its gradient and mass and the phase of its core, every later frame
+    from the last converged fit.  Frames whose best fit leaves more than
+    0.3 relative residual are flagged and hold NaN in the series; the phase
+    is unwrapped across the converged frames only.
     """
     grid = gs.grid
     w = grid.weights
-    sw = np.sqrt(w)
-    r = grid.nodes
-    model = _profile_model(ps)
+    family = _profile_family(ps)
     g_ref = float(np.sqrt(grad_sq_3d(grid, gs.Q.values)))
 
     times, lams, bs, gammas, residuals, flags = [], [], [], [], [], []
     guess = None
     for t, vals in traj.snapshots:
         norm = np.sqrt(np.sum(w * np.abs(vals) ** 2))
-        g_now = float(np.sqrt(grad_sq_3d(grid, vals)))
-        lam0 = g_ref / g_now * np.sqrt(mass_3d(grid, vals) / gs.mass)
-        core = int(np.argmax(np.abs(vals)))
-        gamma0 = float(np.angle(vals[core]))
-        x0 = guess if guess is not None else np.array([np.log(lam0), gamma0, 0.05])
-
-        def resid(x):
-            lam, gamma, b = np.exp(x[0]), x[1], x[2]
-            m = model(r, lam, b, gamma)
-            d = (vals - m) * sw
-            return np.concatenate([d.real, d.imag])
-
-        sol = least_squares(resid, x0, method="lm", max_nfev=400)
+        if guess is None:
+            g_now = float(np.sqrt(grad_sq_3d(grid, vals)))
+            lam0 = g_ref / g_now * np.sqrt(mass_3d(grid, vals) / gs.mass)
+            gamma0 = float(np.angle(vals[int(np.argmax(np.abs(vals)))]))
+            x0 = np.array([np.log(lam0), gamma0, 0.05])
+        else:
+            x0 = guess
+        fun, jac = _frame_residual(family, grid, vals)
+        sol = least_squares(fun, x0, jac=jac, method="lm", max_nfev=400)
         rel = np.sqrt(np.sum(sol.fun ** 2)) / norm
         ok = sol.success and rel <= 0.3
         lam, gamma, b = float(np.exp(sol.x[0])), float(sol.x[1]), float(sol.x[2])

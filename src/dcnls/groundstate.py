@@ -224,7 +224,7 @@ def _shooting_profile():
         out = np.where(far, c_tail * np.exp(-np.clip(r, 0, 700)) / np.maximum(r, 1e-12), out)
         return out
 
-    return profile, a_star
+    return profile
 
 
 def _newton_polish(grid, q0, mu, maxiter=80):
@@ -276,13 +276,12 @@ def solve_classical_Q(grid):
     key = ("groundstate", 0.0)
     if key in grid._cache:
         return grid._cache[key]
-    profile, a_star = _shooting_profile()
+    profile = _shooting_profile()
     q0 = profile(grid.nodes)
     q, rnorm, iters = _newton_polish(grid, q0, 0.0)
     gs = _finish_state(
         grid, q, 0.0, beta=1.0, pathway="shooting+newton",
-        extra={"central_value": a_star, "newton_iters": iters,
-               "tail_logderiv": _tail_logderiv(grid, q)},
+        extra={"newton_iters": iters, "tail_logderiv": _tail_logderiv(grid, q)},
         reference_mass=mass_3d(grid, q),
     )
     grid._cache[key] = gs
@@ -371,12 +370,11 @@ def minimize_constrained(a, mu, grid):
         raise ConfigurationError("constrained mass must be positive")
     if mu < 0 or mu > MU_MAX:
         raise ConfigurationError(f"coupling must lie in [0, {MU_MAX}], got {mu}")
-    # The sufficient coercivity bracket is reported but cannot gate
-    # critical-mass runs: it is strictly stronger than existence and turns
-    # negative at the soliton mass for every positive coupling.  Refusal is
-    # reserved for genuinely supercritical masses, where the energy is
-    # unbounded below and the flow would collapse.
-    bracket = coercivity_bracket(a, mu, grid)
+    # The sufficient coercivity bracket cannot gate critical-mass runs: it
+    # is strictly stronger than existence and turns negative at the soliton
+    # mass for every positive coupling.  Refusal is reserved for genuinely
+    # supercritical masses, where the energy is unbounded below and the flow
+    # would collapse.
     a_crit = solve_Q_mu(mu, grid).mass
     if a > a_crit * (1.0 + 1e-9):
         raise CoercivityError(
@@ -445,18 +443,13 @@ def minimize_constrained(a, mu, grid):
     # amplifies interpolation error by 1/h^2), so the transported state is
     # polished back onto the discrete solution manifold.
     q = beta ** (-0.75) * profile_interpolator(grid, phi)(r / np.sqrt(beta))
-    rescale_shift = None
     try:
-        q_pol, _, _ = _newton_polish(grid, q, mu, maxiter=12)
-        rescale_shift = float(np.sqrt(mass_3d(grid, q_pol - q) / mass_3d(grid, q)))
-        q = q_pol
+        q, _, _ = _newton_polish(grid, q, mu, maxiter=12)
     except ConvergenceError:
         pass    # keep the transported state; diagnostics flag the residual
     gs = _finish_state(
         grid, q, mu, beta=float(beta), pathway="gradient-flow",
-        extra={"flow_iterations": flow_its, "flow_residual": res_hist[-1],
-               "rescale_polish_shift": rescale_shift,
-               "coercivity_bracket": bracket},
+        extra={"flow_iterations": flow_its, "flow_residual": res_hist[-1]},
     )
     return gs
 

@@ -24,6 +24,13 @@ def gs(grid):
     return solve_classical_Q(grid)
 
 
+@pytest.fixture(scope="module")
+def ps(gs):
+    from dcnls.profile import build_hierarchy
+
+    return build_hierarchy(gs)
+
+
 def test_free_gaussian_matches_analytic(grid):
     r = grid.nodes
     u0 = make_initial_data("gaussian", grid=grid, width=2.0, amplitude=1.0)
@@ -139,11 +146,9 @@ def test_no_blowup_detected_for_standing_wave(grid, gs):
     assert fit["detected"] is False
 
 
-def test_modulation_recovers_exact_parameters(grid, gs):
-    from dcnls.profile import build_hierarchy
+def test_modulation_recovers_exact_parameters(grid, gs, ps):
     from dcnls.grid import profile_interpolator
 
-    ps = build_hierarchy(gs)
     lam0, gamma0 = 1.3, 0.7
     spline = profile_interpolator(grid, gs.Q.values)
     arg = np.minimum(grid.nodes / lam0, grid.r_max)
@@ -157,10 +162,8 @@ def test_modulation_recovers_exact_parameters(grid, gs):
     assert abs(trace.b[0]) <= 1e-6
 
 
-def test_flagged_frame_leaves_later_phases(grid, gs):
+def test_flagged_frame_leaves_later_phases(grid, gs, ps):
     from types import SimpleNamespace
-
-    from dcnls.profile import build_hierarchy
 
     q = gs.Q.values
     noise = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, grid.n))
@@ -168,10 +171,68 @@ def test_flagged_frame_leaves_later_phases(grid, gs):
     frames = [q * np.exp(1j * phase) for phase in (0.7, 2.5, 4.0, 5.5)]
     frames.insert(2, noise)
     traj = SimpleNamespace(snapshots=list(enumerate(frames)))
-    trace = modulation_extract(traj, gs, build_hierarchy(gs))
+    trace = modulation_extract(traj, gs, ps)
     assert trace.flags.tolist() == [True, True, False, True, True]
     assert np.isnan(trace.gamma[2])
     assert trace.gamma[[0, 1, 3, 4]] == pytest.approx([0.7, 2.5, 4.0, 5.5], abs=1e-6)
+
+
+def _family_frame(grid, ps, lam, b, gamma):
+    """lam^{-3/2} e^{i gamma} P_b(r/lam) sampled through the clamped interpolator."""
+    from dcnls.grid import profile_interpolator
+
+    fields = [ps.gs.Q, ps.T20, ps.T40, ps.S10, ps.S30]
+    spline = profile_interpolator(grid, np.column_stack([f.values for f in fields]))
+    coeffs = np.array([1.0, b * b, b ** 4, 1j * b, 1j * b ** 3])
+    return lam ** -1.5 * (spline(grid.nodes / lam) @ coeffs) * np.exp(1j * gamma)
+
+
+@pytest.mark.parametrize("lam", [0.2, 1.3])      # r/lam reaches r_max only at 0.2
+@pytest.mark.parametrize("b", [0.0, 0.25])
+def test_modulation_jacobian_matches_central_differences(grid, ps, lam, b):
+    from dcnls.dynamics import _frame_residual, _profile_family
+
+    vals = _family_frame(grid, ps, 0.7, 0.1, 0.3)
+    fun, jac = _frame_residual(_profile_family(ps), grid, vals)
+    x = np.array([np.log(lam), 0.4, b])
+    fun(x)
+    got = jac(x)
+    h = 1e-5
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        want = (fun(x + step) - fun(x - step)) / (2 * h)
+        assert np.linalg.norm(got[:, j] - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_modulation_fit_takes_no_finite_differences(grid, gs, ps, monkeypatch):
+    import scipy.optimize._differentiable_functions as diff_functions
+    import scipy.optimize._numdiff as numdiff
+    from types import SimpleNamespace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference Jacobian requested")
+
+    # the optimizer's function wrapper binds its own name for the helper
+    monkeypatch.setattr(numdiff, "approx_derivative", refuse)
+    monkeypatch.setattr(diff_functions, "approx_derivative", refuse, raising=False)
+    frames = [_family_frame(grid, ps, lam, 0.1, 0.5) for lam in (1.0, 0.9)]
+    traj = SimpleNamespace(snapshots=list(enumerate(frames)))
+    trace = modulation_extract(traj, gs, ps)
+    assert trace.flags.all()
+
+
+def test_modulation_recovers_windowed_stacked_family(grid, gs, ps):
+    from types import SimpleNamespace
+
+    lam0, b0, gamma0 = 0.3, 0.2, 1.1
+    assert grid.nodes[-1] / lam0 > grid.r_max     # the model vanishes on the outer nodes
+    traj = SimpleNamespace(snapshots=[(0.0, _family_frame(grid, ps, lam0, b0, gamma0))])
+    trace = modulation_extract(traj, gs, ps)
+    assert trace.flags[0]
+    assert trace.lam[0] == pytest.approx(lam0, abs=1e-7)
+    assert trace.b[0] == pytest.approx(b0, abs=1e-7)
+    assert trace.gamma[0] == pytest.approx(gamma0, abs=1e-7)
 
 
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
