@@ -4,7 +4,9 @@ Two independent pathways produce the soliton profile and serve as mutual
 oracles: an ODE shooting integration (bisection on the central value,
 then a collocation Newton polish on the working grid), and a projected
 imaginary-time gradient flow at fixed mass whose converged multiplier is
-scaled out to recover the unit-multiplier state.
+scaled out to recover the unit-multiplier state.  The shooting profile is
+grid-independent, so it is computed once per process, on first use, and
+every grid reuses it; only the Newton polish runs per grid.
 
 Conventions: all reported scalars (mass, energy, norms) are genuine 3-D
 integrals, i.e. they carry the 4*pi solid angle of the radial embedding.
@@ -18,6 +20,7 @@ solver diagnostics throughout.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,11 +184,16 @@ def _shoot_once(a0):
     return 0, sol
 
 
+@cache
 def _shooting_profile():
     """Bisect the central value of the classical soliton; returns a spline.
 
     Only mu = 0 is integrated by shooting (the nonlocal term would make the
     ODE an integro-differential equation); Newton continuation handles mu>0.
+    The profile does not depend on any grid, so it is computed once per
+    process, on first use, and shared by every grid; only the Newton polish
+    in `solve_classical_Q` runs per grid.  Each call of the returned
+    function builds new arrays, so callers may modify what it returns.
     """
     lo, hi = 1.0, 10.0
     s_lo, _ = _shoot_once(lo)

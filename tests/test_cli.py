@@ -182,6 +182,24 @@ def test_threads_flag_caps_blas(tmp_path):
         assert a == b
 
 
+def test_groundstate_cold_and_warm_shooting_byte_identical(tmp_path):
+    # a fresh process shoots the classical soliton itself; in-process, the
+    # shooting profile cached by an earlier grid seeds the Newton polish
+    from dcnls.grid import build_grid
+    from dcnls.groundstate import solve_classical_Q
+
+    args = ["groundstate", "--mu", "0.01", "--grid-n", "256", "--threads", "1"]
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    proc = subprocess.run([sys.executable, "-m", "dcnls.cli", *args, "--out", str(cold)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    solve_classical_Q(build_grid(192, 40.0, "tanh"))
+    assert run_command(args + ["--out", str(warm)]) == 0
+    for name in ("Q_mu.csv", "functional_report.csv"):
+        a, b = ((out / "groundstate-mu0.01-n256" / name).read_bytes() for out in (cold, warm))
+        assert a == b
+
+
 def test_spectrum_byte_identical_across_processes(tmp_path):
     # the eigensolver starts from a fixed vector, so fresh processes agree
     outs = [tmp_path / "a", tmp_path / "b"]

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import dcnls.groundstate as groundstate
 
 from dcnls.errors import CoercivityError, ConfigurationError
 from dcnls.grid import build_grid
@@ -52,6 +57,42 @@ def test_classical_mass_resolution_consistency(classical):
     g2 = build_grid(2048, 40.0, "tanh")
     gs2 = solve_classical_Q(g2)
     assert gs2.mass == pytest.approx(classical.mass, rel=1e-6)
+
+
+def test_shooting_runs_once_per_process(monkeypatch):
+    # whatever ran before, the first grid leaves the shooting profile cached
+    solve_classical_Q(build_grid(128, 40.0, "tanh"))
+    calls = []
+    integrate = groundstate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "solve_ivp", counted)
+    gs = solve_classical_Q(build_grid(192, 40.0, "tanh"))
+    assert calls == []
+    assert gs.eq_residual <= 1e-9
+
+
+def test_shooting_profile_not_computed_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import dcnls, dcnls.groundstate as g; print(g._shooting_profile.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_shooting_profile_returns_fresh_arrays():
+    profile = groundstate._shooting_profile()
+    r = np.linspace(0.0, 35.0, 71)
+    first = profile(r)
+    expected = first.copy()
+    first[:] = -1.0
+    np.testing.assert_array_equal(profile(r), expected)
+    assert groundstate._shooting_profile() is profile
 
 
 def test_pohozaev_detects_non_solutions(grid, classical):
