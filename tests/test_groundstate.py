@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import dcnls.groundstate as groundstate
-
 from dcnls.errors import CoercivityError, ConfigurationError
 from dcnls.grid import build_grid
 from dcnls.groundstate import (
