@@ -146,7 +146,8 @@ def _cmd_groundstate(cfg, run_dir):
         keys,
         [[rep[k]] for k in keys],
     )
-    return {"mass": rep["mass"], "eq_residual": rep["eq_residual"]}
+    return {"mass": rep["mass"], "eq_residual": rep["eq_residual"],
+            "newton_iters": gs.diagnostics["newton_iters"]}
 
 
 def _cmd_spectrum(cfg, run_dir):

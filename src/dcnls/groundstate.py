@@ -1,12 +1,13 @@
 """Ground states of the doubly critical focusing equation.
 
 Two independent pathways produce the soliton profile and serve as mutual
-oracles: an ODE shooting integration (bisection on the central value,
-then a collocation Newton polish on the working grid), and a projected
-imaginary-time gradient flow at fixed mass whose converged multiplier is
-scaled out to recover the unit-multiplier state.  The shooting profile is
-grid-independent, so it is computed once per process, on first use, and
-every grid reuses it; only the Newton polish runs per grid.
+oracles: an ODE shooting integration (compiled DOP853, bisection on the
+central value, then a collocation Newton polish on the working grid up to
+its rounding floor), and a projected imaginary-time gradient flow at
+fixed mass whose converged multiplier is scaled out to recover the
+unit-multiplier state.  The shooting profile is grid-independent, so it
+is computed once per process, on first use, and every grid reuses it;
+only the Newton polish runs per grid.
 
 Conventions: all reported scalars (mass, energy, norms) are genuine 3-D
 integrals, i.e. they carry the 4*pi solid angle of the radial embedding.
@@ -19,13 +20,15 @@ equation-pairing identity are computed as relative defects and used as
 solver diagnostics throughout.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy import integrate
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
 from .grid import RadialField, generator, h2_norm_3d, profile_interpolator
@@ -152,36 +155,40 @@ def _finish_state(grid, q, mu, beta, pathway, extra, reference_mass=None):
 def _shoot_once(a0):
     """Integrate the radial equation outward from the center value a0.
 
-    Returns (+1, r) on undershoot (profile turns back up at r), (-1, r) on
-    overshoot (profile crosses zero), or (0, sol) when neither fires.
+    Hairer's compiled DOP853 (rtol 1e-12, atol 1e-14) classifies the shot at
+    its accepted steps: -1 once u < 0 (overshoot), +1 once u' >= 0 past r0
+    (undershoot; so is the equilibrium a0 = 1).  Returns the sign and the
+    accepted rows (r, u, u'); an undecided shot raises ConvergenceError.
     """
     r0 = 1e-6
     upp0 = (a0 - a0 ** (7.0 / 3.0)) / 3.0
-    y0 = [a0 + 0.5 * upp0 * r0 ** 2, upp0 * r0]
 
     def rhs(r, y):
-        u, v = y
-        return [v, -2.0 * v / r + u - np.sign(u) * np.abs(u) ** (7.0 / 3.0)]
+        u, v = y.tolist()
+        return [v, -2.0 * v / r + u - math.copysign(abs(u) ** (7.0 / 3.0), u)]
 
-    def overshoot(r, y):
-        return y[0]
-    overshoot.terminal = True
-    overshoot.direction = -1
+    rows, sign = [], 0
 
-    def undershoot(r, y):
-        return y[1]
-    undershoot.terminal = True
-    undershoot.direction = 1
+    def solout(r, y):
+        nonlocal sign
+        u, v = y.tolist()
+        rows.append((r, u, v))
+        if u < 0:
+            sign = -1
+        elif v >= 0 and r > r0:
+            sign = +1
+        return -1 if sign else 0
 
-    sol = solve_ivp(
-        rhs, (r0, 30.0), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-        events=(overshoot, undershoot), dense_output=True,
-    )
-    if sol.t_events[0].size:
-        return -1, sol
-    if sol.t_events[1].size:
-        return +1, sol
-    return 0, sol
+    ode = integrate.ode(rhs).set_integrator("dop853", rtol=1e-12, atol=1e-14)
+    ode.set_solout(solout)
+    ode.set_initial_value([a0 + 0.5 * upp0 * r0 ** 2, upp0 * r0], r0)
+    ode.integrate(30.0)
+    if not sign:
+        raise ConvergenceError(
+            "shooting integration stopped before the shot was decided",
+            diagnostics={"a0": a0, "r_last": rows[-1][0], "status": ode.get_return_code()},
+        )
+    return sign, np.array(rows)
 
 
 @cache
@@ -190,10 +197,12 @@ def _shooting_profile():
 
     Only mu = 0 is integrated by shooting (the nonlocal term would make the
     ODE an integro-differential equation); Newton continuation handles mu>0.
-    The profile does not depend on any grid, so it is computed once per
-    process, on first use, and shared by every grid; only the Newton polish
-    in `solve_classical_Q` runs per grid.  Each call of the returned
-    function builds new arrays, so callers may modify what it returns.
+    The spline is cubic Hermite through the final shot's rows with
+    u > 1e-11, continued by the linear far field c e^{-r}/r.  It does not
+    depend on any grid, so it is computed once per process, on first use,
+    and shared by every grid; only the Newton polish in `solve_classical_Q`
+    runs per grid.  Each call of the returned function builds new arrays,
+    so callers may modify what it returns.
     """
     lo, hi = 1.0, 10.0
     s_lo, _ = _shoot_once(lo)
@@ -205,32 +214,21 @@ def _shooting_profile():
         )
     for _ in range(80):
         midv = 0.5 * (lo + hi)
-        s, _ = _shoot_once(midv)
-        if s > 0:
+        if _shoot_once(midv)[0] > 0:
             lo = midv
-        elif s < 0:
-            hi = midv
         else:
-            lo = hi = midv
-            break
+            hi = midv
         if hi - lo < 1e-14 * midv:
             break
-    a_star = 0.5 * (lo + hi)
-    _, sol = _shoot_once(a_star)
-    r_stop = sol.t[-1]
-    rr = np.linspace(1e-6, min(r_stop, 28.0), 4000)
-    uu = sol.sol(rr)[0]
-    # extend by the linear far field c e^{-r}/r past the trusted range
-    good = uu > 1e-11
-    rr, uu = rr[good], uu[good]
+    _, rows = _shoot_once(0.5 * (lo + hi))
+    rr, uu, vv = rows[rows[:, 1] > 1e-11].T
+    spline = CubicHermiteSpline(rr, uu, vv)
     c_tail = uu[-1] * rr[-1] * np.exp(rr[-1])
 
     def profile(r):
         r = np.asarray(r, dtype=float)
-        out = np.interp(r, rr, uu, right=0.0)
-        far = r > rr[-1]
-        out = np.where(far, c_tail * np.exp(-np.clip(r, 0, 700)) / np.maximum(r, 1e-12), out)
-        return out
+        tail = c_tail * np.exp(-np.clip(r, 0, 700)) / np.maximum(r, 1e-12)
+        return np.where(r > rr[-1], tail, spline(r))
 
     return profile
 
@@ -241,21 +239,21 @@ def _newton_polish(grid, q0, mu, maxiter=80):
     At mu != 0 each step solves with the full Jacobian, nonlocal piece
     2 mu A(Q .) Q included, by GMRES to relative residual 1e-8; only the
     preconditioner, the sparse LU of the local part, leaves that piece out.
-    Iterates until the residual stalls at its rounding floor (the core rows
-    of the Laplacian amplify eps by 1/h^2) or `tol` = 1e-9 is reached,
-    whichever floor is lower.
+    Once the best residual is below `tol` = 1e-9, the first evaluation
+    that does not cut it tenfold marks the rounding floor (the core rows of
+    the Laplacian amplify eps by 1/h^2), and the best iterate is returned
+    with its residual and the number of Newton steps taken.
     """
     tol = 1e-9
     q = q0.copy()
-    best, q_best, stall = np.inf, q.copy(), 0
+    best, q_best = np.inf, q.copy()
     for it in range(maxiter):
         res = _equation_residual(grid, q, mu)
         rnorm = np.max(np.abs(res)) / np.max(np.abs(q))
+        at_floor = best < tol and not rnorm < 0.1 * best
         if rnorm < best:
-            best, q_best, stall = rnorm, q.copy(), 0
-        else:
-            stall += 1
-        if best < 1e-13 or (stall >= 3 and best < tol):
+            best, q_best = rnorm, q.copy()
+        if at_floor:
             return q_best, best, it
         try:
             delta = linearize(grid, q, mu, "plus", 0).solve(res, rtol=1e-8)
@@ -468,23 +466,24 @@ def _sphere_newton(grid, phi0, mu, a):
     Unknowns are (phi, beta); the KKT system is bordered with the mass
     constraint and with a fixed scale pin along the dilation generator,
     which removes the neutral family direction (its multiplier converges
-    to zero, so the pinned solution satisfies the plain equation).
+    to zero, so the pinned solution satisfies the plain equation).  Stops
+    as `_newton_polish` does (tol 3e-8), counting iterates on the sphere.
     """
     n = grid.n
     phi = phi0.copy()
     beta = _flow_multiplier(grid, phi, mu)
     pin = generator(grid, phi)    # dilation generator at entry
 
-    best, best_state, stall = np.inf, (phi.copy(), beta), 0
-    for it in range(30):
+    best, best_state = np.inf, (phi.copy(), beta)
+    for _ in range(30):
         eq = _equation_residual(grid, phi, mu) + (beta - 1.0) * phi
         cons = 0.5 * (mass_3d(grid, phi) - a) / (4.0 * np.pi)
         rnorm = np.max(np.abs(eq)) / np.max(np.abs(phi))
-        if rnorm < best and abs(cons) < 1e-12 * a:
-            best, best_state, stall = rnorm, (phi.copy(), beta), 0
-        else:
-            stall += 1
-        if best < 1e-13 or (stall >= 3 and best < 3e-8):
+        on_sphere = abs(cons) < 1e-12 * a
+        at_floor = best < 3e-8 and not (on_sphere and rnorm < 0.1 * best)
+        if on_sphere and rnorm < best:
+            best, best_state = rnorm, (phi.copy(), beta)
+        if at_floor:
             return best_state
         op = linearize(grid, phi, mu, "plus", 0, shift=beta - 1.0)
         sol = op.solve(eq, [phi, pin], tail=[cons, 0.0], rtol=1e-9)

@@ -21,6 +21,8 @@ def test_groundstate_smoke(tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"] == "OK"
     assert "Q_mu.csv" in manifest["files"]
+    iters = manifest["summary"]["newton_iters"]
+    assert isinstance(iters, int) and iters > 0
     header = (run_dir / "Q_mu.csv").read_text().splitlines()[0]
     assert header == "r[length],Re,Im"
 

@@ -3,9 +3,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import dcnls.groundstate as groundstate
-from dcnls.errors import CoercivityError, ConfigurationError
+from dcnls.errors import CoercivityError, ConfigurationError, ConvergenceError
 from dcnls.grid import build_grid
 from dcnls.groundstate import (
     coercivity_bracket,
@@ -62,16 +63,76 @@ def test_shooting_runs_once_per_process(monkeypatch):
     # whatever ran before, the first grid leaves the shooting profile cached
     solve_classical_Q(build_grid(128, 40.0, "tanh"))
     calls = []
-    integrate = groundstate.solve_ivp
+    shoot = groundstate._shoot_once
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return integrate(*args, **kwargs)
+    def counted(a0):
+        calls.append(a0)
+        return shoot(a0)
 
-    monkeypatch.setattr(groundstate, "solve_ivp", counted)
+    monkeypatch.setattr(groundstate, "_shoot_once", counted)
     gs = solve_classical_Q(build_grid(192, 40.0, "tanh"))
     assert calls == []
     assert gs.eq_residual <= 1e-9
+
+
+def test_shots_are_classified_at_the_bracket_ends():
+    # a0 = 1 is the equilibrium u = 1, counted as an undershoot
+    assert groundstate._shoot_once(1.0)[0] == +1
+    assert groundstate._shoot_once(10.0)[0] == -1
+
+
+def test_failed_shot_raises_convergence_error(monkeypatch):
+    set_integrator = integrate.ode.set_integrator
+
+    def capped(self, name, **kwargs):
+        return set_integrator(self, name, **{**kwargs, "nsteps": 1})
+
+    monkeypatch.setattr(integrate.ode, "set_integrator", capped)
+    with pytest.warns(UserWarning), pytest.raises(ConvergenceError) as exc:
+        groundstate._shoot_once(4.0)
+    assert exc.value.diagnostics["a0"] == 4.0
+    assert exc.value.diagnostics["r_last"] < 30.0
+
+
+def test_shooting_profile_matches_independent_integration():
+    profile = groundstate._shooting_profile()
+    a0 = float(profile(0.0))
+    r0 = 1e-6
+    upp0 = (a0 - a0 ** (7.0 / 3.0)) / 3.0
+
+    def rhs(r, y):
+        u, v = y
+        return [v, -2.0 * v / r + u - np.sign(u) * np.abs(u) ** (7.0 / 3.0)]
+
+    oracle = integrate.solve_ivp(
+        rhs, (r0, 12.0), [a0 + 0.5 * upp0 * r0 ** 2, upp0 * r0], method="DOP853",
+        rtol=1e-12, atol=1e-14, dense_output=True,
+    )
+    r = np.linspace(r0, 12.0, 6001)
+    expected = oracle.sol(r)[0]
+    assert np.max(np.abs(profile(r) - expected)) <= 1e-6 * np.max(expected)
+
+
+def test_newton_stops_one_evaluation_after_the_floor(monkeypatch):
+    grid = build_grid(1024, 40.0, "tanh")
+    q0 = solve_classical_Q(grid).Q.values
+    history = []
+    residual = groundstate._equation_residual
+
+    def recorded(grid, q, mu):
+        res = residual(grid, q, mu)
+        history.append(np.max(np.abs(res)) / np.max(np.abs(q)))
+        return res
+
+    monkeypatch.setattr(groundstate, "_equation_residual", recorded)
+    _, best, iters = groundstate._newton_polish(grid, q0, 0.02)
+    monkeypatch.undo()
+    first = next(i for i, h in enumerate(history) if h < 1e-9)
+    for i in range(first + 1, len(history) - 1):
+        assert history[i] <= 0.1 * min(history[:i])
+    assert iters == len(history) - 1
+    assert best == min(history)
+    assert solve_Q_mu(0.02, grid).diagnostics["newton_iters"] == iters
 
 
 def test_shooting_profile_not_computed_at_import():
