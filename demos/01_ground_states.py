@@ -27,7 +27,7 @@ for key in ("mass", "energy", "eq_residual", "pohozaev_defect", "gn_local",
 print("\n== gradient-flow pathway at the same mass ==")
 flow = minimize_constrained(gs.mass, 0.0, grid)
 dist = np.sqrt(mass_3d(grid, flow.Q.values - gs.Q.values) / gs.mass)
-print(f"  multiplier beta    {flow.beta:.6f}")
+print(f"  flow multiplier at handover (scaled out) {flow.beta:.6f}")
 print(f"  L2 distance to the shooting state: {dist:.2e}")
 
 print("\n== coupled states along the continuation ==")

@@ -1,13 +1,13 @@
 """Ground states of the doubly critical focusing equation.
 
-Two independent pathways produce the soliton profile and serve as mutual
-oracles: an ODE shooting integration (compiled DOP853, bisection on the
-central value, then a collocation Newton polish on the working grid up to
-its rounding floor), and a projected imaginary-time gradient flow at
-fixed mass whose converged multiplier is scaled out to recover the
-unit-multiplier state.  The shooting profile is grid-independent, so it
-is computed once per process, on first use, and every grid reuses it;
-only the Newton polish runs per grid.
+Two independent seeds of the same collocation Newton polish produce the
+soliton profile and serve as mutual oracles: an ODE shooting integration
+(compiled DOP853, bisection on the central value), and a projected
+imaginary-time gradient flow at fixed mass whose multiplier at handover
+is scaled out to reach the unit-multiplier state.  The Newton polish runs
+on the working grid up to its rounding floor.  The shooting profile is
+grid-independent, so it is computed once per process, on first use, and
+every grid reuses it; only the Newton polish runs per grid.
 
 Conventions: all reported scalars (mass, energy, norms) are genuine 3-D
 integrals, i.e. they carry the 4*pi solid angle of the radial embedding.
@@ -31,7 +31,7 @@ from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
-from .grid import RadialField, generator, h2_norm_3d, profile_interpolator
+from .grid import RadialField, h2_norm_3d, profile_interpolator
 from .hartree import hartree_apply, nonlinear_potential
 from .linop import linearize
 
@@ -233,7 +233,7 @@ def _shooting_profile():
     return profile
 
 
-def _newton_polish(grid, q0, mu, maxiter=80):
+def _newton_polish(grid, q0, mu):
     """Collocation Newton; the Jacobian is the plus-kind l = 0 operator.
 
     At mu != 0 each step solves with the full Jacobian, nonlocal piece
@@ -242,9 +242,11 @@ def _newton_polish(grid, q0, mu, maxiter=80):
     Once the best residual is below `tol` = 1e-9, the first evaluation
     that does not cut it tenfold marks the rounding floor (the core rows of
     the Laplacian amplify eps by 1/h^2), and the best iterate is returned
-    with its residual and the number of Newton steps taken.
+    with its residual and the number of Newton steps taken (one
+    `linearize` each).
     """
     tol = 1e-9
+    maxiter = 80
     q = q0.copy()
     best, q_best = np.inf, q.copy()
     for it in range(maxiter):
@@ -306,7 +308,9 @@ def solve_Q_mu(mu, grid):
     """Continuation in the coupling from the classical soliton.
 
     0 <= mu <= MU_MAX in steps of 0.02; each step is Newton-polished, so the
-    returned state satisfies the full nonlocal equation on the grid.
+    returned state satisfies the full nonlocal equation on the grid.  Its
+    `newton_iters` counts the Newton steps of every polish of the
+    continuation (the classical solve's are its own).
     """
     if mu < 0 or mu > MU_MAX:
         raise ConfigurationError(f"coupling must lie in [0, {MU_MAX}], got {mu}")
@@ -319,11 +323,12 @@ def solve_Q_mu(mu, grid):
     q = base.Q.values.copy()
     mus = np.arange(0.02, mu, 0.02)
     last_good = 0.0
+    iters = 0
     try:
-        for m in mus:
-            q, _, _ = _newton_polish(grid, q, float(m))
+        for m in [*mus, mu]:
+            q, _, steps = _newton_polish(grid, q, float(m))
+            iters += steps
             last_good = float(m)
-        q, rnorm, iters = _newton_polish(grid, q, float(mu))
     except ConvergenceError as exc:
         exc.diagnostics["last_convergent_mu"] = last_good
         raise
@@ -348,11 +353,7 @@ def estimate_nonlocal_gn_constant(grid):
     best = 0.0
     for width in (0.6, 0.8, 1.0, 1.4, 2.0):
         best = max(best, gn_nonlocal_quotient(grid, np.exp(-r ** 2 / (2 * width ** 2))))
-    try:
-        q = solve_classical_Q(grid).Q.values
-        best = max(best, gn_nonlocal_quotient(grid, q))
-    except ConvergenceError:
-        pass
+    best = max(best, gn_nonlocal_quotient(grid, solve_classical_Q(grid).Q.values))
     grid._cache[key] = best
     return best
 
@@ -367,21 +368,27 @@ def coercivity_bracket(a, mu, grid):
 def minimize_constrained(a, mu, grid):
     """Projected imaginary-time flow at fixed mass, then multiplier rescale.
 
-    The flow converges onto the soliton's scale family; the Euler-Lagrange
-    multiplier beta of the converged point is scaled out via
-    phi(x) = beta^{3/4} Q_mu(sqrt(beta) x), which leaves the mass unchanged
-    and produces the unit-multiplier state.
+    The flow converges onto the soliton's scale family; its Euler-Lagrange
+    multiplier beta at handover is scaled out via
+    phi(x) = beta^{3/4} Q_mu(sqrt(beta) x), which leaves the mass unchanged,
+    and the transported state is polished by the Newton of pathway 1.  The
+    returned `beta` is that handover multiplier, and `newton_iters` counts
+    the polish's Newton steps.  A mass off the soliton mass a_crit by more
+    than 1e-9 relative is refused: below it with ConfigurationError, above
+    it with CoercivityError.
     """
-    if a <= 0:
-        raise ConfigurationError("constrained mass must be positive")
-    if mu < 0 or mu > MU_MAX:
-        raise ConfigurationError(f"coupling must lie in [0, {MU_MAX}], got {mu}")
-    # The sufficient coercivity bracket cannot gate critical-mass runs: it
-    # is strictly stronger than existence and turns negative at the soliton
-    # mass for every positive coupling.  Refusal is reserved for genuinely
-    # supercritical masses, where the energy is unbounded below and the flow
-    # would collapse.
+    # A minimizer exists only at the soliton mass a_crit: below it the
+    # infimum E = 0 is not attained (Weinstein, Comm. Math. Phys. 87, 1983),
+    # so the flow would only spread out; above it the energy is unbounded
+    # below and the flow would collapse.  The sufficient coercivity bracket
+    # cannot gate critical-mass runs: it is strictly stronger than existence
+    # and turns negative at the soliton mass for every positive coupling.
     a_crit = solve_Q_mu(mu, grid).mass
+    if a < a_crit * (1.0 - 1e-9):
+        raise ConfigurationError(
+            f"mass {a:g} is below the soliton mass a_crit = {a_crit:g} at coupling "
+            f"{mu:g}; no constrained minimizer exists there"
+        )
     if a > a_crit * (1.0 + 1e-9):
         raise CoercivityError(
             f"mass {a:g} exceeds the soliton mass {a_crit:g} at coupling {mu:g}",
@@ -420,10 +427,10 @@ def minimize_constrained(a, mu, grid):
         phi = psi
         if it % 25 == 24:
             beta = _flow_multiplier(grid, phi, mu)
-            res = lap @ phi + beta * phi - nonlinear_potential(grid, phi, mu) * phi
+            res = _equation_residual(grid, phi, mu) + (beta - 1.0) * phi
             rnorm = np.max(np.abs(res)) / np.max(np.abs(phi))
             res_hist.append(rnorm)
-            if rnorm < 5e-3:     # close enough for the constrained Newton
+            if rnorm < 5e-3:     # close enough for the Newton polish
                 break
             if len(res_hist) > 60 and rnorm > 0.999 * np.min(res_hist[:-30]):
                 break            # flow has flattened out; hand over
@@ -433,9 +440,6 @@ def minimize_constrained(a, mu, grid):
             diagnostics={"residual": res_hist[-1] if res_hist else None},
         )
 
-    # sharpen on the sphere: Newton on the KKT system with the mass
-    # constraint and a scale pin that removes the neutral dilation mode
-    phi, beta = _sphere_newton(grid, phi, mu, a)
     if beta <= 0:
         raise FlowStagnationError(
             "flow converged to a non-solitonic state (multiplier <= 0)",
@@ -447,50 +451,15 @@ def minimize_constrained(a, mu, grid):
     # scale the multiplier out; mass is invariant under this rescaling.  The
     # spline transport pollutes the high-frequency end (the Laplacian
     # amplifies interpolation error by 1/h^2), so the transported state is
-    # polished back onto the discrete solution manifold.
+    # polished onto the discrete solution by the Newton of pathway 1, which
+    # is well posed there: L_{+,0} has a trivial radial kernel.
     q = beta ** (-0.75) * profile_interpolator(grid, phi)(r / np.sqrt(beta))
-    try:
-        q, _, _ = _newton_polish(grid, q, mu, maxiter=12)
-    except ConvergenceError:
-        pass    # keep the transported state; diagnostics flag the residual
-    gs = _finish_state(
+    q, _, iters = _newton_polish(grid, q, mu)
+    return _finish_state(
         grid, q, mu, beta=float(beta), pathway="gradient-flow",
-        extra={"flow_iterations": flow_its, "flow_residual": res_hist[-1]},
+        extra={"newton_iters": iters, "flow_iterations": flow_its,
+               "flow_residual": res_hist[-1]},
     )
-    return gs
-
-
-def _sphere_newton(grid, phi0, mu, a):
-    """Newton for the constrained critical point on the mass sphere.
-
-    Unknowns are (phi, beta); the KKT system is bordered with the mass
-    constraint and with a fixed scale pin along the dilation generator,
-    which removes the neutral family direction (its multiplier converges
-    to zero, so the pinned solution satisfies the plain equation).  Stops
-    as `_newton_polish` does (tol 3e-8), counting iterates on the sphere.
-    """
-    n = grid.n
-    phi = phi0.copy()
-    beta = _flow_multiplier(grid, phi, mu)
-    pin = generator(grid, phi)    # dilation generator at entry
-
-    best, best_state = np.inf, (phi.copy(), beta)
-    for _ in range(30):
-        eq = _equation_residual(grid, phi, mu) + (beta - 1.0) * phi
-        cons = 0.5 * (mass_3d(grid, phi) - a) / (4.0 * np.pi)
-        rnorm = np.max(np.abs(eq)) / np.max(np.abs(phi))
-        on_sphere = abs(cons) < 1e-12 * a
-        at_floor = best < 3e-8 and not (on_sphere and rnorm < 0.1 * best)
-        if on_sphere and rnorm < best:
-            best, best_state = rnorm, (phi.copy(), beta)
-        if at_floor:
-            return best_state
-        op = linearize(grid, phi, mu, "plus", 0, shift=beta - 1.0)
-        sol = op.solve(eq, [phi, pin], tail=[cons, 0.0], rtol=1e-9)
-        phi = phi - sol[:n]
-        beta = beta - sol[n]
-    raise ConvergenceError("constrained Newton did not converge",
-                           diagnostics={"residual": rnorm, "mu": mu})
 
 
 def _flow_multiplier(grid, phi, mu):

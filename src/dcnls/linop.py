@@ -12,9 +12,9 @@ exponentially decaying soliton on both sides.
 Every linear solve goes through `ChannelOperator.solve`, which borders the
 local part with W-weighted constraint rows and factors it with a sparse LU.
 Without a nonlocal block that factor is the solve; with one it
-preconditions GMRES on the full bordered operator.  Newton steps, the
-constrained Newton on the mass sphere and the profile hierarchy all use it,
-and the bordering keeps discrete orthogonality to the constraints exact.
+preconditions GMRES on the full bordered operator.  Newton steps and the
+profile hierarchy both use it, and the bordering keeps discrete
+orthogonality to the constraints exact.
 A constrained solve (`solve_with_constraints`, and every hierarchy solve in
 `profile`) passes one gate, `_checked_solve`: a non-finite source raises
 ConvergenceError, and a kernel component or a relative residual above
@@ -89,12 +89,11 @@ class ChannelOperator:
             out += self._nonlocal(values)
         return out
 
-    def solve(self, rhs, constraints=(), tail=None, rtol=1e-11):
-        """Solve the bordered system [[M, C], [(W C)^T, 0]] [x; y] = [rhs; tail].
+    def solve(self, rhs, constraints=(), rtol=1e-11):
+        """Solve the bordered system [[M, C], [(W C)^T, 0]] [x; y] = [rhs; 0].
 
-        C holds the constraint profiles as columns and `tail` (zeros when
-        omitted) the prescribed weighted overlaps (W c_j, x).  Returns the
-        stacked [x; y], with one multiplier in y per constraint.  With a
+        C holds the constraint profiles as columns, so x is W-orthogonal to
+        each of them; returns x (the multipliers y are dropped).  With a
         nonlocal block, GMRES stops at relative residual `rtol` and raises
         ConvergenceError if it cannot get there within four restart cycles
         of 20 inner steps.  Across the test suite and the benchmark workloads
@@ -112,10 +111,10 @@ class ChannelOperator:
             )
         else:
             border = self.local
-        full_rhs = np.concatenate([rhs, np.zeros(k) if tail is None else tail])
+        full_rhs = np.concatenate([rhs, np.zeros(k)])
         lu = spla.splu(border)
         if self.nonlocal_scale == 0.0:
-            return lu.solve(full_rhs)
+            return lu.solve(full_rhs)[:n]
 
         def matvec(x):
             out = border @ x
@@ -134,7 +133,7 @@ class ChannelOperator:
                 diagnostics={"gmres_info": info, "kind": self.kind, "l": self.l,
                              "mu": self.mu, "rtol": rtol},
             )
-        return sol
+        return sol[:n]
 
 
 @dataclass(eq=False)
@@ -143,9 +142,8 @@ class SpectrumReport:
     eigenfields: list
 
 
-def linearize(grid, q, mu, kind, l, shift=0.0):
-    """L_{kind,l} around the profile q at coupling mu, with `shift` added
-    to its potential (Newton on the mass sphere shifts by beta - 1)."""
+def linearize(grid, q, mu, kind, l):
+    """L_{kind,l} around the profile q at coupling mu."""
     pot = -nonlinear_potential(grid, q, mu)
     if kind == "plus":
         pot = pot - (4.0 / 3.0) * np.abs(q) ** (4.0 / 3.0)
@@ -155,7 +153,7 @@ def linearize(grid, q, mu, kind, l, shift=0.0):
         mu=mu,
         grid=grid,
         soliton=q,
-        local_potential=pot + shift,
+        local_potential=pot,
         nonlocal_scale=(-2.0 * mu if kind == "plus" and mu != 0.0 else 0.0),
     )
 
@@ -272,7 +270,7 @@ def _checked_solve(op, src, constraints):
     if not defect <= SOLVABILITY_TOL:
         raise SolvabilityError(f"source for L_{op.kind},{op.l} has a kernel component "
                                f"{defect:.1e} above {SOLVABILITY_TOL:g}", defect=defect)
-    x = op.solve(src, constraints)[:op.grid.n]
+    x = op.solve(src, constraints)
     res = op.apply(x) - src
     residual = float(np.sqrt(np.sum(w * res ** 2) / src_sq))
     if not residual <= SOLVABILITY_TOL:      # NaN fails too

@@ -200,6 +200,39 @@ def test_flow_pathway_small_coupling(grid):
     assert np.sqrt(mass_3d(grid, d) / gs.mass) <= 1e-6
 
 
+@pytest.mark.parametrize("n, mu", [(128, 0.0), (256, 0.02)])
+def test_flow_pathway_on_coarse_grids(n, mu):
+    coarse = build_grid(n, 40.0, "tanh")
+    gs = solve_Q_mu(mu, coarse)
+    flow = minimize_constrained(gs.mass, mu, coarse)
+    assert np.sqrt(mass_3d(coarse, flow.Q.values - gs.Q.values) / gs.mass) <= 1e-10
+
+
+def test_newton_iters_count_every_polish(monkeypatch):
+    g = build_grid(512, 40.0, "tanh")
+    solve_classical_Q(g)
+    calls = []
+    linearize = groundstate.linearize
+
+    def counted(*args):
+        calls.append(args[2])
+        return linearize(*args)
+
+    monkeypatch.setattr(groundstate, "linearize", counted)
+    gs = solve_Q_mu(0.05, g)
+    assert sorted(set(calls)) == pytest.approx([0.02, 0.04, 0.05])
+    assert gs.diagnostics["newton_iters"] == len(calls)
+    calls.clear()
+    flow = minimize_constrained(gs.mass, 0.05, g)
+    assert flow.diagnostics["newton_iters"] == len(calls) > 0
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.99])
+def test_subcritical_mass_refused(grid, classical, fraction):
+    with pytest.raises(ConfigurationError, match=f"a_crit = {classical.mass:g}"):
+        minimize_constrained(fraction * classical.mass, 0.0, grid)
+
+
 def test_supercritical_mass_refused(grid, classical):
     with pytest.raises(CoercivityError) as exc:
         minimize_constrained(classical.mass * 1.5, 0.02, grid)

@@ -1,5 +1,6 @@
-"""Every import and private helper in the package modules is used, and every
-exported name exists (stdlib-only lints, plus one import of the package)."""
+"""Every import and private helper in the package modules is used, every
+exported name exists and no failure is swallowed (stdlib-only lints, plus
+one import of the package)."""
 
 import ast
 import pathlib
@@ -152,3 +153,14 @@ def test_private_defaults_take_two_values():
             if all(passed) or not any(passed):
                 single.append(f"{name}({arg})")
     assert single == []
+
+
+def test_no_swallowed_exceptions():
+    # an except clause whose body is only `pass` hides a failure
+    swallowed = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        swallowed += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ExceptHandler)
+                      and all(isinstance(stmt, ast.Pass) for stmt in node.body)]
+    assert swallowed == []

@@ -202,8 +202,8 @@ def _dense_operator(op):
     return mat
 
 
-def _dense_bordered_solve(op, rhs, constraints, tail):
-    """Reference: the full (n+k)^2 bordered matrix, solved densely."""
+def _dense_bordered_solve(op, rhs, constraints):
+    """Reference: the full (n+k)^2 bordered matrix, solved densely; returns x."""
     grid = op.grid
     n, k = grid.n, len(constraints)
     mat = np.zeros((n + k, n + k))
@@ -211,7 +211,7 @@ def _dense_bordered_solve(op, rhs, constraints, tail):
     for j, c in enumerate(constraints):
         mat[:n, n + j] = c
         mat[n + j, :n] = grid.weights * c
-    return sla.solve(mat, np.concatenate([rhs, tail]))
+    return sla.solve(mat, np.concatenate([rhs, np.zeros(k)]))[:n]
 
 
 def _w_rel(grid, x, ref):
@@ -233,19 +233,17 @@ def test_bordered_solve_matches_dense_oracle(grid, gs_mu):
     for kind, l, src, cons in cases:
         op = assemble_channel_operator(gs_mu, kind, l)
         x = solve_with_constraints(op, RadialField(grid, l, src), cons).values
-        ref = _dense_bordered_solve(op, src, cons, np.zeros(len(cons)))[:grid.n]
+        ref = _dense_bordered_solve(op, src, cons)
         assert _w_rel(grid, x, ref) <= 1e-10, (kind, l)
 
-    # the constrained-Newton form: two border rows with prescribed overlaps
+    # a two-row border, [Q, Lambda Q], with the nonlocal block
     op = assemble_channel_operator(gs_mu, "plus", 0)
     cons = [q, generator(grid, q)]
-    tail = np.array([0.3, -0.1])
-    sol = op.solve(np.exp(-r), cons, tail=tail)
-    ref = _dense_bordered_solve(op, np.exp(-r), cons, tail)
-    assert _w_rel(grid, sol[:grid.n], ref[:grid.n]) <= 1e-10
-    assert np.allclose(sol[grid.n:], ref[grid.n:], rtol=1e-10, atol=0.0)
-    assert np.allclose([np.sum(w * c * sol[:grid.n]) for c in cons], tail,
-                       rtol=1e-10, atol=0.0)
+    x = op.solve(np.exp(-r), cons)
+    assert x.shape == (grid.n,)
+    assert _w_rel(grid, x, _dense_bordered_solve(op, np.exp(-r), cons)) <= 1e-10
+    for c in cons:
+        assert abs(np.sum(w * c * x)) <= 1e-10 * np.sqrt(np.sum(w * c ** 2) * np.sum(w * x ** 2))
 
 
 def test_unconverged_bordered_solve_is_typed():
