@@ -13,6 +13,7 @@ lines) > defaults.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -396,6 +397,10 @@ def run_command(argv):
         _finish_run(run_dir, args.command, cfg, f"FAILED ({kind}): {exc}", started)
         print(f"{kind} failure: {exc}", file=sys.stderr)
         return 2 if kind == "configuration" else 1
+    finally:
+        # a solved grid caches its ground state, whose fields point back at
+        # the grid: free the command's grid and kernels before returning
+        gc.collect()
     _finish_run(run_dir, args.command, cfg, "OK", started, extra=_jsonable(summary))
     print(f"wrote {run_dir}")
     return 0

@@ -191,11 +191,18 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     Stops at `t_final`, when the gradient norm has grown by
     `stop_grad_factor`, or when the estimated focal scale falls below
     `min_scale_cells` grid cells (clean truncation with the last trusted
-    state).  Negative dt runs the flow backwards.
+    state).  Negative dt runs the flow backwards.  A dt that is zero, not
+    finite, or points away from `t_final` is refused; `t_final == u0.t`
+    is a run of no steps.
     """
     grid = u0.field.grid
     if t_final is None and stop_grad_factor is None:
         raise ConfigurationError("need a stopping criterion (t_final or grad factor)")
+    if not (np.isfinite(dt) and dt != 0.0):
+        raise ConfigurationError(f"time step must be finite and nonzero, got {dt}")
+    if t_final is not None and not (t_final - u0.t) * dt >= 0.0:
+        raise ConfigurationError(f"time step {dt} points away from t_final = {t_final} "
+                                 f"(start t = {u0.t})")
     u = np.asarray(u0.field.values, dtype=complex).copy()
     t = u0.t
     g0 = u0.grad_norm

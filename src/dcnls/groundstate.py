@@ -92,10 +92,6 @@ def _pohozaev(integrals, mu):
 def pohozaev_defect(grid, q, mu):
     return _pohozaev(_integrals(grid, q), mu)
 
-def gn_nonlocal_quotient(grid, values):
-    m, g2, _, h = _integrals(grid, values)
-    return h / (g2 * m)
-
 
 @dataclass(eq=False)
 class GroundState:
@@ -312,7 +308,7 @@ def solve_Q_mu(mu, grid):
     `newton_iters` counts the Newton steps of every polish of the
     continuation (the classical solve's are its own).
     """
-    if mu < 0 or mu > MU_MAX:
+    if not 0 <= mu <= MU_MAX:     # a NaN coupling is refused here too
         raise ConfigurationError(f"coupling must lie in [0, {MU_MAX}], got {mu}")
     key = ("groundstate", float(mu))
     if key in grid._cache:
@@ -344,27 +340,6 @@ def solve_Q_mu(mu, grid):
 # pathway 2: constrained gradient flow
 # ---------------------------------------------------------------------------
 
-def estimate_nonlocal_gn_constant(grid):
-    """Empirical bound for the nonlocal quotient over a Gaussian-soliton family."""
-    key = ("gn_nonlocal_bound",)
-    if key in grid._cache:
-        return grid._cache[key]
-    r = grid.nodes
-    best = 0.0
-    for width in (0.6, 0.8, 1.0, 1.4, 2.0):
-        best = max(best, gn_nonlocal_quotient(grid, np.exp(-r ** 2 / (2 * width ** 2))))
-    best = max(best, gn_nonlocal_quotient(grid, solve_classical_Q(grid).Q.values))
-    grid._cache[key] = best
-    return best
-
-
-def coercivity_bracket(a, mu, grid):
-    """1 - (a/|Q|^2)^(2/3) - 2 mu C_* a with the empirical constant."""
-    qn2 = solve_classical_Q(grid).mass
-    cstar = estimate_nonlocal_gn_constant(grid)
-    return 1.0 - (a / qn2) ** (2.0 / 3.0) - 2.0 * mu * cstar * a
-
-
 def minimize_constrained(a, mu, grid):
     """Projected imaginary-time flow at fixed mass, then multiplier rescale.
 
@@ -380,14 +355,12 @@ def minimize_constrained(a, mu, grid):
     # A minimizer exists only at the soliton mass a_crit: below it the
     # infimum E = 0 is not attained (Weinstein, Comm. Math. Phys. 87, 1983),
     # so the flow would only spread out; above it the energy is unbounded
-    # below and the flow would collapse.  The sufficient coercivity bracket
-    # cannot gate critical-mass runs: it is strictly stronger than existence
-    # and turns negative at the soliton mass for every positive coupling.
+    # below and the flow would collapse.
     a_crit = solve_Q_mu(mu, grid).mass
-    if a < a_crit * (1.0 - 1e-9):
+    if not a >= a_crit * (1.0 - 1e-9):     # a NaN mass is refused here too
         raise ConfigurationError(
-            f"mass {a:g} is below the soliton mass a_crit = {a_crit:g} at coupling "
-            f"{mu:g}; no constrained minimizer exists there"
+            f"mass {a:g} is not at least the soliton mass a_crit = {a_crit:g} at "
+            f"coupling {mu:g}; no constrained minimizer exists below it"
         )
     if a > a_crit * (1.0 + 1e-9):
         raise CoercivityError(

@@ -25,9 +25,14 @@ the index range is bisected down to dense diagonal leaves, and each
 off-diagonal block of the bisection, smooth because it stays away from
 the diagonal, is held as a product U V^T truncated at singular values
 1e-14 times its largest, found by a seeded randomized range finder.  The
-dense fill is freed once compressed.  A 3-D quadrature oracle (spherical
-shells centered on the evaluation point, which cancels the |x|^-2
-singularity exactly) provides the independent calibration path.
+dense fill is freed once compressed.
+
+One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
+calibration path for every channel: spherical shells centered on an
+evaluation point on the axis cancel the |x|^-2 singularity exactly, each
+shell is a chord integral over the source radius with a factor
+P_l(cos theta_y), and the result, the channel profile (A_l p)(R), is
+checked for convergence between two shell resolutions.
 """
 
 from dataclasses import dataclass
@@ -246,7 +251,6 @@ class MultipoleKernel:
     """
 
     l: int
-    coefficient: float
     grid: RadialGrid
     matrix: HodlrMatrix
 
@@ -307,9 +311,7 @@ def build_multipole_kernel(grid, l):
     key = ("hartree_kernel", l)
     if key not in grid._cache:
         matrix = _compress(_dense_kernel(grid, l))
-        grid._cache[key] = MultipoleKernel(
-            l=l, coefficient=CHANNEL_COEFFICIENT, grid=grid, matrix=matrix
-        )
+        grid._cache[key] = MultipoleKernel(l=l, grid=grid, matrix=matrix)
     return grid._cache[key]
 
 
@@ -428,59 +430,66 @@ def channel_convolve(kernel, f):
 # independent 3-D quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _spherical_mean_times_4pi(fun, radius, s, feature_radii, n_tau):
-    """4 pi times the mean of fun over the sphere of radius s about the point.
+_CHORD_GL = np.polynomial.legendre.leggauss(48)   # per chord interval, at both resolutions
 
-    Uses the chord identity: the mean equals (1/(2 R s)) times the integral
-    of fun(tau) tau over tau in [|R-s|, R+s], so kinks of fun at known radii
-    can be made panel ends and integrated to spectral accuracy.
+
+def _shell_integrals(fun, l, radius, s, features):
+    """Integrals of fun(|y|) P_l(cos theta_y) over the spheres of radii `s`
+    centred on the axis point at `radius`.
+
+    Chord identity: on the sphere of radius s the source radius tau runs over
+    [|R-s|, R+s] with surface element 2 pi tau dtau / (R s), and the source's
+    polar angle has cos theta_y = (tau^2 + R^2 - s^2) / (2 R tau).  `features`
+    are kink radii of fun inside every chord of `s`; they become interval
+    ends, so the Gauss rule only sees smooth pieces.
     """
-    gx, gw = np.polynomial.legendre.leggauss(n_tau)
-    out = np.zeros_like(s)
-    for idx, sv in enumerate(s):
-        lo, hi = abs(radius - sv), radius + sv
-        breaks = [lo] + [b for b in feature_radii if lo < b < hi] + [hi]
-        acc = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            tau = 0.5 * (a + b) + 0.5 * (b - a) * gx
-            wt = 0.5 * (b - a) * gw
-            acc += np.sum(wt * fun(tau) * tau)
-        out[idx] = acc * 2.0 * np.pi / (radius * sv) if radius * sv > 0 else 4.0 * np.pi * fun(
-            np.array([sv])
-        )[0]
-    return out
+    if radius == 0.0:
+        # each shell is the sphere |y| = s, where P_l averages to 0 for l >= 1
+        return 4.0 * np.pi * fun(s) if l == 0 else np.zeros_like(s)
+    gx, gw = _CHORD_GL
+    ends = np.stack([np.abs(radius - s), *(np.full_like(s, b) for b in features),
+                     radius + s], axis=1)
+    a, b = ends[:, :-1, None], ends[:, 1:, None]
+    tau = 0.5 * (a + b) + 0.5 * (b - a) * gx
+    cos_y = (tau ** 2 + radius ** 2 - s[:, None, None] ** 2) / (2.0 * radius * tau)
+    vals = fun(tau) * np.polynomial.Legendre.basis(l)(np.clip(cos_y, -1.0, 1.0)) * tau
+    return 2.0 * np.pi / (radius * s) * np.sum(0.5 * (b - a) * gw * vals, axis=(1, 2))
 
 
-def _oracle_once(fun, radius, s_panels, n_s, feature_radii):
-    """integral over s of the spherical mean of fun around a point at `radius`."""
+def _oracle_once(fun, l, radius, s_panels, n_s, feature_radii):
+    """integral over s of the shell integrals around the axis point at `radius`."""
     gx, gw = np.polynomial.legendre.leggauss(n_s)
     total = 0.0
     for a, b in zip(s_panels[:-1], s_panels[1:]):
         s = 0.5 * (a + b) + 0.5 * (b - a) * gx
-        ws = 0.5 * (b - a) * gw
-        shell = _spherical_mean_times_4pi(fun, radius, s, feature_radii, n_tau=24)
-        total += np.sum(ws * shell)
+        mid = 0.5 * (a + b)    # the panel ends include every |R - rho| and R + rho
+        inside = [rho for rho in feature_radii if abs(radius - mid) < rho < radius + mid]
+        total += 0.5 * (b - a) * np.dot(gw, _shell_integrals(fun, l, radius, s, inside))
     return total
 
 
 def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
     """Evaluate |x|^-2 * f by direct 3-D quadrature at the given radii.
 
-    `f` is a RadialField or a callable of the radius; the quadrature re-centers
-    spherical shells on the evaluation point so the kernel singularity cancels
-    exactly.  Convergence is verified by comparing two resolutions; failure
-    raises QuadratureError carrying the achieved error estimate.
+    `f` is a RadialField of channel l, standing for the density p(|y|) P_l
+    of its profile p, or a callable of the radius (channel 0).  The
+    evaluation points lie on the axis, where the convolution equals the
+    channel profile (A_l p)(R).  The quadrature re-centers spherical shells
+    on the evaluation point so the kernel singularity cancels exactly.
+    Convergence is verified by comparing two resolutions; failure, a NaN
+    estimate included, raises QuadratureError carrying the achieved error
+    estimate.
 
     A RadialField is represented by a smooth spline, appropriate for smooth
     densities; pass discontinuous densities as callables (with their jump
     radii in `feature_radii`) so the chord integrals see the true jump.
     """
     if isinstance(f, RadialField):
-        if f.l != 0:
-            raise ConfigurationError("the oracle integrates radial (l=0) densities")
-        fun = profile_interpolator(f.grid, np.real(f.values))
+        l = f.l
+        fun = profile_interpolator(f.grid, np.real(f.values), l)
         s_support = f.grid.r_max
     else:
+        l = 0
         fun = f
         s_support = support if support is not None else 40.0
 
@@ -499,10 +508,10 @@ def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
         for frac in (0.25, 0.5, 0.75):
             breaks.add(frac * s_max)
         panels = np.array(sorted(breaks))
-        coarse = _oracle_once(fun, radius, panels, 16, feature_radii)
-        fine = _oracle_once(fun, radius, panels, 28, feature_radii)
+        coarse = _oracle_once(fun, l, radius, panels, 16, feature_radii)
+        fine = _oracle_once(fun, l, radius, panels, 28, feature_radii)
         err = abs(fine - coarse) / max(abs(fine), 1e-300)
-        if err > rel_tol:
+        if not err <= rel_tol:
             raise QuadratureError(
                 f"oracle failed to converge at r={radius:g}", error_estimate=err
             )
@@ -518,47 +527,17 @@ def calibrate_channel_coefficient(grid, l):
 
     The kernel is built with the resolved constant 2*pi; the fitted ratio
     should be 1 to oracle accuracy and is recorded alongside the constant.
+    The oracle's QuadratureError surfaces if it does not converge.
     """
-    kernel = build_multipole_kernel(grid, l)
     r = grid.nodes
-    profile = r ** l * np.exp(-r ** 2)
-    mine = channel_convolve(kernel, RadialField(grid, l, profile))
-    fun3d = profile_interpolator(grid, profile, l)
-
-    ratios = []
-    for radius in _ORACLE_RADII:
-        # compare on the node nearest the requested radius; the convolution of
-        # p(|y|) P_l(cos theta) on the axis equals the channel profile itself
-        idx = int(np.argmin(np.abs(r - radius)))
-        val = _axis_oracle_channel(fun3d, l, r[idx], grid.r_max)
-        ratios.append(val / mine.values[idx])
-    ratios = np.array(ratios)
+    field = RadialField(grid, l, r ** l * np.exp(-r ** 2))
+    mine = channel_convolve(build_multipole_kernel(grid, l), field)
+    # compare on the nodes nearest the oracle radii
+    idx = [int(np.argmin(np.abs(r - radius))) for radius in _ORACLE_RADII]
+    ratios = brute_force_oracle(field, r[idx]) / mine.values[idx]
     return {
         "l": l,
-        "coefficient": kernel.coefficient,
+        "coefficient": CHANNEL_COEFFICIENT,
         "fitted_ratio": float(np.mean(ratios)),
         "ratio_spread": float(np.max(np.abs(ratios - 1.0))),
     }
-
-
-def _axis_oracle_channel(fun, l, radius, support):
-    """3-D quadrature of (|x|^-2 * p(|y|) P_l) on the axis at `radius`."""
-    from numpy.polynomial.legendre import legval
-
-    cg, cw = np.polynomial.legendre.leggauss(60)
-    gx, gw = np.polynomial.legendre.leggauss(24)
-    s_max = radius + support
-    breaks = sorted({0.0, 0.25 * s_max, 0.5 * s_max, 0.75 * s_max, s_max})
-    unit = np.zeros(l + 1)
-    unit[l] = 1.0
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        s = 0.5 * (a + b) + 0.5 * (b - a) * gx
-        ws = 0.5 * (b - a) * gw
-        dist = np.sqrt(radius ** 2 + s[:, None] ** 2 + 2.0 * radius * s[:, None] * cg[None, :])
-        # cos of the polar angle of the source point y = x0 + s omega
-        cos_y = (radius + s[:, None] * cg[None, :]) / np.maximum(dist, 1e-300)
-        vals = fun(dist) * legval(np.clip(cos_y, -1, 1), unit)
-        shell = 2.0 * np.pi * np.sum(vals * cw[None, :], axis=1)
-        total += np.sum(ws * shell)
-    return total

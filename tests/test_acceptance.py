@@ -161,8 +161,7 @@ def test_criterion_4_hartree_calibration(grid_std):
     _record(4, worst <= 1e-4,
             f"worst oracle mismatch {worst:.1e}; resolved constants "
             + ", ".join(f"c_{l}={consts[l]:.8f}" for l in consts)
-            + " (c_1 and c_2 sit about 1e-6 off 2*pi: the 3-D axis oracle "
-            "_axis_oracle_channel limits them, not the kernel)")
+            + " (every channel checked by the one convergence-checked 3-D chord oracle)")
 
 
 # -- criteria 5-7: profile hierarchy -----------------------------------------

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+import dcnls.grid
 from dcnls.cli import run_command
 
 
@@ -25,6 +27,22 @@ def test_groundstate_smoke(tmp_path):
     assert isinstance(iters, int) and iters > 0
     header = (run_dir / "Q_mu.csv").read_text().splitlines()[0]
     assert header == "r[length],Re,Im"
+
+
+def test_command_frees_its_grid(tmp_path, monkeypatch):
+    # the solved grid caches its ground state, whose fields refer back to the
+    # grid; the command's grid and kernels must not outlive run_command
+    refs = []
+    build = dcnls.grid.build_grid
+
+    def spy(*args):
+        grid = build(*args)
+        refs.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(dcnls.grid, "build_grid", spy)
+    assert _run(["groundstate", "--mu", "0.02", "--grid-n", "256"], str(tmp_path)) == 0
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_spectrum_smoke(tmp_path):
@@ -74,6 +92,7 @@ def test_out_of_range_coupling_exits_2(tmp_path):
     run_dir = tmp_path / "runs" / "groundstate-mu0.3-n256"
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"].startswith("FAILED (configuration)")
+    assert _run(["groundstate", "--mu", "nan", "--grid-n", "256"], str(tmp_path)) == 2
 
 
 @pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--k", "1"], ["--k", "0"]])

@@ -52,6 +52,15 @@ def test_standing_wave_preserved(grid, gs):
     assert traj.energy_drift_rate() <= 1e-6
 
 
+@pytest.mark.parametrize("dt, t_final", [(0.0, 1.0), (np.nan, 1.0), (1e-3, -1.0), (-1e-3, 1.0)])
+def test_evolve_refuses_a_step_that_cannot_reach_t_final(grid, dt, t_final):
+    u0 = make_initial_data("gaussian", grid=grid, width=2.0, amplitude=1.0)
+    with pytest.raises(ConfigurationError):
+        evolve(u0, 0.0, dt=dt, t_final=t_final)
+    # reaching the start time is a run of no steps
+    assert evolve(u0, 0.0, dt=1e-3, t_final=u0.t).steps == 0
+
+
 def test_subcritical_mass_stays_bounded(grid, gs):
     vals = 0.8 * gs.Q.values.astype(complex)   # mass below the soliton mass
     u0 = EvolutionState.from_values(grid, vals, 0.0)

@@ -9,7 +9,6 @@ import dcnls.groundstate as groundstate
 from dcnls.errors import CoercivityError, ConfigurationError, ConvergenceError
 from dcnls.grid import build_grid
 from dcnls.groundstate import (
-    coercivity_bracket,
     energy_mu,
     functional_report,
     grad_sq_3d,
@@ -169,6 +168,8 @@ def test_solve_q_mu_rejects_out_of_range(grid):
         solve_Q_mu(-0.01, grid)
     with pytest.raises(ConfigurationError):
         solve_Q_mu(0.5, grid)
+    with pytest.raises(ConfigurationError):
+        solve_Q_mu(np.nan, grid)
 
 
 def test_solve_q_mu_state(grid):
@@ -227,7 +228,7 @@ def test_newton_iters_count_every_polish(monkeypatch):
     assert flow.diagnostics["newton_iters"] == len(calls) > 0
 
 
-@pytest.mark.parametrize("fraction", [0.9, 0.99])
+@pytest.mark.parametrize("fraction", [0.9, 0.99, np.nan])
 def test_subcritical_mass_refused(grid, classical, fraction):
     with pytest.raises(ConfigurationError, match=f"a_crit = {classical.mass:g}"):
         minimize_constrained(fraction * classical.mass, 0.0, grid)
@@ -238,12 +239,6 @@ def test_supercritical_mass_refused(grid, classical):
         minimize_constrained(classical.mass * 1.5, 0.02, grid)
     assert exc.value.threshold is not None
     assert exc.value.threshold < classical.mass
-
-
-def test_coercivity_bracket_reported(grid, classical):
-    # positive deep inside the coercive range, negative for large masses
-    assert coercivity_bracket(0.1 * classical.mass, 0.001, grid) > 0
-    assert coercivity_bracket(2.0 * classical.mass, 0.05, grid) < 0
 
 
 def test_perturbation_rate_asymptotic(grid):

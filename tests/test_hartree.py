@@ -22,19 +22,29 @@ def grid():
     return build_grid(1024, 40.0, "tanh")
 
 
+def _oracle_error(field, exact):
+    """Largest relative error of the 3-D oracle at the calibration nodes."""
+    r = field.grid.nodes
+    idx = [int(np.argmin(np.abs(r - p))) for p in hartree._ORACLE_RADII]
+    vals = brute_force_oracle(field, r[idx])
+    return np.max(np.abs(vals - exact[idx]) / np.abs(exact[idx]))
+
+
 def test_gaussian_against_dawson_form(grid):
     # A(exp(-|y|^2)) = 2 pi^{3/2} F(r)/r with F the Dawson function
     r = grid.nodes
-    out = hartree_potential(RadialField(grid, 0, np.exp(-r ** 2)))
+    dens = RadialField(grid, 0, np.exp(-r ** 2))
+    out = hartree_potential(dens)
     exact = 2 * np.pi ** 1.5 * dawsn(r) / r
     err = np.max(np.abs(out.values - exact)[r < 30]) / np.max(np.abs(exact))
     assert err <= 5e-7
+    assert _oracle_error(dens, exact) <= 1e-10
 
 
 def test_gaussian_at_origin(grid):
     f = RadialField(grid, 0, np.exp(-grid.nodes ** 2))
-    v = brute_force_oracle(f, [1e-9])
-    assert v[0] == pytest.approx(2 * np.pi ** 1.5, rel=1e-6)
+    v = brute_force_oracle(f, [1e-9, 0.0])
+    assert v == pytest.approx(2 * np.pi ** 1.5, rel=1e-6)
 
 
 def test_unit_ball_values():
@@ -69,6 +79,9 @@ def test_oracle_reports_nonconvergence():
     with pytest.raises(QuadratureError) as exc:
         brute_force_oracle(f, [0.7], rel_tol=1e-12)
     assert exc.value.error_estimate is not None
+    # a NaN estimate is a failure, not a value
+    with pytest.raises(QuadratureError):
+        brute_force_oracle(lambda d: np.full_like(d, np.nan), [0.7])
 
 
 def test_oracle_cross_check_on_soliton_like_density(grid):
@@ -96,17 +109,20 @@ def test_channel_l1_against_dawson_form(grid):
     # convolution is -(1/2) d/dr [2 pi^{3/2} F(r)/r]
     r = grid.nodes
     k1 = build_multipole_kernel(grid, 1)
-    out = channel_convolve(k1, RadialField(grid, 1, r * np.exp(-r ** 2)))
+    dens = RadialField(grid, 1, r * np.exp(-r ** 2))
+    out = channel_convolve(k1, dens)
     F = dawsn(r)
     exact = -np.pi ** 1.5 * ((1 - 2 * r * F) / r - F / r ** 2)
     err = np.max(np.abs(out.values - exact)[r < 25]) / np.max(np.abs(exact))
     assert err <= 1e-6
+    assert _oracle_error(dens, exact) <= 1e-10
 
 
 def test_channel_l2_against_dawson_form(grid):
     r = grid.nodes
     k2 = build_multipole_kernel(grid, 2)
-    out = channel_convolve(k2, RadialField(grid, 2, (2.0 / 3.0) * r ** 2 * np.exp(-r ** 2)))
+    dens = RadialField(grid, 2, (2.0 / 3.0) * r ** 2 * np.exp(-r ** 2))
+    out = channel_convolve(k2, dens)
     F = dawsn(r)
     Fp = 1 - 2 * r * F
     Fpp = -2 * F - 2 * r * Fp
@@ -115,6 +131,7 @@ def test_channel_l2_against_dawson_form(grid):
     exact = (Tpp - Tp / r) / 6.0
     err = np.max(np.abs(out.values - exact)[r < 25]) / np.max(np.abs(exact))
     assert err <= 1e-6
+    assert _oracle_error(dens, exact) <= 1e-10
 
 
 def test_channel_zero_in_zero_out(grid):
@@ -130,12 +147,13 @@ def test_channel_mismatch_rejected(grid):
 
 
 def test_calibrated_coefficients():
-    g = build_grid(512, 20.0, "tanh")
-    for l in (0, 1, 2):
-        rep = calibrate_channel_coefficient(g, l)
-        assert rep["coefficient"] == pytest.approx(2 * np.pi)
-        assert abs(rep["fitted_ratio"] - 1.0) <= 1e-5
-        assert rep["ratio_spread"] <= 1e-5
+    for n, r_max, bound in ((512, 20.0, 1e-5), (1536, 40.0, 2e-7)):
+        g = build_grid(n, r_max, "tanh")
+        for l in (0, 1, 2):
+            rep = calibrate_channel_coefficient(g, l)
+            assert rep["coefficient"] == pytest.approx(2 * np.pi)
+            assert abs(rep["fitted_ratio"] - 1.0) <= bound
+            assert rep["ratio_spread"] <= bound
 
 
 def test_linearity_positivity_monotonicity(grid):
