@@ -11,8 +11,8 @@ import importlib
 
 _EXPORTS = {
     "grid": ("RadialGrid", "RadialField", "build_grid", "inner_product", "apply_generator"),
-    "hartree": ("MultipoleKernel", "build_multipole_kernel", "hartree_potential",
-                "channel_convolve", "brute_force_oracle"),
+    "hartree": ("MultipoleKernel", "build_multipole_kernel", "channel_convolve",
+                "brute_force_oracle"),
     "groundstate": ("GroundState", "solve_classical_Q", "solve_Q_mu", "minimize_constrained",
                     "functional_report", "perturbation_rate"),
     "linop": ("ChannelOperator", "SpectrumReport", "assemble_channel_operator",

@@ -188,10 +188,10 @@ def build_grid(n, r_max, stretch="tanh"):
     n >= 16 nodes on (0, r_max]; `stretch` is "uniform" or "tanh", whose
     node density ratio is (1 - w sech^2 s)/(1 - w) with w = 0.85, s = 3.
     """
-    if n < 16:
-        raise ConfigurationError(f"need n >= 16 nodes, got {n}")
-    if r_max <= 0:
-        raise ConfigurationError(f"need r_max > 0, got {r_max}")
+    if not isinstance(n, (int, np.integer)) or not n >= 16:
+        raise ConfigurationError(f"need an integer n >= 16 nodes, got {n!r}")
+    if not 0.0 < r_max <= 1e100:     # the weights carry r_max^3
+        raise ConfigurationError(f"need 0 < r_max <= 1e100, got {r_max!r}")
     m, m1 = _stretch_functions(stretch, float(r_max))
 
     xi_nodes = (np.arange(n) + 0.5) / n

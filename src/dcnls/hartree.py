@@ -13,19 +13,18 @@ higher g_l follow from the Legendre recurrence; for small t a power series
 with rational coefficients is used to dodge the cancellation in the
 closed forms.
 
-The channel operator is first filled as a dense matrix: smooth off-band
-entries use the grid's product-integration node weights, filled in row
-blocks that evaluate the symmetric pointwise kernel once per unordered
-pair of nodes, so no n x n temporary is made; a band of
-cells around the diagonal is re-integrated cell by cell against the local
-degree-5 interpolant, with a double-exponential rule absorbing the
-logarithmic singularity on the diagonal cell itself.  The dense fill is
-then compressed into a hierarchical off-diagonal low-rank (HODLR) matrix:
-the index range is bisected down to dense diagonal leaves, and each
-off-diagonal block of the bisection, smooth because it stays away from
-the diagonal, is held as a product U V^T truncated at singular values
-1e-14 times its largest, found by a seeded randomized range finder.  The
-dense fill is freed once compressed.
+The channel operator is the pointwise far field k_l(r_i, rho_j) w_j with
+the grid's product-integration node weights, 0 on the diagonal, plus one
+sparse near-field correction: a band of cells around the diagonal is
+re-integrated cell by cell against the local degree-5 interpolant, with a
+double-exponential rule absorbing the logarithmic singularity on the
+diagonal cell itself.  It is built block by block as a hierarchical
+off-diagonal low-rank (HODLR) matrix: the index range is bisected down to
+dense diagonal leaves, and each off-diagonal block of the bisection,
+smooth because it stays away from the diagonal, is filled, corrected and
+held as a product U V^T truncated at singular values 1e-14 times its
+largest, found by a seeded randomized range finder.  No n x n array is
+held during the build.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigurationError, GridMismatchError, QuadratureError
 from .grid import RadialField, RadialGrid, _fd_weights, profile_interpolator
@@ -46,7 +46,6 @@ from .grid import RadialField, RadialGrid, _fd_weights, profile_interpolator
 __all__ = [
     "MultipoleKernel",
     "build_multipole_kernel",
-    "hartree_potential",
     "channel_convolve",
     "brute_force_oracle",
     "calibrate_channel_coefficient",
@@ -137,10 +136,12 @@ def _tanh_sinh_rule():
 _DE_X, _DE_W = _tanh_sinh_rule()
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
+_GL16_CELLS = 3    # cells each side of the diagonal cell that take the 16-point rule
 
 _BAND = 12       # cells each side of the diagonal integrated exactly
-_ROWS = 256      # row block of the far-zone fill
-_LEAF = 256      # largest dense diagonal leaf of the compressed kernel
+_CORE = _BAND + 24   # rows whose exact zone extends down to rho = 0 (with _BAND)
+_ROWS = 256      # row chunk of the far-field fill
+_LEAF = 256      # largest dense diagonal leaf of the HODLR kernel
 _SKETCH = 48     # first width of an off-diagonal block's random sketch
 _SVD_CUT = 1e-14  # singular values kept, relative to the block's largest
 
@@ -222,24 +223,6 @@ def _factor_block(block, rng):
     return (basis @ (u[:, :rank] * s[:rank]), np.ascontiguousarray(vt[:rank]))
 
 
-def _compress(mat):
-    """HODLR form of `mat`; it copies what it keeps, so `mat` can be freed."""
-    n = mat.shape[0]
-    rng = np.random.default_rng(0)
-    blocks = []
-    stack = [(0, n)]     # an explicit stack: a recursive closure would keep `mat` alive
-    while stack:
-        a, b = stack.pop()
-        if b - a <= _LEAF:
-            blocks.append((slice(a, b), slice(a, b), (mat[a:b, a:b].copy(),)))
-            continue
-        m = (a + b) // 2
-        for rows, cols in ((slice(a, m), slice(m, b)), (slice(m, b), slice(a, m))):
-            blocks.append((rows, cols, _factor_block(mat[rows, cols], rng)))
-        stack += [(m, b), (a, m)]
-    return HodlrMatrix(n, blocks)
-
-
 @dataclass(eq=False)
 class MultipoleKernel:
     """Channel operator for the |x|^-2 convolution at fixed l.
@@ -258,15 +241,15 @@ class MultipoleKernel:
 def _lagrange_values(stencil_r, x):
     """Values of the 6 Lagrange basis polynomials of `stencil_r` at x."""
     width = stencil_r.shape[-1]
+    diffs = [x - stencil_r[..., j, None] for j in range(width)]
     out = []
     for m in range(width):
         lag = np.ones_like(x)
         for j in range(width):
             if j == m:
                 continue
-            lag = lag * (x - stencil_r[..., j, None]) / (
-                stencil_r[..., m, None] - stencil_r[..., j, None]
-            )
+            lag *= diffs[j]
+            lag /= stencil_r[..., m, None] - stencil_r[..., j, None]
         out.append(lag)
     return np.stack(out, axis=-2)   # (..., 6, npts)
 
@@ -276,47 +259,92 @@ _GREG_R = _fd_weights(np.array([0.5, 1.5, 2.5, 3.5]), 1)
 _GREG_L = _fd_weights(np.array([-0.5, -1.5, -2.5, -3.5]), 1)
 
 
-def _exact_cell_rows(grid, l, i, c, singular):
+def _exact_cell_rows(grid, l, i, c):
     """Exact integrals over cell c of k(r_i, .) times the 6 local basis polys."""
     r = grid.nodes
-    sr = r[grid.cell_stencils]
-    a_edge = grid.edges[:-1][c]
-    b_edge = grid.edges[1:][c]
-    if singular:
+    sr = r[grid.cell_stencils[c]]
+    a_edge, b_edge = grid.edges[c], grid.edges[c + 1]
+    if np.any(c == i):
         corr = np.zeros((i.size, grid.cell_stencils.shape[1]))
         for a, b in ((a_edge, r[i]), (r[i], b_edge)):
             x = a[:, None] + (b - a)[:, None] * _DE_X[None, :]
             wq = (b - a)[:, None] * _DE_W[None, :]
             kv = _kernel_values(l, r[i][:, None], x)
-            lag = _lagrange_values(sr[c], x)
+            lag = _lagrange_values(sr, x)
             corr += np.einsum("ip,imp->im", wq * x ** 2 * kv, lag)
         return corr
-    gx, gw = _GL16 if np.max(np.abs(c - i)) <= 3 else _GL8
+    gx, gw = _GL16 if np.max(np.abs(c - i)) <= _GL16_CELLS else _GL8
     mid = 0.5 * (a_edge + b_edge)
     half = 0.5 * (b_edge - a_edge)
     x = mid[:, None] + half[:, None] * gx[None, :]
     wq = half[:, None] * gw[None, :]
     kv = _kernel_values(l, r[i][:, None], x)
-    lag = _lagrange_values(sr[c], x)
+    lag = _lagrange_values(sr, x)
     return np.einsum("ip,imp->im", wq * x ** 2 * kv, lag)
 
 
 def build_multipole_kernel(grid, l):
-    """The channel-l operator on `grid`, cached on the grid, in HODLR form.
-
-    The dense matrix of `_dense_kernel` is compressed and then freed.
-    """
-    if l < 0 or l >= _L_MAX_TABLE:
-        raise ConfigurationError(f"channel index {l} outside the tabulated range")
+    """The channel-l operator on `grid`, cached on the grid, in HODLR form."""
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < _L_MAX_TABLE:
+        raise ConfigurationError(f"channel index {l!r} is not an integer in [0, {_L_MAX_TABLE})")
     key = ("hartree_kernel", l)
     if key not in grid._cache:
-        matrix = _compress(_dense_kernel(grid, l))
-        grid._cache[key] = MultipoleKernel(l=l, grid=grid, matrix=matrix)
+        grid._cache[key] = MultipoleKernel(l=l, grid=grid, matrix=_hodlr_kernel(grid, l))
     return grid._cache[key]
 
 
-def _dense_kernel(grid, l):
-    """The dense channel-l operator matrix on `grid`.
+def _far_rows(l, r, rho, ordered=False):
+    """k_l(r_i, rho_j) as an (r.size, rho.size) array, filled _ROWS rows at a
+    time to bound _g_ratio's temporaries; `ordered` promises r_i <= rho_j."""
+    out = np.empty((r.size, rho.size))
+    for a in range(0, r.size, _ROWS):
+        lo = r[a:a + _ROWS, None]
+        out[a:a + _ROWS] = (CHANNEL_COEFFICIENT * _g_ratio(l, lo / rho) / rho ** 2
+                            if ordered else _kernel_values(l, lo, rho))
+    return out
+
+
+def _add_near(block, near, rows, cols):
+    """`block` plus the entries of the sparse `near` in (rows, cols), in place."""
+    sub = near[rows, cols].tocoo()
+    block[sub.row, sub.col] += sub.data
+    return block
+
+
+def _hodlr_kernel(grid, l):
+    """The channel-l operator on `grid` as a HodlrMatrix, built block by block.
+
+    Each block of the bisection is filled with the far field, gets its
+    entries of `_near_field`, is factored and is dropped.  In a mirrored
+    pair of off-diagonal blocks the rows lie below the columns, so the
+    pointwise values serve both, reweighted in place for the transpose.
+    """
+    r, w = grid.nodes, grid.weights
+    near = _near_field(grid, l)
+    rng = np.random.default_rng(0)
+    blocks = []
+    stack = [(0, grid.n)]
+    while stack:
+        a, b = stack.pop()
+        if b - a <= _LEAF:
+            span = slice(a, b)
+            leaf = _far_rows(l, r[span], r[span]) * w[span]
+            np.fill_diagonal(leaf, 0.0)
+            blocks.append((span, span, (_add_near(leaf, near, span, span),)))
+            continue
+        m = (a + b) // 2
+        top, bottom = slice(a, m), slice(m, b)
+        vals = _far_rows(l, r[top], r[bottom], ordered=True)
+        blocks.append((top, bottom, _factor_block(
+            _add_near(vals * w[bottom], near, top, bottom), rng)))
+        vals *= w[top, None]
+        blocks.append((bottom, top, _factor_block(_add_near(vals.T, near, bottom, top), rng)))
+        stack += [(m, b), (a, m)]
+    return HodlrMatrix(grid.n, blocks)
+
+
+def _near_field(grid, l):
+    """Every correction to the far field k_l(r_i, rho_j) w_j, as one CSR matrix.
 
     Rows are quadratures of k_l(r_i, rho) f(rho) rho^2 drho: midpoint node
     weights away from the diagonal (their Euler-Maclaurin boundary terms
@@ -324,84 +352,55 @@ def _dense_kernel(grid, l):
     Gregory-type corrections), and exact kernel integration against the
     local degree-5 interpolant of f on a band of cells around the diagonal
     plus, for core rows, down to the origin where the kernel varies on the
-    scale of rho itself.
+    scale of rho itself.  Duplicate (row, column) corrections are summed.
+    Every entry lies within _BAND + 4 of the diagonal or has row and column
+    at most _CORE + _BAND.
     """
-    n = grid.n
-    r = grid.nodes
-    w = grid.weights
+    n, r, w, sten = grid.n, grid.nodes, grid.weights, grid.cell_stencils
     w_mid = grid.h_xi * grid.jac * r ** 2   # pure midpoint weights (Gregory samples)
-    sten = grid.cell_stencils
 
-    # the pointwise kernel is symmetric in (r, rho): evaluate each block's
-    # upper triangle once and mirror it, reweighted, below the diagonal
-    mat = np.empty((n, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(0, n, _ROWS):
-            b = min(a + _ROWS, n)
-            blk = _kernel_values(l, r[a:b, None], r[None, a:])
-            mat[a:b, a:] = blk * w[a:]
-            mat[b:, a:b] = blk[:, b - a:].T * w[a:b]
-    np.fill_diagonal(mat, 0.0)
-
-    core = _BAND + 24    # rows whose exact zone extends down to rho = 0
-
-    def replace_cells(i, c):
-        singular = bool(np.any(c == i))
-        corr = _exact_cell_rows(grid, l, i, c, singular)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            naive = w[c] * _kernel_values(l, r[i], r[c])
-        naive[c == i] = 0.0
-        mat[i, c] -= naive
-        np.add.at(mat, (i[:, None], sten[c]), corr)
-
-    for off in range(-_BAND, _BAND + 1):
-        i = np.arange(n)
-        c = i + off
-        ok = (c >= 0) & (c < n)
-        if np.any(ok):
-            replace_cells(i[ok], c[ok])
-
-    # extend the exact zone to the origin for core rows
-    for c in range(core):
-        i = np.arange(_BAND + 1 + c, min(core + _BAND + 1, n))
-        i = i[(i - _BAND) > c]
+    def replace_cells(parts, i, c):
         if i.size:
-            replace_cells(i, np.full(i.size, c))
+            naive = w[c] * _kernel_values(l, r[i], r[c])
+            naive[c == i] = 0.0
+            parts.append((i, c, -naive))
+            parts.append((np.repeat(i, sten.shape[1]), sten[c].ravel(),
+                          _exact_cell_rows(grid, l, i, c).ravel()))
 
-    # Gregory corrections at the cuts between the exact zone and the
-    # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
-    rows = np.arange(n)
-    right0 = rows + _BAND + 1
-    ok = right0 + 3 < n
-    i = rows[ok]
-    for d in range(4):
-        j = right0[ok] + d
-        mat[i, j] -= (_GREG_R[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
-    left_edge = rows - _BAND - 1
-    ok = (left_edge - 3 >= 0) & (rows > core + _BAND)
-    i = rows[ok]
-    for d in range(4):
-        j = left_edge[ok] - d
-        mat[i, j] += (_GREG_L[d] / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
+    band = np.arange(-_BAND, _BAND + 1)
+    rules = (band[band == 0], band[(band != 0) & (np.abs(band) <= _GL16_CELLS)],
+             band[np.abs(band) > _GL16_CELLS])     # band offsets by quadrature rule
+    chunks = []     # rows in chunks of _ROWS, which bound the quadrature temporaries
+    for start in range(0, n, _ROWS):
+        rows = np.arange(start, min(start + _ROWS, n))
+        parts = []     # (rows, columns, values)
+        for offsets in rules:
+            i, c = np.broadcast_arrays(rows[:, None], rows[:, None] + offsets)
+            ok = (c >= 0) & (c < n)
+            replace_cells(parts, i[ok], c[ok])
+
+        # extend the exact zone to the origin for core rows
+        i, c = np.broadcast_arrays(rows[:, None], np.arange(_CORE))
+        ok = (i > _BAND + c) & (i <= _CORE + _BAND)
+        replace_cells(parts, i[ok], c[ok])
+
+        # Gregory corrections at the cuts between the exact zone and the
+        # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
+        d = np.arange(4)
+        for ok, j, weight in ((rows + _BAND + 4 < n, rows[:, None] + _BAND + 1 + d, -_GREG_R),
+                              (rows > _CORE + _BAND, rows[:, None] - _BAND - 1 - d, _GREG_L)):
+            i, j = np.broadcast_arrays(rows[ok, None], j[ok])
+            v = (weight / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
+            parts.append((i.ravel(), j.ravel(), v.ravel()))
+
+        i, j, v = (np.concatenate(x) for x in zip(*parts))
+        chunks.append(sparse.csr_matrix((v, (i - start, j)), shape=(rows.size, n)))
 
     # no explicit W-symmetrization: each row is an accurate quadrature of the
     # symmetric continuum form, so bilinear symmetry holds to quadrature
     # accuracy, while forcing entrywise symmetry would corrupt the near-origin
     # rows (midpoint column weights underweight the first nodes individually).
-    return mat
-
-
-def hartree_potential(f, nonneg=False):
-    """A(f) = |x|^-2 * f for a radial (l = 0) density.
-
-    With `nonneg` set, densities with a genuinely negative part are refused.
-    """
-    if f.l != 0:
-        raise GridMismatchError("hartree_potential acts on l = 0 densities")
-    vals = np.real_if_close(f.values)
-    if nonneg and np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1e-300):
-        raise ConfigurationError("density has a negative part")
-    return RadialField(f.grid, 0, hartree_apply(f.grid, f.values))
+    return sparse.vstack(chunks, format="csr")
 
 
 def hartree_apply(grid, density_values):

@@ -332,7 +332,7 @@ def _functionals(grid, channels, mu):
 
 def assemble_R(ps, b, d):
     """Assemble the finite-parameter profile and its conserved quantities."""
-    if abs(b) > PARAM_BOX or abs(d) > PARAM_BOX:
+    if not abs(b) <= PARAM_BOX or not abs(d) <= PARAM_BOX:
         raise ConfigurationError(
             f"parameters (b, d) = ({b}, {d}) outside the validity box {PARAM_BOX}"
         )
@@ -356,7 +356,7 @@ def residual_psi(ps, b, d):
     keeps the exponential weight inside the trustworthy dynamic range of
     the arithmetic).
     """
-    if abs(b) > PARAM_BOX or abs(d) > PARAM_BOX:
+    if not abs(b) <= PARAM_BOX or not abs(d) <= PARAM_BOX:
         raise ConfigurationError("parameters outside the validity box")
     grid = ps.grid
     r = grid.nodes

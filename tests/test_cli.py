@@ -95,6 +95,14 @@ def test_out_of_range_coupling_exits_2(tmp_path):
     assert _run(["groundstate", "--mu", "nan", "--grid-n", "256"], str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("args", [["spectrum", "--rmax", "1e300"], ["groundstate", "--rmax", "nan"],
+                                  ["groundstate", "--rmax", "inf"], ["profile", "--b", "nan"]])
+def test_non_finite_or_overflowing_input_exits_2(tmp_path, args):
+    assert _run(args + ["--grid-n", "256"], str(tmp_path)) == 2
+    (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
+    assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
+
+
 @pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--k", "1"], ["--k", "0"]])
 def test_out_of_range_spectrum_request_exits_2(tmp_path, flags):
     # the kernel checks need L_+ on channels 0 and 1 and two eigenvalues each

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dcnls.grid
 from dcnls.errors import ConfigurationError, GridMismatchError
 from dcnls.grid import (
     RadialField,
@@ -32,6 +33,17 @@ def test_build_grid_rejects_bad_config():
         build_grid(64, -1.0, "uniform")
     with pytest.raises(ConfigurationError):
         build_grid(64, 1.0, "exp")
+
+
+@pytest.mark.parametrize("n, r_max", [(256.5, 40.0), (float("nan"), 40.0), (True, 40.0),
+                                      (256, float("nan")), (256, float("inf")), (256, 1e300)])
+def test_build_grid_refuses_before_any_numerical_work(monkeypatch, n, r_max):
+    def no_map(*args):
+        raise AssertionError("the grid map was evaluated")
+
+    monkeypatch.setattr(dcnls.grid, "_stretch_functions", no_map)
+    with pytest.raises(ConfigurationError):
+        build_grid(n, r_max, "tanh")
 
 
 def test_quadrature_of_one_is_ball_moment(grid):

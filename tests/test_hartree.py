@@ -13,7 +13,7 @@ from dcnls.hartree import (
     build_multipole_kernel,
     calibrate_channel_coefficient,
     channel_convolve,
-    hartree_potential,
+    hartree_apply,
 )
 
 
@@ -34,9 +34,9 @@ def test_gaussian_against_dawson_form(grid):
     # A(exp(-|y|^2)) = 2 pi^{3/2} F(r)/r with F the Dawson function
     r = grid.nodes
     dens = RadialField(grid, 0, np.exp(-r ** 2))
-    out = hartree_potential(dens)
+    out = hartree_apply(grid, dens.values)
     exact = 2 * np.pi ** 1.5 * dawsn(r) / r
-    err = np.max(np.abs(out.values - exact)[r < 30]) / np.max(np.abs(exact))
+    err = np.max(np.abs(out - exact)[r < 30]) / np.max(np.abs(exact))
     assert err <= 5e-7
     assert _oracle_error(dens, exact) <= 1e-10
 
@@ -49,19 +49,18 @@ def test_gaussian_at_origin(grid):
 
 def test_unit_ball_values():
     g = build_grid(2048, 8.0, "uniform")       # cell edge exactly at rho = 1
-    ind = RadialField(g, 0, (g.nodes < 1.0).astype(float))
-    out = hartree_potential(ind)
-    assert out.values[0] == pytest.approx(4 * np.pi, rel=1e-4)
+    out = hartree_apply(g, (g.nodes < 1.0).astype(float))
+    assert out[0] == pytest.approx(4 * np.pi, rel=1e-4)
     # far field approaches the monopole ||f||_L1 / r^2
     mass = 4 * np.pi / 3
     i = np.argmin(np.abs(g.nodes - 7.0))
-    assert out.values[i] == pytest.approx(mass / g.nodes[i] ** 2, rel=1e-2)
+    assert out[i] == pytest.approx(mass / g.nodes[i] ** 2, rel=1e-2)
     # exact 1-D reference away from the support
     for R in (2.0, 4.0):
         i = np.argmin(np.abs(g.nodes - R))
         Rn = g.nodes[i]
         v, _ = quad(lambda rho: (2 * np.pi / Rn) * rho * np.log((Rn + rho) / abs(Rn - rho)), 0, 1)
-        assert out.values[i] == pytest.approx(v, rel=1e-5)
+        assert out[i] == pytest.approx(v, rel=1e-5)
 
 
 def test_oracle_unit_ball():
@@ -88,20 +87,20 @@ def test_oracle_cross_check_on_soliton_like_density(grid):
     # agreement between the kernel route and the 3-D quadrature oracle
     r = grid.nodes
     dens = RadialField(grid, 0, (2.2 * np.exp(-r) / (1 + r)) ** 2)
-    out = hartree_potential(dens)
+    out = hartree_apply(grid, dens.values)
     idx = [int(np.argmin(np.abs(r - p))) for p in (0.5, 1.0, 2.0, 4.0, 8.0)]
     vals = brute_force_oracle(dens, r[idx])
     for i, v in zip(idx, vals):
-        assert out.values[i] == pytest.approx(v, rel=1e-4)
+        assert out[i] == pytest.approx(v, rel=1e-4)
 
 
-def test_channel_l0_matches_hartree_potential(grid):
+def test_channel_l0_matches_hartree_apply(grid):
     r = grid.nodes
     f = RadialField(grid, 0, np.exp(-r ** 2 / 2) * (1 + r))
     kernel = build_multipole_kernel(grid, 0)
     a = channel_convolve(kernel, f)
-    b = hartree_potential(f)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-8 * np.max(np.abs(b.values))
+    b = hartree_apply(grid, f.values)
+    assert np.max(np.abs(a.values - b)) <= 1e-8 * np.max(np.abs(b))
 
 
 def test_channel_l1_against_dawson_form(grid):
@@ -140,6 +139,12 @@ def test_channel_zero_in_zero_out(grid):
     assert np.all(out.values == 0.0)
 
 
+@pytest.mark.parametrize("l", [1.5, 2.0, np.nan, True, -1, 8])
+def test_channel_must_be_a_tabulated_integer(grid, l):
+    with pytest.raises(ConfigurationError):
+        build_multipole_kernel(grid, l)
+
+
 def test_channel_mismatch_rejected(grid):
     k1 = build_multipole_kernel(grid, 1)
     with pytest.raises(GridMismatchError):
@@ -160,9 +165,9 @@ def test_linearity_positivity_monotonicity(grid):
     r = grid.nodes
     f = np.exp(-r ** 2)
     g2 = np.exp(-r ** 2 / 2)
-    Af = hartree_potential(RadialField(grid, 0, f)).values
-    Ag = hartree_potential(RadialField(grid, 0, g2)).values
-    Asum = hartree_potential(RadialField(grid, 0, 2 * f + 3 * g2)).values
+    Af = hartree_apply(grid, f)
+    Ag = hartree_apply(grid, g2)
+    Asum = hartree_apply(grid, 2 * f + 3 * g2)
     assert np.allclose(Asum, 2 * Af + 3 * Ag, rtol=1e-12, atol=1e-13)
     assert np.all(Af > 0)
     # f <= g pointwise implies A(f) <= A(g)
@@ -173,15 +178,10 @@ def test_symmetry_of_A(grid):
     r = grid.nodes
     f = RadialField(grid, 0, np.exp(-r))
     g2 = RadialField(grid, 0, np.exp(-r ** 2 / 3) * (1 + r ** 2))
-    s1 = inner_product(hartree_potential(f), g2)
-    s2 = inner_product(f, hartree_potential(g2))
+    k0 = build_multipole_kernel(grid, 0)
+    s1 = inner_product(channel_convolve(k0, f), g2)
+    s2 = inner_product(f, channel_convolve(k0, g2))
     assert abs(s1 - s2) <= 1e-8 * abs(s1)
-
-
-def test_negative_density_rejected(grid):
-    f = RadialField(grid, 0, -np.exp(-grid.nodes))
-    with pytest.raises(ConfigurationError):
-        hartree_potential(f, nonneg=True)
 
 
 def test_hls_quotient_scale_invariant(grid):
@@ -189,7 +189,7 @@ def test_hls_quotient_scale_invariant(grid):
 
     def quotient(width):
         u = np.exp(-r ** 2 / (2 * width ** 2))
-        Au = hartree_potential(RadialField(grid, 0, u ** 2)).values
+        Au = hartree_apply(grid, u ** 2)
         num = 4 * np.pi * np.sum(grid.weights * Au * u ** 2)
         du = grid.d1_free(0) @ u
         grad2 = 4 * np.pi * np.sum(grid.weights * du ** 2)
@@ -200,14 +200,33 @@ def test_hls_quotient_scale_invariant(grid):
     assert abs(q1 - q2) <= 1e-8 * q1
 
 
+def _one_leaf(monkeypatch, n, l):
+    """The dense oracle: a kernel build whose single leaf is the whole fill."""
+    with monkeypatch.context() as m:
+        m.setattr(hartree, "_LEAF", n)
+        return hartree._hodlr_kernel(build_grid(n, 40.0, "tanh"), l).toarray()
+
+
 @pytest.mark.parametrize("l", range(5))
-def test_row_block_fill_matches_single_block(monkeypatch, l):
-    # 700 is not a multiple of the row block, so the last block is partial
-    n = 700
-    blocked = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), l)
+@pytest.mark.parametrize("n", [700, 260])
+def test_row_block_fill_matches_single_block(monkeypatch, n, l):
+    # neither n is a multiple of the row chunk, so the last chunk is partial;
+    # at n = 260 it is narrower than the band
+    blocked = _one_leaf(monkeypatch, n, l)
     monkeypatch.setattr(hartree, "_ROWS", n)
-    whole = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), l)
+    whole = _one_leaf(monkeypatch, n, l)
     assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_near_field_hugs_the_diagonal(l):
+    # every correction to the pointwise far field sits in the band or the
+    # core corner, so blocks away from the diagonal are exactly k(r_i, rho_j) w_j
+    near = hartree._near_field(build_grid(700, 40.0, "tanh"), l).tocoo()
+    corner = hartree._CORE + hartree._BAND
+    assert near.nnz > 0
+    assert np.all((np.abs(near.row - near.col) <= hartree._BAND + 4)
+                  | ((near.row <= corner) & (near.col <= corner)))
 
 
 def test_kernel_build_makes_no_dense_temporaries():
@@ -219,7 +238,7 @@ def test_kernel_build_makes_no_dense_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * n * 8     # the dense fill itself is n*n*8 bytes
+    assert peak <= 1.0 * n * n * 8     # a dense fill alone would be n*n*8 bytes
 
 
 def test_kernel_build_frees_the_dense_fill():
@@ -241,9 +260,9 @@ def _rel(x, ref):
 
 
 @pytest.mark.parametrize("l", range(5))
-def test_hodlr_kernel_matches_dense_fill(l):
+def test_hodlr_kernel_matches_dense_fill(monkeypatch, l):
     n = 1536
-    dense = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), l)
+    dense = _one_leaf(monkeypatch, n, l)
     kernel = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
     assert kernel.shape == (n, n)
     rng = np.random.default_rng(l)
@@ -268,8 +287,8 @@ def test_hodlr_kernel_matches_dense_fill(l):
 
 
 @pytest.mark.parametrize("n", [100, 256])
-def test_small_kernel_is_one_dense_leaf(n):
-    dense = hartree._dense_kernel(build_grid(n, 40.0, "tanh"), 1)
+def test_small_kernel_is_one_dense_leaf(monkeypatch, n):
+    dense = _one_leaf(monkeypatch, n, 1)
     kernel = build_multipole_kernel(build_grid(n, 40.0, "tanh"), 1).matrix
     assert len(kernel.blocks) == 1
     assert np.array_equal(kernel.toarray(), dense)

@@ -7,11 +7,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from dcnls import linop
+from dcnls import hartree, linop
 from dcnls.errors import ConvergenceError, SolvabilityError
 from dcnls.grid import RadialField, apply_generator, build_grid, generator, inner_product
 from dcnls.groundstate import solve_Q_mu, solve_classical_Q
-from dcnls.hartree import HodlrMatrix, _dense_kernel, build_multipole_kernel
+from dcnls.hartree import build_multipole_kernel
 from dcnls.linop import (
     algebraic_identity_report,
     assemble_channel_operator,
@@ -171,9 +171,9 @@ def test_hodlr_truncation_leaves_plus_spectra_unmoved(grid_std, gs_std_mu05, mon
     for l in range(5):
         op = assemble_channel_operator(gs_std_mu05, "plus", l)
         compressed = lowest_eigenpairs(op, 6).eigenvalues
-        fill = HodlrMatrix(grid_std.n, [(slice(None), slice(None),
-                                         (_dense_kernel(grid_std, l),))])
         with monkeypatch.context() as m:
+            m.setattr(hartree, "_LEAF", grid_std.n)     # one leaf: the dense fill
+            fill = hartree._hodlr_kernel(grid_std, l)
             m.setattr(linop, "build_multipole_kernel",
                       lambda grid, l: SimpleNamespace(matrix=fill))
             dense = lowest_eigenpairs(op, 6).eigenvalues

@@ -120,6 +120,14 @@ def test_assemble_rejects_outside_box(ps_mu):
         assemble_R(ps_mu, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("b, d", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)])
+def test_non_finite_parameters_refused(ps_mu, b, d):
+    with pytest.raises(ConfigurationError):
+        assemble_R(ps_mu, b, d)
+    with pytest.raises(ConfigurationError):
+        residual_psi(ps_mu, b, d)
+
+
 def test_pointwise_ratio_bounded_on_small_box(ps_mu):
     # |R| <= 2 Q on the core window for moderate parameters
     for b, d in ((0.1, 0.0), (0.0, 0.1), (0.07, 0.07)):
