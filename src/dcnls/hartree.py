@@ -23,8 +23,8 @@ off-diagonal low-rank (HODLR) matrix: the index range is bisected down to
 dense diagonal leaves, and each off-diagonal block of the bisection,
 smooth because it stays away from the diagonal, is filled, corrected and
 held as a product U V^T truncated at singular values 1e-14 times its
-largest, found by a seeded randomized range finder.  No n x n array is
-held during the build.
+largest, found by a seeded randomized range finder.  Above one leaf, no
+n x n array is held during the build.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -139,7 +139,7 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16_CELLS = 3    # cells each side of the diagonal cell that take the 16-point rule
 
 _BAND = 12       # cells each side of the diagonal integrated exactly
-_CORE = _BAND + 24   # rows whose exact zone extends down to rho = 0 (with _BAND)
+_CORE = _BAND + 24   # cells integrated exactly for every row up to _CORE + _BAND
 _ROWS = 256      # row chunk of the far-field fill
 _LEAF = 256      # largest dense diagonal leaf of the HODLR kernel
 _SKETCH = 48     # first width of an off-diagonal block's random sketch
@@ -367,9 +367,9 @@ def _near_field(grid, l):
             parts.append((np.repeat(i, sten.shape[1]), sten[c].ravel(),
                           _exact_cell_rows(grid, l, i, c).ravel()))
 
-    band = np.arange(-_BAND, _BAND + 1)
+    band = np.arange(-_BAND, _BAND + 1)     # split by rule: one rule per _exact_cell_rows call
     rules = (band[band == 0], band[(band != 0) & (np.abs(band) <= _GL16_CELLS)],
-             band[np.abs(band) > _GL16_CELLS])     # band offsets by quadrature rule
+             band[np.abs(band) > _GL16_CELLS])
     chunks = []     # rows in chunks of _ROWS, which bound the quadrature temporaries
     for start in range(0, n, _ROWS):
         rows = np.arange(start, min(start + _ROWS, n))
