@@ -259,28 +259,24 @@ _GREG_R = _fd_weights(np.array([0.5, 1.5, 2.5, 3.5]), 1)
 _GREG_L = _fd_weights(np.array([-0.5, -1.5, -2.5, -3.5]), 1)
 
 
-def _exact_cell_rows(grid, l, i, c):
-    """Exact integrals over cell c of k(r_i, .) times the 6 local basis polys."""
+def _exact_cell_rows(grid, l, i, c, rule):
+    """Exact integrals over cell c of k(r_i, .) times the 6 local basis polys,
+    by the Gauss-Legendre `rule` (nodes, weights) on each cell, or, for rule
+    None, on the diagonal cells c = i split at r_i, by tanh-sinh."""
     r = grid.nodes
     sr = r[grid.cell_stencils[c]]
-    a_edge, b_edge = grid.edges[c], grid.edges[c + 1]
-    if np.any(c == i):
-        corr = np.zeros((i.size, grid.cell_stencils.shape[1]))
-        for a, b in ((a_edge, r[i]), (r[i], b_edge)):
-            x = a[:, None] + (b - a)[:, None] * _DE_X[None, :]
-            wq = (b - a)[:, None] * _DE_W[None, :]
-            kv = _kernel_values(l, r[i][:, None], x)
-            lag = _lagrange_values(sr, x)
-            corr += np.einsum("ip,imp->im", wq * x ** 2 * kv, lag)
-        return corr
-    gx, gw = _GL16 if np.max(np.abs(c - i)) <= _GL16_CELLS else _GL8
-    mid = 0.5 * (a_edge + b_edge)
-    half = 0.5 * (b_edge - a_edge)
-    x = mid[:, None] + half[:, None] * gx[None, :]
-    wq = half[:, None] * gw[None, :]
-    kv = _kernel_values(l, r[i][:, None], x)
-    lag = _lagrange_values(sr, x)
-    return np.einsum("ip,imp->im", wq * x ** 2 * kv, lag)
+    a, b = grid.edges[c], grid.edges[c + 1]
+    if rule is None:
+        panels = ((a, r[i] - a, _DE_X, _DE_W), (r[i], b - r[i], _DE_X, _DE_W))
+    else:
+        panels = ((0.5 * (a + b), 0.5 * (b - a)) + rule,)
+    rows = 0.0
+    for start, length, gx, gw in panels:
+        x = start[:, None] + length[:, None] * gx[None, :]
+        wq = length[:, None] * gw[None, :]
+        kv = _kernel_values(l, r[i][:, None], x)
+        rows = rows + np.einsum("ip,imp->im", wq * x ** 2 * kv, _lagrange_values(sr, x))
+    return rows
 
 
 def build_multipole_kernel(grid, l):
@@ -293,14 +289,12 @@ def build_multipole_kernel(grid, l):
     return grid._cache[key]
 
 
-def _far_rows(l, r, rho, ordered=False):
+def _far_rows(l, r, rho):
     """k_l(r_i, rho_j) as an (r.size, rho.size) array, filled _ROWS rows at a
-    time to bound _g_ratio's temporaries; `ordered` promises r_i <= rho_j."""
+    time to bound _g_ratio's temporaries."""
     out = np.empty((r.size, rho.size))
     for a in range(0, r.size, _ROWS):
-        lo = r[a:a + _ROWS, None]
-        out[a:a + _ROWS] = (CHANNEL_COEFFICIENT * _g_ratio(l, lo / rho) / rho ** 2
-                            if ordered else _kernel_values(l, lo, rho))
+        out[a:a + _ROWS] = _kernel_values(l, r[a:a + _ROWS, None], rho)
     return out
 
 
@@ -315,9 +309,9 @@ def _hodlr_kernel(grid, l):
     """The channel-l operator on `grid` as a HodlrMatrix, built block by block.
 
     Each block of the bisection is filled with the far field, gets its
-    entries of `_near_field`, is factored and is dropped.  In a mirrored
-    pair of off-diagonal blocks the rows lie below the columns, so the
-    pointwise values serve both, reweighted in place for the transpose.
+    entries of `_near_field`, is factored and is dropped.  The pointwise
+    kernel is symmetric, so in a mirrored pair of off-diagonal blocks its
+    values serve both, reweighted in place for the transpose.
     """
     r, w = grid.nodes, grid.weights
     near = _near_field(grid, l)
@@ -334,7 +328,7 @@ def _hodlr_kernel(grid, l):
             continue
         m = (a + b) // 2
         top, bottom = slice(a, m), slice(m, b)
-        vals = _far_rows(l, r[top], r[bottom], ordered=True)
+        vals = _far_rows(l, r[top], r[bottom])
         blocks.append((top, bottom, _factor_block(
             _add_near(vals * w[bottom], near, top, bottom), rng)))
         vals *= w[top, None]
@@ -359,30 +353,31 @@ def _near_field(grid, l):
     n, r, w, sten = grid.n, grid.nodes, grid.weights, grid.cell_stencils
     w_mid = grid.h_xi * grid.jac * r ** 2   # pure midpoint weights (Gregory samples)
 
-    def replace_cells(parts, i, c):
+    def replace_cells(parts, i, c, rule):
         if i.size:
             naive = w[c] * _kernel_values(l, r[i], r[c])
             naive[c == i] = 0.0
             parts.append((i, c, -naive))
             parts.append((np.repeat(i, sten.shape[1]), sten[c].ravel(),
-                          _exact_cell_rows(grid, l, i, c).ravel()))
+                          _exact_cell_rows(grid, l, i, c, rule).ravel()))
 
-    band = np.arange(-_BAND, _BAND + 1)     # split by rule: one rule per _exact_cell_rows call
-    rules = (band[band == 0], band[(band != 0) & (np.abs(band) <= _GL16_CELLS)],
-             band[np.abs(band) > _GL16_CELLS])
+    band = np.arange(-_BAND, _BAND + 1)     # cell offsets, grouped by quadrature rule
+    rules = ((band[band == 0], None),
+             (band[(band != 0) & (np.abs(band) <= _GL16_CELLS)], _GL16),
+             (band[np.abs(band) > _GL16_CELLS], _GL8))
     chunks = []     # rows in chunks of _ROWS, which bound the quadrature temporaries
     for start in range(0, n, _ROWS):
         rows = np.arange(start, min(start + _ROWS, n))
         parts = []     # (rows, columns, values)
-        for offsets in rules:
+        for offsets, rule in rules:
             i, c = np.broadcast_arrays(rows[:, None], rows[:, None] + offsets)
             ok = (c >= 0) & (c < n)
-            replace_cells(parts, i[ok], c[ok])
+            replace_cells(parts, i[ok], c[ok], rule)
 
         # extend the exact zone to the origin for core rows
         i, c = np.broadcast_arrays(rows[:, None], np.arange(_CORE))
         ok = (i > _BAND + c) & (i <= _CORE + _BAND)
-        replace_cells(parts, i[ok], c[ok])
+        replace_cells(parts, i[ok], c[ok], _GL8)
 
         # Gregory corrections at the cuts between the exact zone and the
         # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
