@@ -178,8 +178,9 @@ def _cmd_spectrum(cfg, run_dir):
 def _cmd_profile(cfg, run_dir):
     from .grid import build_grid
     from .groundstate import solve_Q_mu
-    from .profile import build_hierarchy, residual_psi
+    from .profile import build_hierarchy, check_profile_request, residual_psi
 
+    check_profile_request(cfg["b"], cfg["d"])
     grid = build_grid(cfg["grid_n"], cfg["rmax"], "tanh")
     gs = solve_Q_mu(cfg["mu"], grid)
     ps = build_hierarchy(gs)

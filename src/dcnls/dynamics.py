@@ -7,8 +7,9 @@ half for the radial Laplacian, which conserves the discrete mass to
 rounding because the Laplacian is exactly symmetric in the quadrature
 inner product.  The composition is time-symmetric, hence reversible.
 As the rotation keeps |u|, a step's trailing potential is the next step's
-leading one; the Crank-Nicolson half is u - i dt (I + i dt/2 L)^{-1} L u,
-one solve against a band LU that is refactored only when dt changes.
+leading one; the Crank-Nicolson half is u - i dt (I + i dt/2 L)^{-1} L u, so
+its rounding scales with the update rather than with u: one solve against the
+band LU of `RadialGrid.band_solver`, refactored only when dt changes.
 
 Near blowup the step shrinks like the square of the focal scale and a
 resolution guard truncates the run cleanly once the core falls under a
@@ -23,10 +24,9 @@ scale, the modulation b and the phase of the profile family frame by frame.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.optimize import least_squares
 
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError
 from .grid import RadialField, _parity_spline, profile_interpolator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
 from .hartree import nonlinear_potential
@@ -165,24 +165,6 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
 # radial evolution
 # ---------------------------------------------------------------------------
 
-def _cn_factor(grid, dt):
-    """Band LU of I + i dt/2 L, the whole Crank-Nicolson half because
-    (I + i dt/2 L)^{-1} (I - i dt/2 L) = I - i dt (I + i dt/2 L)^{-1} L.
-
-    In the correction form the solve only yields the small update, so its
-    rounding scales with the update rather than with u."""
-    lap = grid.laplacian_banded(0)
-    hw = lap.shape[0] // 2
-    ab = np.zeros((3 * hw + 1, grid.n), dtype=complex)   # hw extra rows for pivoting
-    ab[hw:] = 0.5j * dt * lap
-    ab[2 * hw] += 1.0
-    lu, piv, info = zgbtrf(ab, hw, hw)
-    if info != 0:
-        raise ConvergenceError("Crank-Nicolson band factorisation failed",
-                               diagnostics={"info": int(info), "dt": dt})
-    return lu, piv, hw
-
-
 def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
            stop_grad_factor=None, min_scale_cells=8.0, lambda0=None,
            linear_only=False, max_steps=2_000_000):
@@ -192,12 +174,17 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     `stop_grad_factor`, or when the estimated focal scale falls below
     `min_scale_cells` grid cells (clean truncation with the last trusted
     state).  Negative dt runs the flow backwards.  A dt that is zero, not
-    finite, or points away from `t_final` is refused; `t_final == u0.t`
-    is a run of no steps.
+    finite, or points away from `t_final` is refused, and so are a
+    coupling that is not finite and a `record_every` that is not a
+    positive integer; `t_final == u0.t` is a run of no steps.
     """
     grid = u0.field.grid
     if t_final is None and stop_grad_factor is None:
         raise ConfigurationError("need a stopping criterion (t_final or grad factor)")
+    if not abs(mu) < np.inf:
+        raise ConfigurationError(f"coupling must be finite, got {mu}")
+    if not isinstance(record_every, (int, np.integer)) or not record_every >= 1:
+        raise ConfigurationError(f"record_every must be a positive integer, got {record_every!r}")
     if not (np.isfinite(dt) and dt != 0.0):
         raise ConfigurationError(f"time step must be finite and nonzero, got {dt}")
     if t_final is not None and not (t_final - u0.t) * dt >= 0.0:
@@ -229,7 +216,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     stopped_by = "t_final"
     step_dt = dt
     lap = grid.laplacian(0)
-    lu, piv, hw = _cn_factor(grid, step_dt)
+    cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
     refactorizations = 1
     pot = None if linear_only else nonlinear_potential(grid, u, mu)
     steps = 0
@@ -254,12 +241,12 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
             want = direction * min(abs(want), remaining)
         if abs(want - step_dt) > 1e-3 * abs(step_dt):
             step_dt = want
-            lu, piv, hw = _cn_factor(grid, step_dt)
+            cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
             refactorizations += 1
 
         if not linear_only:
             u = u * np.exp(0.5j * step_dt * pot)
-        u = u - 1j * step_dt * zgbtrs(lu, hw, hw, lap @ u, piv)[0]
+        u = u - 1j * step_dt * cn_solve(lap @ u)
         if not linear_only:
             pot = nonlinear_potential(grid, u, mu)
             u = u * np.exp(0.5j * step_dt * pot)

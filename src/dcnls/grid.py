@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import make_interp_spline
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zgbtrf, zgbtrs
 
-from .errors import ConfigurationError, GridMismatchError
+from .errors import ConfigurationError, ConvergenceError, GridMismatchError
 
 __all__ = [
     "RadialGrid",
@@ -118,10 +119,6 @@ class RadialGrid:
         """Smallest node spacing (resolution guard scale for dynamics)."""
         return float(np.min(np.diff(self.nodes)))
 
-    def density_ratio(self):
-        """Node density near r=0 relative to the far-field density."""
-        return float(self.jac[-1] / self.jac[0])
-
     # -- operator cache ----------------------------------------------------
 
     def d1_free(self, l):
@@ -139,17 +136,48 @@ class RadialGrid:
         return self._cache[key]
 
     def laplacian_banded(self, l):
-        """(-Delta)_l in LAPACK band storage (for Crank-Nicolson steps).
+        """(-Delta)_l in LAPACK general band storage, the input of `band_solver`.
 
         The flux-form stencil couples nodes up to 5 apart (two staggered
         derivatives of half-width 2.5 composed), so the band is 11 wide.
         """
         key = ("lapband", l)
         if key not in self._cache:
-            coo = self.laplacian(l).tocoo()
+            lap = self.laplacian(l)
+            coo = lap.tocoo()
             hw = int(np.max(np.abs(coo.row - coo.col)))
-            self._cache[key] = _to_banded(self.laplacian(l), hw)
+            ab = self._cache[key] = np.zeros((2 * hw + 1, self.n))
+            for d in range(-hw, hw + 1):     # row hw - d holds diagonal d
+                ab[hw - d, max(d, 0):max(d, 0) + self.n - abs(d)] = lap.diagonal(d)
         return self._cache[key]
+
+    def band_solver(self, l, a, b, potential=None):
+        """The solve of M = a I + b ((-Delta)_l + diag potential), factored once:
+        band LU for complex b (a Crank-Nicolson half); for real a, b band Cholesky
+        of B = sym(W^{1/2} M W^{-1/2}), which proves B positive definite, solving
+        by W^{-1/2} B^{-1} W^{1/2}.  A failed factorisation raises ConvergenceError."""
+        band = self.laplacian_banded(l)
+        hw = band.shape[0] // 2
+        diag = band[hw] if potential is None else band[hw] + potential
+        if np.iscomplexobj(b):
+            ab = np.zeros((3 * hw + 1, self.n), dtype=complex)   # hw extra rows for pivoting
+            ab[hw:] = b * band
+            ab[2 * hw] = b * diag + a
+            lu, piv, info = zgbtrf(ab, hw, hw)
+        else:
+            s = np.sqrt(self.weights)
+            ab = np.zeros((hw + 1, self.n))        # upper band: row hw - d holds B[j - d, j]
+            ab[hw] = b * diag + a
+            for d in range(1, hw + 1):
+                ab[hw - d, d:] = 0.5 * b * (s[:-d] * band[hw - d, d:] / s[d:]
+                                            + s[d:] * band[hw + d, :-d] / s[:-d])
+            chol, info = dpbtrf(ab)
+        if info != 0:
+            raise ConvergenceError("band factorisation of a I + b ((-Delta)_l + V) failed",
+                                   diagnostics={"info": int(info), "l": l, "a": a, "b": b})
+        if np.iscomplexobj(b):
+            return lambda rhs: zgbtrs(lu, hw, hw, rhs, piv)[0]
+        return lambda rhs: dpbtrs(chol, s * rhs)[0] / s
 
 
 @dataclass(eq=False)
@@ -168,18 +196,6 @@ class RadialField:
             )
         if self.l < 0:
             raise ConfigurationError("channel index must be >= 0")
-
-    def copy(self, values=None):
-        return RadialField(self.grid, self.l, self.values.copy() if values is None else values)
-
-    def boundary_report(self):
-        """Extrapolated behavior at r -> 0 (value for l>=1, slope for l=0)."""
-        r = self.grid.nodes[:4]
-        coeff = np.polyfit(r, self.values[:4].real, 3)
-        return {
-            "value_at_0": float(np.polyval(coeff, 0.0)),
-            "slope_at_0": float(np.polyval(np.polyder(coeff), 0.0)),
-        }
 
 
 def build_grid(n, r_max, stretch="tanh"):
@@ -344,16 +360,6 @@ def _build_laplacian(grid, l):
     t_u = sp.diags(0.5 / w_u) @ stiff + sp.diags(l * (l + 1) / r ** 2)
     lap = sp.diags(1.0 / r) @ t_u @ sp.diags(r)
     return lap.tocsr()
-
-
-def _to_banded(mat, hw):
-    """CSR -> LAPACK general band storage with hw diagonals each side."""
-    n = mat.shape[0]
-    ab = np.zeros((2 * hw + 1, n), dtype=mat.dtype)
-    for d in range(-hw, hw + 1):
-        diag = mat.diagonal(d)
-        ab[hw - d, max(d, 0):max(d, 0) + diag.size] = diag
-    return ab
 
 
 # ---------------------------------------------------------------------------

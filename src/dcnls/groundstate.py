@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline
 
@@ -374,9 +372,8 @@ def minimize_constrained(a, mu, grid):
     phi = np.exp(-r) * (1.0 + 0.3 * r)
     phi *= np.sqrt(a / mass_3d(grid, phi))
     amp_ref = float(np.max(phi))
-    lap = grid.laplacian(0)
     tau = 0.4        # implicit Euler step of the flow
-    stepper = spla.splu((sp.identity(grid.n, format="csc") + tau * lap).tocsc())
+    stepper = grid.band_solver(0, 1.0, tau)     # band Cholesky of I + tau (-Delta)_0
 
     # The energy is scale-flat along the soliton family, so the descent can
     # drift toward the domain wall while it relaxes transversally.  Sparse
@@ -393,7 +390,7 @@ def minimize_constrained(a, mu, grid):
     flow_its = 0
     for it in range(40000):
         flow_its = it
-        psi = stepper.solve(phi + tau * nonlinear_potential(grid, phi, mu) * phi)
+        psi = stepper(phi + tau * nonlinear_potential(grid, phi, mu) * phi)
         if it % 100 == 0:
             psi = reanchor(psi)
         psi *= np.sqrt(a / mass_3d(grid, psi))

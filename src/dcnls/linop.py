@@ -22,9 +22,10 @@ SOLVABILITY_TOL raises SolvabilityError, the discrete face of the
 solvability conditions.
 Spectra are those of the symmetrised similarity transform
 B = sym(W^{1/2} M W^{-1/2}), computed by shift-invert Lanczos from a shift
-below the spectrum: the inverse is the sparse LU of the balanced local part
-or, with a nonlocal block, CG preconditioned by it, so no n x n matrix is
-built.
+below the spectrum: the inverse is the band Cholesky of the shifted
+balanced local part (`RadialGrid.band_solver`, whose success proves that
+part positive definite) or, with a nonlocal block, CG preconditioned by
+it, so no n x n matrix is built.
 """
 
 from dataclasses import dataclass, field
@@ -93,10 +94,11 @@ class ChannelOperator:
         """Solve the bordered system [[M, C], [(W C)^T, 0]] [x; y] = [rhs; 0].
 
         C holds the constraint profiles as columns, so x is W-orthogonal to
-        each of them; returns x (the multipliers y are dropped).  With a
-        nonlocal block, GMRES stops at relative residual `rtol` and raises
-        ConvergenceError if it cannot get there within four restart cycles
-        of 20 inner steps.  Across the test suite and the benchmark workloads
+        each of them; returns x (the multipliers y are dropped).  It keeps a
+        sparse LU: the border is dense and L_{-,0} is singular, so no Schur
+        complement through a band factor exists.  With a nonlocal block,
+        GMRES stops at relative residual `rtol` and raises ConvergenceError
+        if it cannot get there within four restart cycles of 20 inner steps.  Across the test suite and the benchmark workloads
         the solves take at most two cycles (the second re-checks the true
         residual) and nine inner steps, so one that needs more has failed.
         """
@@ -179,8 +181,11 @@ def lowest_eigenpairs(op, k):
     Shift-invert Lanczos (ARPACK) runs on (B - sigma I)^{-1} with the shift
     sigma = min(1 + local potential + l(l+1)/r^2) - |s| ||D1 K D2||_F, a
     lower bound on the spectrum, so the k eigenvalues nearest sigma are the k
-    lowest.  The inverse is the sparse LU of B_loc - sigma I or, with N, CG
-    on B - sigma I preconditioned by that LU to relative residual INNER_RTOL.
+    lowest.  The inverse is the band Cholesky of B_loc - sigma I, which
+    raises ConvergenceError unless B_loc - sigma I is positive definite, or,
+    with N, CG on B - sigma I preconditioned by it to relative residual
+    INNER_RTOL; that B - sigma I is positive definite rests on the bound
+    ||N||_2 <= ||N||_F below.
     ARPACK stops at relative tolerance EIGSH_TOL and starts from the fixed
     vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed ARPACK
     iteration or CG solve raises ConvergenceError.
@@ -195,7 +200,8 @@ def lowest_eigenpairs(op, k):
     # flux-form stiffness plus the diagonal l(l+1)/r^2, and W times the
     # stiffness part is symmetric PSD, so lambda_min(B_loc) >= min(1 + local
     # potential + l(l+1)/r^2); and ||N||_2 <= ||N||_F <= |s| ||D1 K D2||_F.
-    # So B - sigma I and B_loc - sigma I are both SPD, as CG needs.
+    # So B - sigma I and B_loc - sigma I are SPD, as CG needs; the band
+    # Cholesky below proves the latter.
     r = op.grid.nodes
     sigma = float(np.min(1.0 + op.local_potential + op.l * (op.l + 1) / r ** 2))
     nonlocal_part = None
@@ -216,15 +222,19 @@ def lowest_eigenpairs(op, k):
             out += nonlocal_part(x)
         return out
 
-    lu = spla.splu((b_loc - sigma * sp.identity(n)).tocsc())
-    precond = spla.LinearOperator((n, n), matvec=lu.solve)
+    local_solve = op.grid.band_solver(op.l, -sigma, 1.0, 1.0 + op.local_potential)
+
+    def local_inverse(x):
+        return w * local_solve(x / w)
+
+    precond = spla.LinearOperator((n, n), matvec=local_inverse)
     shifted = spla.LinearOperator((n, n), matvec=lambda x: apply_b(x) - sigma * x)
     diagnostics = {"kind": op.kind, "l": op.l, "mu": op.mu, "sigma": sigma, "opinv_calls": 0}
 
     def opinv(x):
         diagnostics["opinv_calls"] += 1
         if nonlocal_part is None:
-            return lu.solve(x)
+            return local_inverse(x)
         sol, info = spla.cg(shifted, x, rtol=INNER_RTOL, atol=0.0,
                             maxiter=INNER_MAXITER, M=precond)
         if info != 0:

@@ -34,6 +34,7 @@ __all__ = [
     "ProfileSet",
     "AssembledProfile",
     "build_hierarchy",
+    "check_profile_request",
     "assemble_R",
     "invariant_expansions",
     "residual_psi",
@@ -81,15 +82,6 @@ class ProfileSet:
             "T40": self.T40, "S21": self.S21, "rho1": self.rho1,
             "rho2_b": self.rho2_b, "rho2_d": self.rho2_d,
         }
-
-    def decay_report(self, r_from=10.0):
-        """Weighted tail sup of every field: sup_{r >= r_from} |f| e^{r/2}."""
-        r = self.grid.nodes
-        out = {}
-        for name, f in self.fields().items():
-            tail = r >= r_from
-            out[name] = float(np.max(np.abs(f.values[tail]) * np.exp(0.5 * r[tail])))
-        return out
 
 
 @dataclass(eq=False)
@@ -330,12 +322,18 @@ def _functionals(grid, channels, mu):
     return R, mass, energy, momentum
 
 
-def assemble_R(ps, b, d):
-    """Assemble the finite-parameter profile and its conserved quantities."""
+def check_profile_request(b, d):
+    """Refuse, with ConfigurationError, (b, d) outside the box |b|, |d| <= PARAM_BOX
+    that `assemble_R` and `residual_psi` serve; a NaN is refused too."""
     if not abs(b) <= PARAM_BOX or not abs(d) <= PARAM_BOX:
         raise ConfigurationError(
             f"parameters (b, d) = ({b}, {d}) outside the validity box {PARAM_BOX}"
         )
+
+
+def assemble_R(ps, b, d):
+    """Assemble the finite-parameter profile and its conserved quantities."""
+    check_profile_request(b, d)
     grid = ps.grid
     channels = _channels(ps, b, d)
     R, mass, energy, momentum = _functionals(grid, channels, ps.gs.mu)
@@ -356,8 +354,7 @@ def residual_psi(ps, b, d):
     keeps the exponential weight inside the trustworthy dynamic range of
     the arithmetic).
     """
-    if not abs(b) <= PARAM_BOX or not abs(d) <= PARAM_BOX:
-        raise ConfigurationError("parameters outside the validity box")
+    check_profile_request(b, d)
     grid = ps.grid
     r = grid.nodes
     mu = ps.gs.mu

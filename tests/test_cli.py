@@ -101,6 +101,8 @@ def test_non_finite_or_overflowing_input_exits_2(tmp_path, args):
     assert _run(args + ["--grid-n", "256"], str(tmp_path)) == 2
     (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
     assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
+    # refused before any solve, so the run wrote nothing but its manifest
+    assert os.listdir(manifest.parent) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--k", "1"], ["--k", "0"]])

@@ -61,6 +61,21 @@ def test_evolve_refuses_a_step_that_cannot_reach_t_final(grid, dt, t_final):
     assert evolve(u0, 0.0, dt=1e-3, t_final=u0.t).steps == 0
 
 
+@pytest.mark.parametrize("mu, record_every", [(np.nan, 25), (np.inf, 25), (-np.inf, 25),
+                                              (0.0, 0), (0.0, -3), (0.0, 2.5), (0.0, np.nan)])
+def test_evolve_refuses_bad_coupling_or_record_interval(grid, monkeypatch, mu, record_every):
+    import dcnls.dynamics
+
+    u0 = make_initial_data("gaussian", grid=grid, width=2.0, amplitude=1.0)
+
+    def no_work(*args):
+        raise AssertionError("evolve started work on the state")
+
+    monkeypatch.setattr(dcnls.dynamics, "grad_sq_3d", no_work)
+    with pytest.raises(ConfigurationError):
+        evolve(u0, mu, dt=1e-3, t_final=0.1, record_every=record_every)
+
+
 def test_subcritical_mass_stays_bounded(grid, gs):
     vals = 0.8 * gs.Q.values.astype(complex)   # mass below the soliton mass
     u0 = EvolutionState.from_values(grid, vals, 0.0)

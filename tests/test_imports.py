@@ -164,3 +164,43 @@ def test_no_swallowed_exceptions():
                       if isinstance(node, ast.ExceptHandler)
                       and all(isinstance(stmt, ast.Pass) for stmt in node.body)]
     assert swallowed == []
+
+
+def _scoped_calls(tree, name):
+    """Dotted scopes ("Class.method", "function" or "<module>") of every call of `name`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_local_factorisations_have_one_home():
+    # band factors of a I + b ((-Delta)_l + V) live in RadialGrid.band_solver;
+    # the bordered solve is the one sparse LU
+    lapack, splu = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.linalg.lapack") for name in names):
+                lapack.append(path.name)
+        splu += [f"{path.name} {scope}" for scope in _scoped_calls(tree, "splu")]
+    assert lapack == ["grid.py"]
+    assert splu == ["linop.py ChannelOperator.solve"]

@@ -76,11 +76,17 @@ def test_mass_identity(grid, ps_mu):
 
 
 def test_fields_decay_exponentially(ps_mu):
-    rep = ps_mu.decay_report(r_from=10.0)
-    inner = ps_mu.decay_report(r_from=5.0)
-    for name in rep:
-        assert np.isfinite(rep[name])
-        assert rep[name] <= inner[name] * (1 + 1e-12)
+    # the weighted tail sup, sup over r >= r_from of |f| e^{r/2}, cannot grow with r_from
+    r = ps_mu.grid.nodes
+
+    def tail_sup(f, r_from):
+        tail = r >= r_from
+        return float(np.max(np.abs(f.values[tail]) * np.exp(0.5 * r[tail])))
+
+    for f in ps_mu.fields().values():
+        outer = tail_sup(f, 10.0)
+        assert np.isfinite(outer)
+        assert outer <= tail_sup(f, 5.0) * (1 + 1e-12)
 
 
 def test_commutator_invariants(grid, ps_mu):
