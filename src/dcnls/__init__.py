@@ -10,9 +10,8 @@ thread cap.
 import importlib
 
 _EXPORTS = {
-    "grid": ("RadialGrid", "RadialField", "build_grid", "inner_product", "apply_generator"),
-    "hartree": ("MultipoleKernel", "build_multipole_kernel", "channel_convolve",
-                "brute_force_oracle"),
+    "grid": ("RadialGrid", "RadialField", "build_grid", "apply_generator"),
+    "hartree": ("MultipoleKernel", "build_multipole_kernel", "brute_force_oracle"),
     "groundstate": ("GroundState", "solve_classical_Q", "solve_Q_mu", "minimize_constrained",
                     "functional_report", "perturbation_rate"),
     "linop": ("ChannelOperator", "SpectrumReport", "assemble_channel_operator",

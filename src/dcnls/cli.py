@@ -362,6 +362,8 @@ def run_command(argv):
             # the file's values go through the parser ahead of the command
             # line, so they are typed and checked alike and the command line wins
             args = parser.parse_args(_config_file_args(args.config) + list(argv))
+        if args.threads is not None and not args.threads >= 0:
+            parser.error(f"--threads must be >= 0, got {args.threads}")   # exits 2
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

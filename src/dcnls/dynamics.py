@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConfigurationError
-from .grid import RadialField, _parity_spline, profile_interpolator
+from .grid import RadialField, _check_integer, _parity_spline, profile_interpolator
 from .groundstate import energy_mu, grad_sq_3d, mass_3d
 from .hartree import nonlinear_potential
 
@@ -112,7 +112,9 @@ _SEED_PARAMS = {
 def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
     """Seed states: rescaled solitons, minimal-mass profiles, Gaussians.
 
-    A keyword that the kind does not take raises ConfigurationError.
+    A keyword that the kind does not take raises ConfigurationError, and so
+    does a value out of its range: `mu` and `amplitude` must be finite, the
+    other parameters positive and finite.
     """
     if kind not in _SEED_PARAMS:
         raise ConfigurationError(f"unknown initial-data kind {kind!r}")
@@ -120,14 +122,18 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
     if unknown:
         raise ConfigurationError(f"{kind} takes no parameter {', '.join(unknown)}")
 
+    def param(name, default, lo=0.0):
+        value = float(params.get(name, default))
+        if not lo < value < np.inf:      # NaN fails too
+            raise ConfigurationError(f"{kind} needs {lo} < {name} < inf, got {value}")
+        return value
+
     if kind == "rescaled_soliton":
-        alpha = float(params.get("alpha", 1.0))
-        beta = float(params.get("beta", 1.0))
-        mu = float(params.get("mu", 0.0))
+        alpha = param("alpha", 1.0)
+        beta = param("beta", 1.0)
+        mu = param("mu", 0.0, lo=-np.inf)
         if gs is None:
             raise ConfigurationError("rescaled_soliton needs a ground state")
-        if alpha <= 0 or beta <= 0:
-            raise ConfigurationError("scaling parameters must be positive")
         grid = gs.grid
         vals = alpha ** 1.5 * profile_interpolator(grid, gs.Q.values)(alpha * beta * grid.nodes)
         return EvolutionState.from_values(grid, vals, mu)
@@ -136,7 +142,7 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
         from .profile import assemble_R
 
         b0 = float(params.get("b0", 0.2))
-        mass_factor = float(params.get("mass_factor", 1.0))
+        mass_factor = param("mass_factor", 1.0)
         if ps is None or gs is None:
             raise ConfigurationError("minimal_mass_profile needs the profile hierarchy")
         grid = gs.grid
@@ -150,13 +156,11 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
         return EvolutionState.from_values(grid, vals, gs.mu)
 
     # kind == "gaussian"
-    width = float(params.get("width", 2.0))
-    amplitude = float(params.get("amplitude", 1.0))
-    mu = float(params.get("mu", 0.0))
+    width = param("width", 2.0)
+    amplitude = param("amplitude", 1.0, lo=-np.inf)
+    mu = param("mu", 0.0, lo=-np.inf)
     if grid is None:
         raise ConfigurationError("gaussian seed needs a grid")
-    if width <= 0:
-        raise ConfigurationError("width must be positive")
     vals = amplitude * np.exp(-grid.nodes ** 2 / (2 * width ** 2))
     return EvolutionState.from_values(grid, vals, mu)
 
@@ -175,16 +179,23 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     `min_scale_cells` grid cells (clean truncation with the last trusted
     state).  Negative dt runs the flow backwards.  A dt that is zero, not
     finite, or points away from `t_final` is refused, and so are a
-    coupling that is not finite and a `record_every` that is not a
-    positive integer; `t_final == u0.t` is a run of no steps.
+    coupling that is not finite, a `record_every` that is not a positive
+    integer, a `stop_grad_factor` that is not finite and above 1, and a
+    `lambda0` or `min_scale_cells` that is not positive and finite;
+    `t_final == u0.t` is a run of no steps.  `final` is the last record.
     """
     grid = u0.field.grid
     if t_final is None and stop_grad_factor is None:
         raise ConfigurationError("need a stopping criterion (t_final or grad factor)")
     if not abs(mu) < np.inf:
         raise ConfigurationError(f"coupling must be finite, got {mu}")
-    if not isinstance(record_every, (int, np.integer)) or not record_every >= 1:
-        raise ConfigurationError(f"record_every must be a positive integer, got {record_every!r}")
+    _check_integer("record_every", record_every, lo=1)
+    if stop_grad_factor is not None and not 1.0 < stop_grad_factor < np.inf:
+        raise ConfigurationError(f"stop_grad_factor must be finite and above 1, "
+                                 f"got {stop_grad_factor}")
+    for name, value in (("lambda0", lambda0), ("min_scale_cells", min_scale_cells)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     if not (np.isfinite(dt) and dt != 0.0):
         raise ConfigurationError(f"time step must be finite and nonzero, got {dt}")
     if t_final is not None and not (t_final - u0.t) * dt >= 0.0:
@@ -260,7 +271,8 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
 
     if times[-1] != t:
         record(u, t)
-    final = EvolutionState.from_values(grid, u, mu if not linear_only else 0.0, t=t)
+    final = EvolutionState(t=t, field=RadialField(grid, 0, u), mass=masses[-1],
+                           energy=energies[-1], grad_norm=grads[-1])
     return Trajectory(
         mu=mu,
         times=np.array(times),

@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """Two fields that must share a grid/channel do not."""
+    """A field's samples do not match its grid: their length is not the grid's n."""
 
 
 class ConvergenceError(RuntimeError):

@@ -10,12 +10,12 @@ mirror ghost nodes, which the staggering makes exact.
 Conventions
 -----------
 A channel-l field stores the radial profile f(r) that multiplies the
-Legendre factor P_l(cos theta) with respect to a fixed axis.  The plain
-channel inner product is (f, g) = sum w_i conj(f_i) g_i, a discrete
-integral of conj(f) g r^2 dr; `inner_product(..., convention="3d")`
-attaches the 4*pi solid angle for genuinely three-dimensional l = 0
-integrals.  Operators act on raw sample arrays: `grid.laplacian(l) @ f`
-applies (-Delta)_l and `generator(grid, f, l)` the dilation generator
+Legendre factor P_l(cos theta) with respect to a fixed axis.  The channel
+inner product is the W-weighted sum (f, g) = sum w_i conj(f_i) g_i, a
+discrete integral of conj(f) g r^2 dr; genuinely three-dimensional l = 0
+integrals carry the 4*pi solid angle on top (`groundstate.mass_3d`).
+Operators act on raw sample arrays: `grid.laplacian(l) @ f` applies
+(-Delta)_l and `generator(grid, f, l)` the dilation generator
 (`apply_generator` wraps the latter for a RadialField).
 
 Quadrature weights are midpoint weights in the computational coordinate,
@@ -31,7 +31,6 @@ symmetric positive semidefinite in the quadrature inner product by
 construction, not merely to truncation error.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,14 +45,11 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "build_grid",
-    "inner_product",
     "h2_norm_3d",
     "generator",
     "apply_generator",
     "profile_interpolator",
 ]
-
-_token_counter = itertools.count(1)
 
 # 6th-order centered stencil on a uniform grid (spacing folded in later).
 _D1_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -108,7 +104,6 @@ class RadialGrid:
     jac: np.ndarray              # dr/dxi at the nodes
     jac_face: np.ndarray         # dr/dxi at the cell edges
     cell_stencils: np.ndarray    # (n_cells, 6) node indices of each cell's interpolant
-    token: int = field(default=0, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -194,8 +189,14 @@ class RadialField:
             raise GridMismatchError(
                 f"field has {self.values.shape} values for a grid of {self.grid.n} nodes"
             )
-        if self.l < 0:
-            raise ConfigurationError("channel index must be >= 0")
+        _check_integer("channel index", self.l)
+
+
+def _check_integer(name, value, lo=0, hi=math.inf):
+    """Refuse, with ConfigurationError, a `value` that is not an integer in
+    [lo, hi]; numpy integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ConfigurationError(f"{name} {value!r} is not an integer in [{lo}, {hi}]")
 
 
 def build_grid(n, r_max, stretch="tanh"):
@@ -204,8 +205,7 @@ def build_grid(n, r_max, stretch="tanh"):
     n >= 16 nodes on (0, r_max]; `stretch` is "uniform" or "tanh", whose
     node density ratio is (1 - w sech^2 s)/(1 - w) with w = 0.85, s = 3.
     """
-    if not isinstance(n, (int, np.integer)) or not n >= 16:
-        raise ConfigurationError(f"need an integer n >= 16 nodes, got {n!r}")
+    _check_integer("node count n", n, lo=16)
     if not 0.0 < r_max <= 1e100:     # the weights carry r_max^3
         raise ConfigurationError(f"need 0 < r_max <= 1e100, got {r_max!r}")
     m, m1 = _stretch_functions(stretch, float(r_max))
@@ -234,7 +234,6 @@ def build_grid(n, r_max, stretch="tanh"):
         jac=jac,
         jac_face=jac_face,
         cell_stencils=cell_stencils,
-        token=next(_token_counter),
     )
 
 
@@ -365,31 +364,6 @@ def _build_laplacian(grid, l):
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def _check_pair(f, g):
-    if f.grid.token != g.grid.token:
-        raise GridMismatchError("fields live on different grids")
-    if f.l != g.l:
-        raise GridMismatchError(f"fields live in different channels ({f.l} vs {g.l})")
-
-
-def inner_product(f, g, convention="channel"):
-    """Inner product (f, g) = integral of conj(f) g r^2 dr on one channel.
-
-    convention="channel" uses the orthonormal-harmonic normalization;
-    convention="3d" multiplies by 4*pi and is only meaningful for the
-    radial l = 0 embedding into R^3.
-    """
-    _check_pair(f, g)
-    val = np.sum(f.grid.weights * np.conjugate(f.values) * g.values)
-    if convention == "channel":
-        return complex(val)
-    if convention == "3d":
-        if f.l != 0:
-            raise ConfigurationError("the 3-D convention applies to l = 0 fields")
-        return complex(4.0 * np.pi * val)
-    raise ConfigurationError(f"unknown convention {convention!r}")
-
 
 def h2_norm_3d(grid, values):
     """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)} of a radial f."""

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MU_MAX = 0.1
+_TAIL_FIT = (15.0, 25.0)    # radii of the log-linear fit of the soliton tail
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +87,6 @@ def _pohozaev(integrals, mu):
     lhs = 0.5 * g2 + 1.5 * m
     rhs = 0.9 * p + mu * h
     return abs(lhs - rhs) / lhs
-
-def pohozaev_defect(grid, q, mu):
-    return _pohozaev(_integrals(grid, q), mu)
 
 
 @dataclass(eq=False)
@@ -274,7 +272,14 @@ def _newton_polish(grid, q0, mu):
 
 
 def solve_classical_Q(grid):
-    """The positive radial soliton of the local equation (mu = 0)."""
+    """The positive radial soliton of the local equation (mu = 0).
+
+    Every ground state starts here, so a grid that ends before the tail fit
+    of `_tail_logderiv` does (r_max < 25) is refused with ConfigurationError.
+    """
+    if not grid.r_max >= _TAIL_FIT[1]:
+        raise ConfigurationError(f"ground states need r_max >= {_TAIL_FIT[1]:g} for the "
+                                 f"tail fit, got {grid.r_max:g}")
     key = ("groundstate", 0.0)
     if key in grid._cache:
         return grid._cache[key]
@@ -293,7 +298,7 @@ def solve_classical_Q(grid):
 def _tail_logderiv(grid, q):
     """Mean log-derivative of r Q(r) over 15 <= r <= 25 (limit is -1)."""
     r = grid.nodes
-    mask = (r >= 15.0) & (r <= 25.0) & (q > 0)
+    mask = (r >= _TAIL_FIT[0]) & (r <= _TAIL_FIT[1]) & (q > 0)
     rq = np.log(r[mask] * q[mask])
     return float(np.polyfit(r[mask], rq, 1)[0])
 

@@ -40,13 +40,12 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigurationError, GridMismatchError, QuadratureError
-from .grid import RadialField, RadialGrid, _fd_weights, profile_interpolator
+from .errors import QuadratureError
+from .grid import RadialField, _check_integer, _fd_weights, profile_interpolator
 
 __all__ = [
     "MultipoleKernel",
     "build_multipole_kernel",
-    "channel_convolve",
     "brute_force_oracle",
     "calibrate_channel_coefficient",
 ]
@@ -225,16 +224,15 @@ def _factor_block(block, rng):
 
 @dataclass(eq=False)
 class MultipoleKernel:
-    """Channel operator for the |x|^-2 convolution at fixed l.
+    """Channel operator for the |x|^-2 convolution at fixed l, as the grid caches it.
 
     `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
     and off-diagonal blocks held as low-rank products (or densely where that
-    is no smaller).  Products go through `@`, and through `.T` for the
-    transpose; `matrix.toarray()` gives the dense form, for tests.
+    is no smaller).  A channel profile p on the grid maps to A_l p as
+    `matrix @ p`, and `matrix.T @ p` applies the transpose;
+    `matrix.toarray()` gives the dense form, for tests.
     """
 
-    l: int
-    grid: RadialGrid
     matrix: HodlrMatrix
 
 
@@ -281,11 +279,10 @@ def _exact_cell_rows(grid, l, i, c, rule):
 
 def build_multipole_kernel(grid, l):
     """The channel-l operator on `grid`, cached on the grid, in HODLR form."""
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < _L_MAX_TABLE:
-        raise ConfigurationError(f"channel index {l!r} is not an integer in [0, {_L_MAX_TABLE})")
+    _check_integer("channel index", l, hi=_L_MAX_TABLE - 1)
     key = ("hartree_kernel", l)
     if key not in grid._cache:
-        grid._cache[key] = MultipoleKernel(l=l, grid=grid, matrix=_hodlr_kernel(grid, l))
+        grid._cache[key] = MultipoleKernel(matrix=_hodlr_kernel(grid, l))
     return grid._cache[key]
 
 
@@ -411,20 +408,12 @@ def nonlinear_potential(grid, values, mu):
     return pot
 
 
-def channel_convolve(kernel, f):
-    """Channel-l restriction of |x|^-2 * (f P_l) for f in the kernel's channel."""
-    if f.l != kernel.l:
-        raise GridMismatchError(f"field channel {f.l} does not match kernel channel {kernel.l}")
-    if f.grid.token != kernel.grid.token:
-        raise GridMismatchError("field and kernel live on different grids")
-    return RadialField(f.grid, f.l, kernel.matrix @ f.values)
-
-
 # ---------------------------------------------------------------------------
 # independent 3-D quadrature oracle
 # ---------------------------------------------------------------------------
 
 _CHORD_GL = np.polynomial.legendre.leggauss(48)   # per chord interval, at both resolutions
+_ORACLE_TOL = 1e-4    # relative agreement of the oracle's two resolutions
 
 
 def _shell_integrals(fun, l, radius, s, features):
@@ -462,7 +451,7 @@ def _oracle_once(fun, l, radius, s_panels, n_s, feature_radii):
     return total
 
 
-def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
+def brute_force_oracle(f, points, feature_radii=(), support=None):
     """Evaluate |x|^-2 * f by direct 3-D quadrature at the given radii.
 
     `f` is a RadialField of channel l, standing for the density p(|y|) P_l
@@ -470,9 +459,9 @@ def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
     evaluation points lie on the axis, where the convolution equals the
     channel profile (A_l p)(R).  The quadrature re-centers spherical shells
     on the evaluation point so the kernel singularity cancels exactly.
-    Convergence is verified by comparing two resolutions; failure, a NaN
-    estimate included, raises QuadratureError carrying the achieved error
-    estimate.
+    Convergence is verified by comparing two resolutions, which must agree
+    to 1e-4 relative; failure, a NaN estimate included, raises
+    QuadratureError carrying the achieved error estimate.
 
     A RadialField is represented by a smooth spline, appropriate for smooth
     densities; pass discontinuous densities as callables (with their jump
@@ -505,7 +494,7 @@ def brute_force_oracle(f, points, feature_radii=(), rel_tol=1e-4, support=None):
         coarse = _oracle_once(fun, l, radius, panels, 16, feature_radii)
         fine = _oracle_once(fun, l, radius, panels, 28, feature_radii)
         err = abs(fine - coarse) / max(abs(fine), 1e-300)
-        if not err <= rel_tol:
+        if not err <= _ORACLE_TOL:
             raise QuadratureError(
                 f"oracle failed to converge at r={radius:g}", error_estimate=err
             )
@@ -525,10 +514,10 @@ def calibrate_channel_coefficient(grid, l):
     """
     r = grid.nodes
     field = RadialField(grid, l, r ** l * np.exp(-r ** 2))
-    mine = channel_convolve(build_multipole_kernel(grid, l), field)
+    mine = build_multipole_kernel(grid, l).matrix @ field.values
     # compare on the nodes nearest the oracle radii
     idx = [int(np.argmin(np.abs(r - radius))) for radius in _ORACLE_RADII]
-    ratios = brute_force_oracle(field, r[idx]) / mine.values[idx]
+    ratios = brute_force_oracle(field, r[idx]) / mine[idx]
     return {
         "l": l,
         "coefficient": CHANNEL_COEFFICIENT,

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, ConvergenceError, SolvabilityError
-from .grid import RadialField, generator, h2_norm_3d
+from .grid import RadialField, _check_integer, generator, h2_norm_3d
 from .hartree import build_multipole_kernel, nonlinear_potential
 
 __all__ = [
@@ -164,8 +164,7 @@ def assemble_channel_operator(gs, kind, l):
     """Build L_{+,l} or L_{-,l} around the given ground state."""
     if kind not in ("plus", "minus"):
         raise ConfigurationError(f"kind must be 'plus' or 'minus', got {kind!r}")
-    if l < 0:
-        raise ConfigurationError("channel index must be >= 0")
+    _check_integer("channel index", l)
     return linearize(gs.grid, gs.Q.values, gs.mu, kind, l)
 
 
@@ -190,8 +189,7 @@ def lowest_eigenpairs(op, k):
     vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed ARPACK
     iteration or CG solve raises ConvergenceError.
     """
-    if not 1 <= k <= MAX_EIGENPAIRS:
-        raise ConfigurationError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
+    _check_integer("eigenpair count k", k, 1, MAX_EIGENPAIRS)
     n = op.grid.n
     w = np.sqrt(op.grid.weights)
     b_loc = sp.diags(w) @ op.local @ sp.diags(1.0 / w)
@@ -332,11 +330,9 @@ def algebraic_identity_report(gs):
 def check_spectrum_request(l_max, k):
     """Refuse, with ConfigurationError, a `nondegeneracy_report` request it
     cannot serve.  The gap checks read the second eigenvalue of channels 0
-    and 1, so l_max >= 1 and 2 <= k <= MAX_EIGENPAIRS."""
-    if l_max < 1:
-        raise ConfigurationError(f"l_max must be >= 1, got {l_max}")
-    if not 2 <= k <= MAX_EIGENPAIRS:
-        raise ConfigurationError(f"k must be between 2 and {MAX_EIGENPAIRS}, got {k}")
+    and 1, so both are integers with l_max >= 1 and 2 <= k <= MAX_EIGENPAIRS."""
+    _check_integer("l_max", l_max, lo=1)
+    _check_integer("eigenpair count k", k, 2, MAX_EIGENPAIRS)
 
 
 def nondegeneracy_report(gs, l_max=L_MAX, k=6):

@@ -96,13 +96,24 @@ def test_out_of_range_coupling_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["spectrum", "--rmax", "1e300"], ["groundstate", "--rmax", "nan"],
-                                  ["groundstate", "--rmax", "inf"], ["profile", "--b", "nan"]])
+                                  ["groundstate", "--rmax", "inf"], ["profile", "--b", "nan"],
+                                  # shorter than the soliton's tail fit
+                                  ["groundstate", "--rmax", "10"]])
 def test_non_finite_or_overflowing_input_exits_2(tmp_path, args):
     assert _run(args + ["--grid-n", "256"], str(tmp_path)) == 2
     (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
     assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
     # refused before any solve, so the run wrote nothing but its manifest
     assert os.listdir(manifest.parent) == ["manifest.json"]
+
+
+def test_negative_thread_cap_exits_2_before_export(tmp_path, monkeypatch):
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        monkeypatch.delenv(var, raising=False)
+    assert _run(["groundstate", "--grid-n", "256", "--threads", "-1"], str(tmp_path)) == 2
+    assert not any(var in os.environ for var in variables)
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--k", "1"], ["--k", "0"]])

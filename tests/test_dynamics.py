@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcnls.errors import ConfigurationError
-from dcnls.grid import build_grid
+from dcnls.grid import RadialField, build_grid
 from dcnls.groundstate import mass_3d, solve_classical_Q, solve_Q_mu
 from dcnls.dynamics import (
     EvolutionState,
@@ -12,6 +12,7 @@ from dcnls.dynamics import (
     modulation_extract,
     virial_check,
 )
+from dcnls.linop import assemble_channel_operator, nondegeneracy_report
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,18 @@ def test_evolve_refuses_a_step_that_cannot_reach_t_final(grid, dt, t_final):
     assert evolve(u0, 0.0, dt=1e-3, t_final=u0.t).steps == 0
 
 
-@pytest.mark.parametrize("mu, record_every", [(np.nan, 25), (np.inf, 25), (-np.inf, 25),
-                                              (0.0, 0), (0.0, -3), (0.0, 2.5), (0.0, np.nan)])
-def test_evolve_refuses_bad_coupling_or_record_interval(grid, monkeypatch, mu, record_every):
+_BAD_EVOLVE_ARGS = [(np.nan, 25, {}), (np.inf, 25, {}), (-np.inf, 25, {}),
+                    (0.0, 0, {}), (0.0, -3, {}), (0.0, 2.5, {}), (0.0, np.nan, {}),
+                    # a NaN stop or guard would be silently off, a factor <= 1 stops at once
+                    (0.0, 25, {"stop_grad_factor": np.nan}), (0.0, 25, {"stop_grad_factor": -1.0}),
+                    (0.0, 25, {"lambda0": np.nan}), (0.0, 25, {"min_scale_cells": np.nan})]
+
+
+@pytest.mark.parametrize("mu, record_every, guards", _BAD_EVOLVE_ARGS, ids=[
+    f"{mu}-{every}" + "".join(f"-{k}={v}" for k, v in guards.items())
+    for mu, every, guards in _BAD_EVOLVE_ARGS])
+def test_evolve_refuses_bad_coupling_or_record_interval(grid, monkeypatch, mu, record_every,
+                                                        guards):
     import dcnls.dynamics
 
     u0 = make_initial_data("gaussian", grid=grid, width=2.0, amplitude=1.0)
@@ -73,7 +83,49 @@ def test_evolve_refuses_bad_coupling_or_record_interval(grid, monkeypatch, mu, r
 
     monkeypatch.setattr(dcnls.dynamics, "grad_sq_3d", no_work)
     with pytest.raises(ConfigurationError):
-        evolve(u0, mu, dt=1e-3, t_final=0.1, record_every=record_every)
+        evolve(u0, mu, dt=1e-3, t_final=0.1, record_every=record_every, **guards)
+
+
+# entry points other than evolve, each with an argument it used to take or to
+# die on untyped: (entry, keyword arguments)
+_HOSTILE = [("gaussian", {"width": np.nan}), ("gaussian", {"width": np.inf}),
+            ("gaussian", {"amplitude": np.inf}), ("gaussian", {"mu": np.nan}),
+            ("rescaled_soliton", {"alpha": np.nan}), ("rescaled_soliton", {"beta": np.inf}),
+            ("minimal_mass_profile", {"mass_factor": np.nan}),
+            ("minimal_mass_profile", {"mass_factor": -1.0}),
+            ("minimal_mass_profile", {"mass_factor": np.inf}),
+            ("RadialField", {"l": np.nan}), ("RadialField", {"l": 1.5}),
+            ("RadialField", {"l": True}),
+            ("assemble_channel_operator", {"l": np.nan}), ("assemble_channel_operator", {"l": 1.5}),
+            ("assemble_channel_operator", {"l": True}),
+            ("nondegeneracy_report", {"k": 2.5}), ("nondegeneracy_report", {"l_max": 1.5})]
+
+
+@pytest.mark.parametrize("entry, kwargs", _HOSTILE, ids=[
+    entry + "".join(f"-{k}={v}" for k, v in kwargs.items()) for entry, kwargs in _HOSTILE])
+def test_hostile_input_is_refused_before_any_work(grid, gs, ps, monkeypatch, entry, kwargs):
+    import dcnls.dynamics
+    import dcnls.linop
+    import dcnls.profile
+
+    calls = {
+        "gaussian": lambda **kw: make_initial_data("gaussian", grid=grid, **kw),
+        "rescaled_soliton": lambda **kw: make_initial_data("rescaled_soliton", gs=gs, **kw),
+        "minimal_mass_profile": lambda **kw: make_initial_data("minimal_mass_profile",
+                                                               gs=gs, ps=ps, **kw),
+        "RadialField": lambda l: RadialField(grid, l, np.zeros(grid.n)),
+        "assemble_channel_operator": lambda l: assemble_channel_operator(gs, "plus", l),
+        "nondegeneracy_report": lambda **kw: nondegeneracy_report(gs, **kw),
+    }
+
+    def no_work(*args, **kw):
+        raise AssertionError("numerical work started")
+
+    for module, name in ((dcnls.dynamics, "profile_interpolator"), (dcnls.dynamics, "mass_3d"),
+                         (dcnls.profile, "assemble_R"), (dcnls.linop, "linearize")):
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(ConfigurationError):
+        calls[entry](**kwargs)
 
 
 def test_subcritical_mass_stays_bounded(grid, gs):
@@ -309,3 +361,14 @@ def test_one_potential_and_one_factor_per_fixed_dt_run(monkeypatch):
     assert len(calls) == n_steps + 1
     assert traj.steps == n_steps
     assert traj.refactorizations == 1
+
+
+@pytest.mark.parametrize("mu, linear_only", [(0.0, True), (0.02, False)])
+def test_final_state_is_the_last_record(mu, linear_only):
+    g = build_grid(256, 40.0, "tanh")
+    u0 = make_initial_data("gaussian", grid=g, width=2.0, amplitude=1.0, mu=mu)
+    traj = evolve(u0, mu, dt=1e-3, t_final=0.05, linear_only=linear_only)
+    final = traj.final
+    assert (final.t, final.mass, final.energy, final.grad_norm) == (
+        traj.times[-1], traj.mass[-1], traj.energy[-1], traj.grad_norm[-1])
+    assert np.array_equal(final.field.values, traj.snapshots[-1][1])

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 import dcnls.grid
-from dcnls.errors import ConfigurationError, GridMismatchError
-from dcnls.grid import (
-    RadialField,
-    apply_generator,
-    build_grid,
-    inner_product,
-    profile_interpolator,
-)
+from dcnls.errors import ConfigurationError
+from dcnls.grid import RadialField, apply_generator, build_grid, profile_interpolator
+from dcnls.groundstate import mass_3d
 
 
 @pytest.fixture(scope="module")
@@ -72,37 +67,14 @@ def test_tanh_grading_concentrates_nodes():
 
 
 def test_inner_product_unit_ball():
+    # the 3-D inner product <1, 1> over the unit ball
     g = build_grid(256, 1.0, "uniform")
-    one = RadialField(g, 0, np.ones(g.n))
-    val = inner_product(one, one, convention="3d")
-    assert abs(val.real - 4 * np.pi / 3) <= 1e-12
+    assert abs(mass_3d(g, np.ones(g.n)) - 4 * np.pi / 3) <= 1e-12
 
 
 def test_inner_product_gaussian(grid):
-    f = RadialField(grid, 0, np.exp(-grid.nodes ** 2 / 2))
-    val = inner_product(f, f, convention="3d")
-    assert abs(val.real - np.pi ** 1.5) <= 1e-10 * np.pi ** 1.5
-
-
-def test_inner_product_hermitian(grid):
-    rng = np.random.default_rng(7)
-    c1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    r = grid.nodes
-    f = RadialField(grid, 0, c1[0] * np.exp(-r) + c1[1] * np.exp(-r ** 2) * 1j)
-    gfield = RadialField(grid, 0, np.exp(-r / 2) * (1 + 2j) + c1[2] * np.exp(-r ** 2 / 3))
-    assert inner_product(f, gfield) == pytest.approx(np.conj(inner_product(gfield, f)))
-    assert inner_product(f, f).real >= 0
-
-
-def test_inner_product_rejects_mismatch(grid):
-    other = build_grid(512, 40.0, "tanh")
-    f = RadialField(grid, 0, np.ones(grid.n))
-    g2 = RadialField(other, 0, np.ones(other.n))
-    with pytest.raises(GridMismatchError):
-        inner_product(f, g2)
-    h = RadialField(grid, 1, np.ones(grid.n))
-    with pytest.raises(GridMismatchError):
-        inner_product(f, h)
+    val = mass_3d(grid, np.exp(-grid.nodes ** 2 / 2))
+    assert abs(val - np.pi ** 1.5) <= 1e-10 * np.pi ** 1.5
 
 
 def test_laplacian_of_constant_vanishes(grid):
@@ -127,10 +99,10 @@ def test_laplacian_of_gaussian(grid):
 def test_laplacian_symmetric_under_inner_product(grid):
     r = grid.nodes
     for l in (0, 1, 2):
-        f = RadialField(grid, l, r ** l * np.exp(-r))
-        g = RadialField(grid, l, r ** l * np.exp(-r ** 2 / 3) * (1 + r))
-        s1 = inner_product(RadialField(grid, l, grid.laplacian(l) @ f.values), g)
-        s2 = inner_product(f, RadialField(grid, l, grid.laplacian(l) @ g.values))
+        f = r ** l * np.exp(-r)
+        g = r ** l * np.exp(-r ** 2 / 3) * (1 + r)
+        s1 = np.sum(grid.weights * (grid.laplacian(l) @ f) * g)
+        s2 = np.sum(grid.weights * f * (grid.laplacian(l) @ g))
         assert abs(s1 - s2) <= 1e-10 * max(abs(s1), 1e-30)
 
 
@@ -162,9 +134,10 @@ def test_generator_skew_adjoint(grid):
     r = grid.nodes
     f = RadialField(grid, 0, np.exp(-r) * (1 + r))
     g = RadialField(grid, 0, np.exp(-r ** 2 / 2) * r ** 2)
-    s = inner_product(apply_generator(f), g) + inner_product(f, apply_generator(g))
-    ref = abs(inner_product(apply_generator(f), g))
-    assert abs(s) <= 1e-8 * ref
+    w = grid.weights
+    pair = np.sum(w * apply_generator(f).values * g.values)
+    s = pair + np.sum(w * f.values * apply_generator(g).values)
+    assert abs(s) <= 1e-8 * abs(pair)
 
 
 def _channel_profiles(r):

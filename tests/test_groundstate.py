@@ -15,7 +15,6 @@ from dcnls.groundstate import (
     mass_3d,
     minimize_constrained,
     perturbation_rate,
-    pohozaev_defect,
     solve_classical_Q,
     solve_Q_mu,
 )
@@ -155,7 +154,7 @@ def test_shooting_profile_returns_fresh_arrays():
 def test_pohozaev_detects_non_solutions(grid, classical):
     assert classical.pohozaev_residual <= 1e-6
     fake = np.exp(-grid.nodes ** 2)
-    assert pohozaev_defect(grid, fake, 0.0) > 1e-2
+    assert groundstate._pohozaev(groundstate._integrals(grid, fake), 0.0) > 1e-2
 
 
 def test_solve_q_mu_base_case(grid, classical):

@@ -1,11 +1,13 @@
 """Every import and private helper in the package modules is used, every
-exported name exists and no failure is swallowed (stdlib-only lints, plus
-one import of the package)."""
+public function has a caller outside the tests, every exported name exists
+and no failure is swallowed (stdlib-only lints, plus one import of the
+package)."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dcnls"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dcnls"
 
 
 def _module_all(tree):
@@ -86,6 +88,33 @@ def test_no_dead_private_constants():
     dead = sorted(f"{where} {name}" for name, where in constants.items()
                   if name not in loaded)
     assert dead == []
+
+
+def test_public_functions_have_callers_outside_tests():
+    # a public function that only the tests reach is surface nothing uses
+    public, referenced = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        public.update({node.name: f"{path.name}:{node.lineno}" for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")})
+    for path in sorted(p for d in (SRC, ROOT / "demos", ROOT / "perfbench") for p in d.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    assert public
+    unused = sorted(f"{where} {name}" for name, where in public.items() if name not in referenced)
+    assert unused == []
 
 
 def _defined_names(tree):
