@@ -19,12 +19,16 @@ sparse near-field correction: a band of cells around the diagonal is
 re-integrated cell by cell against the local degree-5 interpolant, with a
 double-exponential rule absorbing the logarithmic singularity on the
 diagonal cell itself.  It is built block by block as a hierarchical
-off-diagonal low-rank (HODLR) matrix: the index range is bisected down to
-dense diagonal leaves, and each off-diagonal block of the bisection,
-smooth because it stays away from the diagonal, is filled, corrected and
-held as a product U V^T truncated at singular values 1e-14 times its
-largest, found by a seeded randomized range finder.  Above one leaf, no
-n x n array is held during the build.
+off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the index range is
+bisected down to dense diagonal leaves, and each off-diagonal block of the
+bisection, smooth because it touches the diagonal at one corner only, is
+held as a product U V^T.  Each mirrored pair of blocks takes one partially
+pivoted cross approximation of its far field (Bebendorf 2000), which
+evaluates only its pivot rows and columns; each block then takes its
+near-field corner as extra columns, is recompressed to singular values
+above 1e-14 times its largest, and is checked against a fixed sample of
+its exact rows and columns.  No off-diagonal block is evaluated whole,
+and above one leaf no n x n array is held during the build.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -139,10 +143,12 @@ _GL16_CELLS = 3    # cells each side of the diagonal cell that take the 16-point
 
 _BAND = 12       # cells each side of the diagonal integrated exactly
 _CORE = _BAND + 24   # cells integrated exactly for every row up to _CORE + _BAND
-_ROWS = 256      # row chunk of the far-field fill
+_ROWS = 256      # row chunk of the near-field quadratures
 _LEAF = 256      # largest dense diagonal leaf of the HODLR kernel
-_SKETCH = 48     # first width of an off-diagonal block's random sketch
+_ACA_TOL = 5e-14  # a cross approximation stops at crosses this small against its norm
 _SVD_CUT = 1e-14  # singular values kept, relative to the block's largest
+_SAMPLE = 4      # exact rows and columns each off-diagonal block is checked on
+_CHECK_TOL = 1e-12  # largest sampled error, relative to the largest sampled entry
 
 
 class HodlrMatrix:
@@ -202,33 +208,12 @@ class HodlrMatrix:
         return out
 
 
-def _factor_block(block, rng):
-    """(U, V^T) with U V^T = `block` up to _SVD_CUT, or (copy,) if that is no smaller.
-
-    A Gaussian sketch of `width` columns finds the range (Halko, Martinsson
-    and Tropp 2011); the width doubles while the kept rank is within 8 of it.
-    """
-    p, q = block.shape
-    width = min(_SKETCH, p, q)
-    while True:
-        basis, _ = np.linalg.qr(block @ rng.standard_normal((q, width)))
-        u, s, vt = np.linalg.svd(basis.T @ block, full_matrices=False)
-        rank = int(np.count_nonzero(s > _SVD_CUT * s[0]))
-        if rank <= width - 8 or width == min(p, q):
-            break
-        width = min(2 * width, p, q)
-    if rank * (p + q) >= p * q:
-        return (block.copy(),)
-    return (basis @ (u[:, :rank] * s[:rank]), np.ascontiguousarray(vt[:rank]))
-
-
 @dataclass(eq=False)
 class MultipoleKernel:
     """Channel operator for the |x|^-2 convolution at fixed l, as the grid caches it.
 
     `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
-    and off-diagonal blocks held as low-rank products (or densely where that
-    is no smaller).  A channel profile p on the grid maps to A_l p as
+    and off-diagonal blocks held as low-rank products.  A channel profile p on the grid maps to A_l p as
     `matrix @ p`, and `matrix.T @ p` applies the transpose;
     `matrix.toarray()` gives the dense form, for tests.
     """
@@ -286,50 +271,113 @@ def build_multipole_kernel(grid, l):
     return grid._cache[key]
 
 
-def _far_rows(l, r, rho):
-    """k_l(r_i, rho_j) as an (r.size, rho.size) array, filled _ROWS rows at a
-    time to bound _g_ratio's temporaries."""
-    out = np.empty((r.size, rho.size))
-    for a in range(0, r.size, _ROWS):
-        out[a:a + _ROWS] = _kernel_values(l, r[a:a + _ROWS, None], rho)
-    return out
+def _entries(grid, l, near, rows, cols):
+    """The kernel's entries at the index arrays rows x cols: the far field
+    k_l(r_i, rho_j) w_j, 0 on the diagonal, plus the sparse `near`."""
+    r, w = grid.nodes, grid.weights
+    far = _kernel_values(l, r[rows, None], r[cols]) * w[cols]
+    far[rows[:, None] == cols] = 0.0
+    return far + near[rows][:, cols].toarray()
 
 
-def _add_near(block, near, rows, cols):
-    """`block` plus the entries of the sparse `near` in (rows, cols), in place."""
-    sub = near[rows, cols].tocoo()
-    block[sub.row, sub.col] += sub.data
-    return block
+def _cross(row, col, p, q):
+    """(U, V), p x k and q x k, with U V^T approximating the p x q block whose
+    rows and columns `row(i)` and `col(j)` evaluate, by partially pivoted
+    cross approximation (Bebendorf 2000).
+
+    Only the pivot rows and columns are evaluated.  The first pivot row is
+    the last, which touches the diagonal; each next one is the largest entry
+    of the last residual column among the rows not yet used.  It stops
+    after two crosses in a row below _ACA_TOL times the Frobenius norm of
+    U V^T, and raises QuadratureError if the rank reaches p q / (p + q),
+    where the factors would be no smaller than the block.
+    """
+    u, v = np.empty((32, p)), np.empty((32, q))
+    free = np.ones(p, dtype=bool)
+    i, norm2, small = p - 1, 0.0, 0
+    for k in range(p * q // (p + q)):
+        if k == len(u):
+            u, v = np.vstack((u, np.empty_like(u))), np.vstack((v, np.empty_like(v)))
+        free[i] = False
+        res = row(i) - u[:k, i] @ v[:k]
+        j = int(np.argmax(np.abs(res)))
+        u[k] = col(j) - v[:k, j] @ u[:k]
+        v[k] = res / res[j]
+        cross2 = (u[k] @ u[k]) * (v[k] @ v[k])
+        norm2 += cross2 + 2.0 * np.dot(u[:k] @ u[k], v[:k] @ v[k])
+        small = small + 1 if cross2 <= _ACA_TOL ** 2 * norm2 else 0
+        if small == 2:
+            return u[:k + 1].T, v[:k + 1].T
+        i = int(np.argmax(np.where(free, np.abs(u[k]), -1.0)))
+    raise QuadratureError(f"cross approximation of a {p} x {q} block did not converge",
+                          error_estimate=float(np.sqrt(cross2 / norm2)))
+
+
+def _recompress(u, v, near):
+    """(U, V^T) for u v^T plus the sparse `near`, truncated at singular
+    values _SVD_CUT times the largest.  The rows of `near` that hold entries
+    join u and v as unit and row columns; one QR of each side and an SVD of
+    the small core recompress the sum."""
+    held = np.flatnonzero(np.diff(near.indptr))
+    unit = np.zeros((u.shape[0], held.size))
+    unit[held, np.arange(held.size)] = 1.0
+    qu, ru = np.linalg.qr(np.hstack((u, unit)))
+    qv, rv = np.linalg.qr(np.hstack((v, near[held].toarray().T)))
+    core_u, s, core_vt = np.linalg.svd(ru @ rv.T)
+    rank = int(np.count_nonzero(s > _SVD_CUT * s[0]))
+    return qu @ (core_u[:, :rank] * s[:rank]), core_vt[:rank] @ qv.T
+
+
+def _check_block(grid, l, near, rows, cols, factors):
+    """Raise QuadratureError unless the factors match _SAMPLE exact rows and
+    _SAMPLE exact columns of the block, spread evenly from edge to edge, to
+    _CHECK_TOL relative to their largest entry."""
+    u, vt = factors
+    rows, cols = np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop)
+    i = np.linspace(0, rows.size - 1, _SAMPLE).astype(int)
+    j = np.linspace(0, cols.size - 1, _SAMPLE).astype(int)
+    exact_rows = _entries(grid, l, near, rows[i], cols)
+    exact_cols = _entries(grid, l, near, rows, cols[j])
+    scale = max(np.max(np.abs(exact_rows)), np.max(np.abs(exact_cols)))
+    err = max(np.max(np.abs(u[i] @ vt - exact_rows)),
+              np.max(np.abs(u @ vt[:, j] - exact_cols))) / scale
+    if not err <= _CHECK_TOL:
+        raise QuadratureError(
+            f"low-rank block {rows[0]}:{rows[-1] + 1} x {cols[0]}:{cols[-1] + 1} "
+            f"misses its sampled entries", error_estimate=float(err))
 
 
 def _hodlr_kernel(grid, l):
     """The channel-l operator on `grid` as a HodlrMatrix, built block by block.
 
-    Each block of the bisection is filled with the far field, gets its
-    entries of `_near_field`, is factored and is dropped.  The pointwise
-    kernel is symmetric, so in a mirrored pair of off-diagonal blocks its
-    values serve both, reweighted in place for the transpose.
+    Each diagonal leaf is evaluated whole.  Each mirrored pair of
+    off-diagonal blocks takes one cross approximation of the upper block's
+    far field k_l(r_i, rho_j) w_j.  The pointwise kernel is symmetric, so
+    (U, V) for the upper block gives (V / w, U w) for the lower one.  Each
+    block then takes its entries of `_near_field`, is recompressed, and is
+    checked against a sample of its exact entries.  No off-diagonal block is
+    evaluated whole.
     """
     r, w = grid.nodes, grid.weights
     near = _near_field(grid, l)
-    rng = np.random.default_rng(0)
     blocks = []
     stack = [(0, grid.n)]
     while stack:
         a, b = stack.pop()
         if b - a <= _LEAF:
-            span = slice(a, b)
-            leaf = _far_rows(l, r[span], r[span]) * w[span]
-            np.fill_diagonal(leaf, 0.0)
-            blocks.append((span, span, (_add_near(leaf, near, span, span),)))
+            span = np.arange(a, b)
+            blocks.append((slice(a, b), slice(a, b), (_entries(grid, l, near, span, span),)))
             continue
         m = (a + b) // 2
         top, bottom = slice(a, m), slice(m, b)
-        vals = _far_rows(l, r[top], r[bottom])
-        blocks.append((top, bottom, _factor_block(
-            _add_near(vals * w[bottom], near, top, bottom), rng)))
-        vals *= w[top, None]
-        blocks.append((bottom, top, _factor_block(_add_near(vals.T, near, bottom, top), rng)))
+        u, v = _cross(lambda i: _kernel_values(l, r[a + i], r[bottom]) * w[bottom],
+                      lambda j: _kernel_values(l, r[top], r[m + j]) * w[m + j],
+                      m - a, b - m)
+        for rows, cols, (us, vs) in ((top, bottom, (u, v)),
+                                     (bottom, top, (v / w[bottom, None], u * w[top, None]))):
+            factors = _recompress(us, vs, near[rows, cols])
+            _check_block(grid, l, near, rows, cols, factors)
+            blocks.append((rows, cols, factors))
         stack += [(m, b), (a, m)]
     return HodlrMatrix(grid.n, blocks)
 

@@ -36,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, ConvergenceError, SolvabilityError
 from .grid import RadialField, _check_integer, generator, h2_norm_3d
-from .hartree import build_multipole_kernel, nonlinear_potential
+from .hartree import _L_MAX_TABLE, build_multipole_kernel, nonlinear_potential
 
 __all__ = [
     "ChannelOperator",
@@ -330,8 +330,10 @@ def algebraic_identity_report(gs):
 def check_spectrum_request(l_max, k):
     """Refuse, with ConfigurationError, a `nondegeneracy_report` request it
     cannot serve.  The gap checks read the second eigenvalue of channels 0
-    and 1, so both are integers with l_max >= 1 and 2 <= k <= MAX_EIGENPAIRS."""
-    _check_integer("l_max", l_max, lo=1)
+    and 1, and the kernel is tabulated for channels below _L_MAX_TABLE, so
+    both are integers with 1 <= l_max < _L_MAX_TABLE and
+    2 <= k <= MAX_EIGENPAIRS."""
+    _check_integer("l_max", l_max, 1, _L_MAX_TABLE - 1)
     _check_integer("eigenpair count k", k, 2, MAX_EIGENPAIRS)
 
 

@@ -138,6 +138,22 @@ def test_spectrum_request_checked_before_the_solve(tmp_path, monkeypatch, comman
     assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
 
 
+@pytest.mark.parametrize("mu", ["0.02", "0"])
+def test_untabulated_channel_refused_before_the_solve(tmp_path, monkeypatch, mu):
+    # the kernel is tabulated for channels 0..7 only, so --lmax 8 cannot be
+    # served at any coupling
+    import dcnls.groundstate
+
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("the ground state was solved")
+
+    monkeypatch.setattr(dcnls.groundstate, "solve_Q_mu", no_solve)
+    code = _run(["spectrum", "--mu", mu, "--grid-n", "256", "--lmax", "8"], str(tmp_path))
+    assert code == 2
+    (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
+    assert json.loads(manifest.read_text())["status"].startswith("FAILED (configuration)")
+
+
 def test_numerical_failure_exits_1(tmp_path, monkeypatch):
     import dcnls.cli as cli
 

@@ -231,7 +231,55 @@ def test_kernel_build_makes_no_dense_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0 * n * n * 8     # a dense fill alone would be n*n*8 bytes
+    # a dense fill alone would be n*n*8 bytes, a dense mirrored pair half of it
+    assert peak <= 0.5 * n * n * 8
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_kernel_build_evaluates_no_whole_off_diagonal_block(monkeypatch, l):
+    # the leaves (n * _LEAF entries) and the near-field quadratures take
+    # about 0.31 n^2 at n = 2048; filling every off-diagonal block once more
+    # would add 0.44 n^2
+    n = 2048
+    g = build_grid(n, 40.0, "tanh")
+    evaluated = []
+    exact = hartree._kernel_values
+
+    def counting(l, r, rho):
+        evaluated.append(np.broadcast(r, rho).size)
+        return exact(l, r, rho)
+
+    monkeypatch.setattr(hartree, "_kernel_values", counting)
+    build_multipole_kernel(g, l)
+    assert sum(evaluated) <= 0.45 * n * n
+
+
+def test_incompressible_block_raises(monkeypatch):
+    # a symmetric kernel that jumps where max(r, rho) = 2 min(r, rho) has
+    # off-diagonal blocks of full rank, which no cross approximation compresses
+    exact = hartree._kernel_values
+
+    def jump(l, r, rho):
+        return exact(l, r, rho) * (1.0 + 0.5 * (np.maximum(r, rho) > 2.0 * np.minimum(r, rho)))
+
+    monkeypatch.setattr(hartree, "_kernel_values", jump)
+    with pytest.raises(QuadratureError, match="did not converge") as exc:
+        build_multipole_kernel(build_grid(600, 40.0, "tanh"), 0)
+    assert exc.value.error_estimate > hartree._CHECK_TOL
+
+
+def test_sample_check_catches_a_truncated_cross(monkeypatch):
+    # dropping the last crosses leaves errors far above the check's bound
+    cross = hartree._cross
+
+    def truncated(*args):
+        u, v = cross(*args)
+        return u[:, :-6], v[:, :-6]
+
+    monkeypatch.setattr(hartree, "_cross", truncated)
+    with pytest.raises(QuadratureError, match="sampled entries") as exc:
+        build_multipole_kernel(build_grid(600, 40.0, "tanh"), 0)
+    assert exc.value.error_estimate > hartree._CHECK_TOL
 
 
 def test_kernel_build_frees_the_dense_fill():
@@ -252,7 +300,7 @@ def _rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("l", range(5))
+@pytest.mark.parametrize("l", range(hartree._L_MAX_TABLE))
 def test_hodlr_kernel_matches_dense_fill(monkeypatch, l):
     n = 1536
     dense = _one_leaf(monkeypatch, n, l)
@@ -295,7 +343,8 @@ def test_small_kernel_is_one_dense_leaf(n):
 
 
 def test_kernel_compression_is_reproducible():
-    # the sketch is seeded, so rebuilding on a fresh grid repeats every bit
+    # the cross approximation's pivots and the recompression are
+    # deterministic, so rebuilding on a fresh grid repeats every bit
     first = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), 0).matrix.toarray()
     second = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), 0).matrix.toarray()
     assert np.array_equal(first, second)
