@@ -213,9 +213,9 @@ class MultipoleKernel:
     """Channel operator for the |x|^-2 convolution at fixed l, as the grid caches it.
 
     `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
-    and off-diagonal blocks held as low-rank products.  A channel profile p on the grid maps to A_l p as
-    `matrix @ p`, and `matrix.T @ p` applies the transpose;
-    `matrix.toarray()` gives the dense form, for tests.
+    and off-diagonal blocks held as low-rank products.  A channel profile p
+    on the grid maps to A_l p as `matrix @ p`, and `matrix.T @ p` applies
+    the transpose; `matrix.toarray()` gives the dense form, for tests.
     """
 
     matrix: HodlrMatrix
