@@ -103,7 +103,6 @@ class RadialGrid:
     edges: np.ndarray
     jac: np.ndarray              # dr/dxi at the nodes
     jac_face: np.ndarray         # dr/dxi at the cell edges
-    cell_stencils: np.ndarray    # (n_cells, 6) node indices of each cell's interpolant
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -220,8 +219,6 @@ def build_grid(n, r_max, stretch="tanh"):
     jac_face = m1(xi_edges)
 
     weights = _blended_weights(nodes, jac, 1.0 / n, float(r_max))
-    start = np.clip(np.arange(n) - 2, 0, n - 6)
-    cell_stencils = start[:, None] + np.arange(6)[None, :]
     if np.min(weights) <= 0.0:
         raise ConfigurationError("quadrature produced non-positive weights; refine the mesh")
 
@@ -233,7 +230,6 @@ def build_grid(n, r_max, stretch="tanh"):
         edges=edges,
         jac=jac,
         jac_face=jac_face,
-        cell_stencils=cell_stencils,
     )
 
 

@@ -137,13 +137,11 @@ def _tanh_sinh_rule():
 
 
 _DE_X, _DE_W = _tanh_sinh_rule()
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL8 = np.polynomial.legendre.leggauss(8)
-_GL16_CELLS = 3    # cells each side of the diagonal cell that take the 16-point rule
+_GL = np.polynomial.legendre.leggauss(12)   # every exact cell off the diagonal
 
 _BAND = 12       # cells each side of the diagonal integrated exactly
 _CORE = _BAND + 24   # cells integrated exactly for every row up to _CORE + _BAND
-_ROWS = 256      # row chunk of the near-field quadratures
+_ROWS = 64       # row chunk of the near-field quadratures
 _LEAF = 256      # largest dense diagonal leaf of the HODLR kernel
 _ACA_TOL = 5e-14  # a cross approximation stops at crosses this small against its norm
 _SVD_CUT = 1e-14  # singular values kept, relative to the block's largest
@@ -240,26 +238,6 @@ def _lagrange_values(stencil_r, x):
 # one-sided d/dxi weights at a cell edge from the 4 nodes on either side
 _GREG_R = _fd_weights(np.array([0.5, 1.5, 2.5, 3.5]), 1)
 _GREG_L = _fd_weights(np.array([-0.5, -1.5, -2.5, -3.5]), 1)
-
-
-def _exact_cell_rows(grid, l, i, c, rule):
-    """Exact integrals over cell c of k(r_i, .) times the 6 local basis polys,
-    by the Gauss-Legendre `rule` (nodes, weights) on each cell, or, for rule
-    None, on the diagonal cells c = i split at r_i, by tanh-sinh."""
-    r = grid.nodes
-    sr = r[grid.cell_stencils[c]]
-    a, b = grid.edges[c], grid.edges[c + 1]
-    if rule is None:
-        panels = ((a, r[i] - a, _DE_X, _DE_W), (r[i], b - r[i], _DE_X, _DE_W))
-    else:
-        panels = ((0.5 * (a + b), 0.5 * (b - a)) + rule,)
-    rows = 0.0
-    for start, length, gx, gw in panels:
-        x = start[:, None] + length[:, None] * gx[None, :]
-        wq = length[:, None] * gw[None, :]
-        kv = _kernel_values(l, r[i][:, None], x)
-        rows = rows + np.einsum("ip,imp->im", wq * x ** 2 * kv, _lagrange_values(sr, x))
-    return rows
 
 
 def build_multipole_kernel(grid, l):
@@ -382,47 +360,64 @@ def _hodlr_kernel(grid, l):
     return HodlrMatrix(grid.n, blocks)
 
 
+def _cell_rule(grid, cells, diagonal):
+    """(stencils, x, weights) for the exact integration of each of `cells`.
+
+    `stencils` (cells, 6) are the nodes of the cell's degree-5 interpolant,
+    with Lagrange basis L_m; x (cells, q) are quadrature nodes on the cell,
+    and weights (cells, 6, q) are w_q x^2 L_m(x), so sum_q k(r, x_q) times
+    them integrates k(r, rho) L_m(rho) rho^2 drho over the cell.  The rule is
+    Gauss-Legendre on the whole cell, or, for the `diagonal` cell c of row c,
+    tanh-sinh on either side of r_c, where the kernel is log-singular.
+    """
+    r = grid.nodes
+    stencils = np.clip(cells - 2, 0, grid.n - 6)[:, None] + np.arange(6)
+    a, b = grid.edges[cells, None], grid.edges[cells + 1, None]
+    if diagonal:
+        mid = r[cells, None]
+        x = np.hstack((a + (mid - a) * _DE_X, mid + (b - mid) * _DE_X))
+        wq = np.hstack(((mid - a) * _DE_W, (b - mid) * _DE_W))
+    else:
+        gx, gw = _GL
+        x = 0.5 * (a + b) + 0.5 * (b - a) * gx
+        wq = 0.5 * (b - a) * gw
+    return stencils, x, (wq * x ** 2)[:, None, :] * _lagrange_values(r[stencils], x)
+
+
 def _near_field(grid, l):
     """Every correction to the far field k_l(r_i, rho_j) w_j, as one CSR matrix.
 
     Rows are quadratures of k_l(r_i, rho) f(rho) rho^2 drho: midpoint node
     weights away from the diagonal (their Euler-Maclaurin boundary terms
-    vanish at rho = 0 by parity and are cancelled at the band cuts by
+    vanish at rho = 0 by parity and are cancelled at the cuts by
     Gregory-type corrections), and exact kernel integration against the
-    local degree-5 interpolant of f on a band of cells around the diagonal
-    plus, for core rows, down to the origin where the kernel varies on the
-    scale of rho itself.  Duplicate (row, column) corrections are summed.
-    Every entry lies within _BAND + 4 of the diagonal or has row and column
-    at most _CORE + _BAND.
+    local degree-5 interpolant of f on one interval of cells per row: the
+    _BAND cells each side of the diagonal, and for core rows every cell
+    down to the origin, where the kernel varies on the scale of rho itself.
+    One pass over chunks of _ROWS rows tabulates each cell's rule once per
+    chunk (`_cell_rule`) and contracts it against the kernel at every row
+    that integrates the cell.  Duplicate (row, column) corrections are
+    summed.  Every entry lies within _BAND + 4 of the diagonal or has row
+    and column at most _CORE + _BAND.
     """
-    n, r, w, sten = grid.n, grid.nodes, grid.weights, grid.cell_stencils
+    n, r, w = grid.n, grid.nodes, grid.weights
     w_mid = grid.h_xi * grid.jac * r ** 2   # pure midpoint weights (Gregory samples)
-
-    def replace_cells(parts, i, c, rule):
-        if i.size:
-            naive = w[c] * _kernel_values(l, r[i], r[c])
-            naive[c == i] = 0.0
-            parts.append((i, c, -naive))
-            parts.append((np.repeat(i, sten.shape[1]), sten[c].ravel(),
-                          _exact_cell_rows(grid, l, i, c, rule).ravel()))
-
-    band = np.arange(-_BAND, _BAND + 1)     # cell offsets, grouped by quadrature rule
-    rules = ((band[band == 0], None),
-             (band[(band != 0) & (np.abs(band) <= _GL16_CELLS)], _GL16),
-             (band[np.abs(band) > _GL16_CELLS], _GL8))
     chunks = []     # rows in chunks of _ROWS, which bound the quadrature temporaries
     for start in range(0, n, _ROWS):
         rows = np.arange(start, min(start + _ROWS, n))
-        parts = []     # (rows, columns, values)
-        for offsets, rule in rules:
-            i, c = np.broadcast_arrays(rows[:, None], rows[:, None] + offsets)
-            ok = (c >= 0) & (c < n)
-            replace_cells(parts, i[ok], c[ok], rule)
-
-        # extend the exact zone to the origin for core rows
-        i, c = np.broadcast_arrays(rows[:, None], np.arange(_CORE))
-        ok = (i > _BAND + c) & (i <= _CORE + _BAND)
-        replace_cells(parts, i[ok], c[ok], _GL8)
+        # row i integrates cells lo_i..hi_i exactly: its own cell by the
+        # diagonal rule, the others, pairs (i, c), by the Gauss rule
+        lo = np.where(rows <= _CORE + _BAND, 0, rows - _BAND)
+        hi = np.minimum(rows + _BAND, n - 1)
+        cells = np.arange(lo[0], hi[-1] + 1)
+        i, c = np.broadcast_arrays(rows[:, None], cells)
+        pair = (c >= lo[:, None]) & (c <= hi[:, None]) & (c != i)
+        i, c = i[pair], c[pair]
+        parts = [(i, c, -w[c] * _kernel_values(l, r[i], r[c]))]    # (rows, columns, values)
+        for row, k, table, diagonal in ((i, c - lo[0], cells, False), (rows, rows - start, rows, True)):
+            stencils, x, weights = _cell_rule(grid, table, diagonal)
+            v = np.einsum("pq,pmq->pm", _kernel_values(l, r[row, None], x[k]), weights[k])
+            parts.append((np.repeat(row, 6), stencils[k].ravel(), v.ravel()))
 
         # Gregory corrections at the cuts between the exact zone and the
         # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
