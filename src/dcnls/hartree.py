@@ -57,8 +57,20 @@ __all__ = [
 CHANNEL_COEFFICIENT = 2.0 * np.pi   # resolved normalization of the channel kernel
 
 _SERIES_CUT = 0.45
-_SERIES_TERMS = 30       # t < _SERIES_CUT: terms past k = 30 are below 1e-21
+_SERIES_TERMS = 30       # t < 0.45: terms past k = 30 are below 1e-21
+_SERIES_TERMS_WIDE = 80  # t < 0.72, the widest cut (l = 7): terms past k = 80 are below 1e-22
 _L_MAX_TABLE = 8
+
+
+def _series_cut(l):
+    """The t below which g_l takes its series rather than the forward
+    Legendre recurrence.  The recurrence is unstable for Q_l at z > 1: its
+    rounding grows about like t^(-2l), which past 100^(-1/(2l)) stays near
+    100 ulps.  For l <= 2 that is _SERIES_CUT itself."""
+    return max(_SERIES_CUT, 100.0 ** (-0.5 / max(l, 1)))
+
+
+_CUTS = [_series_cut(l) for l in range(_L_MAX_TABLE)]
 
 
 def _series_table():
@@ -68,7 +80,7 @@ def _series_table():
     beta_{1,k} = (beta_{0,k} + beta_{0,k+1})/2 (the -1 cancels the constant
     term of z Q_0 exactly); higher rows follow the Legendre recurrence.
     """
-    head = _SERIES_TERMS + _L_MAX_TABLE + 2
+    head = _SERIES_TERMS_WIDE + _L_MAX_TABLE + 2
     beta = [[Fraction(2, 2 * k + 1) for k in range(head)]]
     beta.append([Fraction(1, 2) * (beta[0][k] + beta[0][k + 1]) for k in range(head - 1)])
     for l in range(1, _L_MAX_TABLE):
@@ -80,7 +92,8 @@ def _series_table():
             ) / (l + 1)
             nxt.append(val)
         beta.append(nxt)
-    return [np.array([float(x) for x in row[:_SERIES_TERMS]]) for row in beta]
+    return [np.array([float(x) for x in row[:_SERIES_TERMS if cut == _SERIES_CUT else _SERIES_TERMS_WIDE]])
+            for row, cut in zip(beta, _CUTS)]
 
 
 _BETA = _series_table()
@@ -90,7 +103,7 @@ def _g_ratio(l, t):
     """g_l(t) = Q_l((t + 1/t)/2) / t, vectorized, stable on [0, 1)."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    small = t < _SERIES_CUT
+    small = t < _CUTS[l]
 
     if np.any(small):
         ts = t[small]

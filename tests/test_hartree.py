@@ -192,6 +192,28 @@ def test_hls_quotient_scale_invariant(grid):
     assert abs(q1 - q2) <= 1e-8 * q1
 
 
+@pytest.mark.parametrize("l", range(hartree._L_MAX_TABLE))
+def test_g_ratio_matches_legendre_q(l):
+    # g_l(t) = Q_l((t + 1/t)/2) / t against 40-digit Legendre functions,
+    # densest just past the series cut, where the forward recurrence starts
+    mpmath = pytest.importorskip("mpmath")
+    t = np.concatenate((np.linspace(0.05, 0.44, 8), np.linspace(0.45, 0.999, 56)))
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.legenq(l, 0, (1 / mpmath.mpf(x) + x) / 2, type=3).real / x)
+                          for x in t])
+    assert np.max(np.abs(hartree._g_ratio(l, t) / exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("l", [0, 7])
+def test_near_field_gauss_rule_is_converged(monkeypatch, l):
+    # the off-diagonal cells' Gauss rule sits at the rounding floor of a 32-point one
+    g = build_grid(1024, 40.0, "tanh")
+    near = hartree._near_field(g, l)
+    monkeypatch.setattr(hartree, "_GL", np.polynomial.legendre.leggauss(32))
+    fine = hartree._near_field(g, l)
+    assert abs(near - fine).max() <= 3e-13 * abs(fine).max()
+
+
 def _one_leaf(monkeypatch, n, l):
     """The dense oracle: a kernel build whose single leaf is the whole fill."""
     with monkeypatch.context() as m:
