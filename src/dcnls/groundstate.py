@@ -66,11 +66,17 @@ def hartree_quartic_3d(grid, values):
     dens = np.abs(values) ** 2
     return float(4.0 * np.pi * np.sum(grid.weights * hartree_apply(grid, dens) * dens))
 
-def energy_mu(grid, values, mu):
-    e = 0.5 * grad_sq_3d(grid, values) - 0.3 * power_3d(grid, values)
+def _energy(g2, p, mu, quartic):
+    """E = G/2 - 0.3 P - mu H/4 from G = ||grad u||^2 and P = int |u|^{10/3};
+    H = int A(|u|^2) |u|^2 is `quartic()`, called only where mu != 0."""
+    e = 0.5 * g2 - 0.3 * p
     if mu != 0.0:
-        e -= 0.25 * mu * hartree_quartic_3d(grid, values)
+        e -= 0.25 * mu * quartic()
     return e
+
+def energy_mu(grid, values, mu):
+    return _energy(grad_sq_3d(grid, values), power_3d(grid, values), mu,
+                   lambda: hartree_quartic_3d(grid, values))
 
 
 def _equation_residual(grid, q, mu):
@@ -119,9 +125,6 @@ def _finish_state(grid, q, mu, beta, pathway, extra, reference_mass=None):
     """
     ints = _integrals(grid, q)
     m, g2, p, h = ints
-    energy = 0.5 * g2 - 0.3 * p
-    if mu != 0.0:
-        energy -= 0.25 * mu * h
     if reference_mass is None:
         reference_mass = solve_classical_Q(grid).mass
     c_best = (5.0 / 3.0) / reference_mass ** (2.0 / 3.0)
@@ -130,7 +133,7 @@ def _finish_state(grid, q, mu, beta, pathway, extra, reference_mass=None):
         Q=RadialField(grid, 0, q),
         beta=beta,
         mass=m,
-        energy=energy,
+        energy=_energy(g2, p, mu, lambda: h),
         eq_residual=float(np.max(np.abs(_equation_residual(grid, q, mu))) / np.max(np.abs(q))),
         pohozaev_residual=_pohozaev(ints, mu),
         gn_local=p / (c_best * m ** (2.0 / 3.0) * g2),

@@ -27,6 +27,7 @@ from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import RadialField, generator
+from .groundstate import _energy
 from .hartree import build_multipole_kernel
 from .linop import _checked_solve, assemble_channel_operator
 
@@ -309,10 +310,7 @@ def _functionals(grid, channels, mu):
     kinetic = integrate(grad2)
 
     p103 = integrate(absR2 ** (5.0 / 3.0))
-    energy = 0.5 * kinetic - 0.3 * p103
-    if mu != 0.0:
-        pot = _hartree_on_grid(grid, absR2)
-        energy -= 0.25 * mu * integrate(pot * absR2)
+    energy = _energy(kinetic, p103, mu, lambda: integrate(_hartree_on_grid(grid, absR2) * absR2))
 
     # axial momentum 2 int Re(R) d_1 Im(R)
     d1_im = np.real(dR_dr * -1j)   # Im of dR/dr
