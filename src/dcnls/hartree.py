@@ -11,18 +11,18 @@ Q_l(z)/(r rho) = g_l(t) / max(r,rho)^2 with g_l analytic on [0, 1) and a
 logarithmic blow-up at the diagonal t = 1.  g_0(t) = 2 atanh(t)/t, and the
 higher g_l follow from the Legendre recurrence; for small t a power series
 with rational coefficients is used to dodge the cancellation in the
-closed forms.
+closed forms and, up to a cut that grows with l, the forward recurrence.
 
 The channel operator is the pointwise far field k_l(r_i, rho_j) w_j with
 the grid's product-integration node weights, 0 on the diagonal, plus one
-sparse near-field correction: a band of cells around the diagonal is
-re-integrated cell by cell against the local degree-5 interpolant, with a
-double-exponential rule absorbing the logarithmic singularity on the
-diagonal cell itself.  It is built block by block as a hierarchical
-off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the index range is
-bisected down to dense diagonal leaves, and each off-diagonal block of the
-bisection, smooth because it touches the diagonal at one corner only, is
-held as a product U V^T.  Each mirrored pair of blocks takes one partially
+sparse near-field correction: each row re-integrates an interval of cells
+around the diagonal against the local degree-5 interpolant, by a Gauss
+rule per cell and a double-exponential rule absorbing the logarithmic
+singularity on the diagonal cell itself.  It is built block by block as
+a hierarchical off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the
+index range is bisected down to dense diagonal leaves, and each
+off-diagonal block of the bisection, smooth because it touches the
+diagonal at one corner only, is held as a product U V^T.  Each mirrored pair of blocks takes one partially
 pivoted cross approximation of its far field (Bebendorf 2000), which
 evaluates only its pivot rows and columns; each block then takes its
 near-field corner as extra columns, is recompressed to singular values
@@ -60,17 +60,9 @@ _SERIES_CUT = 0.45
 _SERIES_TERMS = 30       # t < 0.45: terms past k = 30 are below 1e-21
 _SERIES_TERMS_WIDE = 80  # t < 0.72, the widest cut (l = 7): terms past k = 80 are below 1e-22
 _L_MAX_TABLE = 8
-
-
-def _series_cut(l):
-    """The t below which g_l takes its series rather than the forward
-    Legendre recurrence.  The recurrence is unstable for Q_l at z > 1: its
-    rounding grows about like t^(-2l), which past 100^(-1/(2l)) stays near
-    100 ulps.  For l <= 2 that is _SERIES_CUT itself."""
-    return max(_SERIES_CUT, 100.0 ** (-0.5 / max(l, 1)))
-
-
-_CUTS = [_series_cut(l) for l in range(_L_MAX_TABLE)]
+# g_l takes its series below _CUTS[l]: above it, the forward recurrence's
+# rounding grows about like t^(-2l) and stays near 100 ulps (l <= 2: 0.45)
+_CUTS = [max(_SERIES_CUT, 100.0 ** (-0.5 / max(l, 1))) for l in range(_L_MAX_TABLE)]
 
 
 def _series_table():
@@ -374,15 +366,10 @@ def _hodlr_kernel(grid, l):
 
 
 def _cell_rule(grid, cells, diagonal):
-    """(stencils, x, weights) for the exact integration of each of `cells`.
-
-    `stencils` (cells, 6) are the nodes of the cell's degree-5 interpolant,
-    with Lagrange basis L_m; x (cells, q) are quadrature nodes on the cell,
-    and weights (cells, 6, q) are w_q x^2 L_m(x), so sum_q k(r, x_q) times
-    them integrates k(r, rho) L_m(rho) rho^2 drho over the cell.  The rule is
-    Gauss-Legendre on the whole cell, or, for the `diagonal` cell c of row c,
-    tanh-sinh on either side of r_c, where the kernel is log-singular.
-    """
+    """(stencils, x, weights): each cell's 6 interpolation nodes, quadrature
+    nodes x and weights w_q x^2 L_m(x), L_m its Lagrange basis, by Gauss-
+    Legendre on the cell or, for the `diagonal` cell c of row c, tanh-sinh
+    on either side of the log singularity at r_c."""
     r = grid.nodes
     stencils = np.clip(cells - 2, 0, grid.n - 6)[:, None] + np.arange(6)
     a, b = grid.edges[cells, None], grid.edges[cells + 1, None]
@@ -407,11 +394,9 @@ def _near_field(grid, l):
     local degree-5 interpolant of f on one interval of cells per row: the
     _BAND cells each side of the diagonal, and for core rows every cell
     down to the origin, where the kernel varies on the scale of rho itself.
-    One pass over chunks of _ROWS rows tabulates each cell's rule once per
-    chunk (`_cell_rule`) and contracts it against the kernel at every row
-    that integrates the cell.  Duplicate (row, column) corrections are
-    summed.  Every entry lies within _BAND + 4 of the diagonal or has row
-    and column at most _CORE + _BAND.
+    Each chunk of rows tabulates its cells' rules once.  Duplicate (row,
+    column) corrections are summed.  Every entry lies within _BAND + 4 of
+    the diagonal or has row and column at most _CORE + _BAND.
     """
     n, r, w = grid.n, grid.nodes, grid.weights
     w_mid = grid.h_xi * grid.jac * r ** 2   # pure midpoint weights (Gregory samples)

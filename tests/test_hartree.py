@@ -260,8 +260,8 @@ def test_kernel_build_makes_no_dense_temporaries():
 @pytest.mark.parametrize("l", [0, 2])
 def test_kernel_build_evaluates_no_whole_off_diagonal_block(monkeypatch, l):
     # the leaves (n * _LEAF entries) and the near-field quadratures take
-    # about 0.31 n^2 at n = 2048; filling every off-diagonal block once more
-    # would add 0.44 n^2
+    # about 0.34 n^2 at n = 2048, and the whole build 0.383 n^2 at l = 0;
+    # filling every off-diagonal block once more would add 0.44 n^2
     n = 2048
     g = build_grid(n, 40.0, "tanh")
     evaluated = []
