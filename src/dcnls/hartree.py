@@ -22,13 +22,14 @@ singularity on the diagonal cell itself.  It is built block by block as
 a hierarchical off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the
 index range is bisected down to dense diagonal leaves, and each
 off-diagonal block of the bisection, smooth because it touches the
-diagonal at one corner only, is held as a product U V^T.  Each mirrored pair of blocks takes one partially
-pivoted cross approximation of its far field (Bebendorf 2000), which
-evaluates only its pivot rows and columns; each block then takes its
-near-field corner as extra columns, is recompressed to singular values
-above 1e-14 times its largest, and is checked against a fixed sample of
-its exact rows and columns.  No off-diagonal block is evaluated whole,
-and above one leaf no n x n array is held during the build.
+diagonal at one corner only, is held as a product U V^T.  Each mirrored
+pair of blocks takes one partially pivoted cross approximation of its far
+field (Bebendorf 2000), which evaluates only its pivot rows and columns;
+each block then takes its near-field corner as extra columns, is
+recompressed to singular values above 1e-14 times its largest, and is
+checked against a fixed sample of its exact rows and columns.  No
+off-diagonal block is evaluated whole, and above one leaf no n x n array
+is held during the build.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -84,7 +85,8 @@ def _series_table():
             ) / (l + 1)
             nxt.append(val)
         beta.append(nxt)
-    return [np.array([float(x) for x in row[:_SERIES_TERMS if cut == _SERIES_CUT else _SERIES_TERMS_WIDE]])
+    return [np.array([float(x) for x in row[:_SERIES_TERMS if cut == _SERIES_CUT
+                                             else _SERIES_TERMS_WIDE]])
             for row, cut in zip(beta, _CUTS)]
 
 
@@ -412,7 +414,8 @@ def _near_field(grid, l):
         pair = (c >= lo[:, None]) & (c <= hi[:, None]) & (c != i)
         i, c = i[pair], c[pair]
         parts = [(i, c, -w[c] * _kernel_values(l, r[i], r[c]))]    # (rows, columns, values)
-        for row, k, table, diagonal in ((i, c - lo[0], cells, False), (rows, rows - start, rows, True)):
+        for row, k, table, diagonal in ((i, c - lo[0], cells, False),
+                                        (rows, rows - start, rows, True)):
             stencils, x, weights = _cell_rule(grid, table, diagonal)
             v = np.einsum("pq,pmq->pm", _kernel_values(l, r[row, None], x[k]), weights[k])
             parts.append((np.repeat(row, 6), stencils[k].ravel(), v.ravel()))
