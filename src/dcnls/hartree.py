@@ -162,7 +162,7 @@ class HodlrMatrix:
 
     Each block is a (rows, cols, factors) triple whose factors multiply out
     to the block: (D,) for a dense block, (U, V^T) for a low-rank one.
-    Supports `@` on real, complex and stacked (n, m) operands, and `.T`.
+    Supports `@` on real, complex and stacked (n, m) operands.
     """
 
     def __init__(self, n, blocks):
@@ -184,15 +184,6 @@ class HodlrMatrix:
                 y = f @ y
             out[rows] += y
         return out
-
-    @property
-    def T(self):
-        """The transpose: rows and columns swapped, factors reversed and
-        transposed.  The factors are views of this matrix's."""
-        return HodlrMatrix(self.shape[0], [
-            (cols, rows, tuple(f.T for f in reversed(factors)))
-            for rows, cols, factors in self.blocks
-        ])
 
     def scaled_frobenius(self, left, right):
         """The Frobenius norm of diag(left) H diag(right), from the factors."""
@@ -220,8 +211,8 @@ class MultipoleKernel:
 
     `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
     and off-diagonal blocks held as low-rank products.  A channel profile p
-    on the grid maps to A_l p as `matrix @ p`, and `matrix.T @ p` applies
-    the transpose; `matrix.toarray()` gives the dense form, for tests.
+    on the grid maps to A_l p as `matrix @ p`; `matrix.toarray()` gives the
+    dense form, for tests.
     """
 
     matrix: HodlrMatrix

@@ -24,19 +24,21 @@ Spectra are those of the symmetrised similarity transform
 B = sym(W^{1/2} M W^{-1/2}), computed by shift-invert Lanczos from a shift
 below the spectrum: the inverse is the band Cholesky of the shifted
 balanced local part (`RadialGrid.band_solver`, whose success proves that
-part positive definite) or, with a nonlocal block, CG preconditioned by
-it, so no n x n matrix is built.
+part positive definite) or, with a nonlocal block, one direct factor of
+the whole shifted operator on the kernel's HODLR block tree, so each
+Lanczos step is one solve and no n x n matrix is built.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, ConvergenceError, SolvabilityError
 from .grid import RadialField, _check_integer, generator, h2_norm_3d
-from .hartree import _L_MAX_TABLE, build_multipole_kernel, nonlinear_potential
+from .hartree import _L_MAX_TABLE, _recompress, build_multipole_kernel, nonlinear_potential
 
 __all__ = [
     "ChannelOperator",
@@ -58,9 +60,6 @@ L_MAX = 4
 MAX_EIGENPAIRS = 10  # lowest_eigenpairs serves 1 .. MAX_EIGENPAIRS eigenpairs
 SOLVABILITY_TOL = 1e-8   # kernel component and residual bound of a constrained solve
 EIGSH_TOL = 1e-10        # ARPACK's relative tolerance on the shift-inverted Ritz values
-INNER_RTOL = 1e-10       # relative residual of each CG solve with B - sigma I
-INNER_MAXITER = 100      # CG steps allowed per shift-invert solve; none took over 6
-                         # at n = 256 .. 4096, mu <= 0.05, so one that needs 100 has failed
 
 
 @dataclass(eq=False)
@@ -98,9 +97,10 @@ class ChannelOperator:
         sparse LU: the border is dense and L_{-,0} is singular, so no Schur
         complement through a band factor exists.  With a nonlocal block,
         GMRES stops at relative residual `rtol` and raises ConvergenceError
-        if it cannot get there within four restart cycles of 20 inner steps.  Across the test suite and the benchmark workloads
-        the solves take at most two cycles (the second re-checks the true
-        residual) and nine inner steps, so one that needs more has failed.
+        if it cannot get there within four restart cycles of 20 inner steps.
+        Across the test suite and the benchmark workloads the solves take at
+        most two cycles (the second re-checks the true residual) and nine
+        inner steps, so one that needs more has failed.
         """
         n = self.grid.n
         k = len(constraints)
@@ -168,6 +168,73 @@ def assemble_channel_operator(gs, kind, l):
     return linearize(gs.grid, gs.Q.values, gs.mu, kind, l)
 
 
+def _shifted_inverse(op, sigma, diagnostics):
+    """The solve of B - sigma I for the plus kind at mu != 0, by one direct
+    factor on the kernel's own HODLR block tree (recursive Sherman-Morrison-
+    Woodbury; Ambikasaran and Darve 2013).
+
+    B = B_loc + N with N = (s/2)(D1 K D2 + D2 K^T D1) is HODLR on the
+    kernel's bisection.  A diagonal leaf is the dense B_loc + N leaf minus
+    sigma I, factored by Cholesky; a principal submatrix of an SPD matrix is
+    SPD, so a failed leaf Cholesky raises ConvergenceError.  The upper block
+    of a node is (s/2)[D1 U | D2 V'^T][D2 V^T | D1 U']^T plus the band corner
+    of B_loc, with (U, V^T) the kernel's upper and (U', V'^T) its lower
+    block, recompressed by `_recompress` to Z_top Z_bottom^T; B's symmetry
+    gives the lower block.  With Z = diag(Z_top, Z_bottom), C = [[0, I],
+    [I, 0]] and D the two children, B - sigma I = D + Z C Z^T, so each node
+    keeps Y = D^{-1} Z and an LU of the capacitance matrix C + Z^T Y, which
+    is 2r x 2r for a block of rank r.
+    """
+    kernel = build_multipole_kernel(op.grid, op.l).matrix
+    w = np.sqrt(op.grid.weights)
+    b_loc = sp.diags(w) @ op.local @ sp.diags(1.0 / w)
+    b_loc = (0.5 * (b_loc + b_loc.T)).tocsr()
+    d1, d2 = w * op.soliton, op.soliton / w
+    half = 0.5 * op.nonlocal_scale
+    leaves, upper, lower = {}, {}, {}
+    for rows, cols, factors in kernel.blocks:
+        if rows == cols:
+            leaves[rows.start, rows.stop] = factors[0]
+        elif rows.start < cols.start:
+            upper[rows.start, cols.stop] = rows.stop, factors
+        else:
+            lower[cols.start, rows.stop] = factors
+
+    def factor(a, b):
+        if (a, b) in leaves:
+            dressed = d1[a:b, None] * leaves[a, b] * d2[None, a:b]
+            dense = b_loc[a:b, a:b].toarray() + half * (dressed + dressed.T)
+            dense[np.diag_indices(b - a)] -= sigma
+            try:
+                chol = sla.cho_factor(dense, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"Cholesky factor of the leaf {a}:{b} of B - sigma I "
+                                       f"failed: {exc}",
+                                       diagnostics={**diagnostics, "leaf": f"{a}:{b}"}) from exc
+            return lambda x: sla.cho_solve(chol, x, check_finite=False)
+        m, (u, vt) = upper[a, b]
+        u_low, vt_low = lower[a, b]
+        z_top, zt_bottom = _recompress(
+            half * np.hstack((d1[a:m, None] * u, d2[a:m, None] * vt_low.T)),
+            np.hstack((d2[m:b, None] * vt.T, d1[m:b, None] * u_low)), b_loc[a:m, m:b])
+        z_bottom = zt_bottom.T
+        solve_top, solve_bottom = factor(a, m), factor(m, b)
+        y_top, y_bottom = solve_top(z_top), solve_bottom(z_bottom)
+        rank = z_top.shape[1]
+        eye = np.eye(rank)
+        lu = sla.lu_factor(np.block([[z_top.T @ y_top, eye], [eye, z_bottom.T @ y_bottom]]),
+                           check_finite=False)
+
+        def solve(x):
+            top, bottom = solve_top(x[:m - a]), solve_bottom(x[m - a:])
+            t = sla.lu_solve(lu, np.concatenate((z_top.T @ top, z_bottom.T @ bottom)),
+                             check_finite=False)
+            return np.concatenate((top - y_top @ t[:rank], bottom - y_bottom @ t[rank:]))
+        return solve
+
+    return factor(0, op.grid.n)
+
+
 def lowest_eigenpairs(op, k):
     """The k lowest eigenpairs; eigenfields are W-orthonormal RadialFields,
     oriented positive where their amplitude peaks.
@@ -175,76 +242,52 @@ def lowest_eigenpairs(op, k):
     They are those of the balanced operator B = sym(W^{1/2} M W^{-1/2}) =
     B_loc + N: B_loc is the sparse balanced local part and N, for the plus
     kind at mu != 0, the symmetrised dressed kernel (s/2)(D1 K D2 + D2 K^T D1)
-    with D1 = W^{1/2} q, D2 = q W^{-1/2} and s the nonlocal scale, applied
-    through the HODLR kernel and its transpose.  No n x n array is built.
-    Shift-invert Lanczos (ARPACK) runs on (B - sigma I)^{-1} with the shift
-    sigma = min(1 + local potential + l(l+1)/r^2) - |s| ||D1 K D2||_F, a
-    lower bound on the spectrum, so the k eigenvalues nearest sigma are the k
-    lowest.  The inverse is the band Cholesky of B_loc - sigma I, which
-    raises ConvergenceError unless B_loc - sigma I is positive definite, or,
-    with N, CG on B - sigma I preconditioned by it to relative residual
-    INNER_RTOL; that B - sigma I is positive definite rests on the bound
-    ||N||_2 <= ||N||_F below.
+    with D1 = W^{1/2} q, D2 = q W^{-1/2} and s the nonlocal scale.  No n x n
+    array is built.  Shift-invert Lanczos (ARPACK) runs on (B - sigma I)^{-1}
+    with the shift sigma = min(1 + local potential + l(l+1)/r^2)
+    - |s| ||D1 K D2||_F, a lower bound on the spectrum, so the k eigenvalues
+    nearest sigma are the k lowest.  The inverse is the band Cholesky of
+    B_loc - sigma I or, with N, one direct HODLR factor of B - sigma I
+    (`_shifted_inverse`); either raises ConvergenceError unless its
+    Cholesky factors exist.  That B - sigma I is positive definite rests on
+    the bound ||N||_2 <= ||N||_F below.
     ARPACK stops at relative tolerance EIGSH_TOL and starts from the fixed
-    vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed ARPACK
-    iteration or CG solve raises ConvergenceError.
+    vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed factor or
+    ARPACK iteration raises ConvergenceError.
     """
     _check_integer("eigenpair count k", k, 1, MAX_EIGENPAIRS)
     n = op.grid.n
     w = np.sqrt(op.grid.weights)
-    b_loc = sp.diags(w) @ op.local @ sp.diags(1.0 / w)
-    b_loc = 0.5 * (b_loc + b_loc.T)
     # sigma is a lower bound on the spectrum of B.  (-Delta)_l is the
     # flux-form stiffness plus the diagonal l(l+1)/r^2, and W times the
     # stiffness part is symmetric PSD, so lambda_min(B_loc) >= min(1 + local
     # potential + l(l+1)/r^2); and ||N||_2 <= ||N||_F <= |s| ||D1 K D2||_F.
-    # So B - sigma I and B_loc - sigma I are SPD, as CG needs; the band
-    # Cholesky below proves the latter.
+    # So B - sigma I and B_loc - sigma I are SPD.
     r = op.grid.nodes
     sigma = float(np.min(1.0 + op.local_potential + op.l * (op.l + 1) / r ** 2))
-    nonlocal_part = None
     if op.nonlocal_scale != 0.0:
         kernel = build_multipole_kernel(op.grid, op.l).matrix
-        kernel_t = kernel.T
-        d1 = w * op.soliton
-        d2 = op.soliton / w
-        half = 0.5 * op.nonlocal_scale
-        sigma -= abs(op.nonlocal_scale) * kernel.scaled_frobenius(d1, d2)
-
-        def nonlocal_part(x):
-            return half * (d1 * (kernel @ (d2 * x)) + d2 * (kernel_t @ (d1 * x)))
-
-    def apply_b(x):
-        out = b_loc @ x
-        if nonlocal_part is not None:
-            out += nonlocal_part(x)
-        return out
-
-    local_solve = op.grid.band_solver(op.l, -sigma, 1.0, 1.0 + op.local_potential)
-
-    def local_inverse(x):
-        return w * local_solve(x / w)
-
-    precond = spla.LinearOperator((n, n), matvec=local_inverse)
-    shifted = spla.LinearOperator((n, n), matvec=lambda x: apply_b(x) - sigma * x)
+        sigma -= abs(op.nonlocal_scale) * kernel.scaled_frobenius(w * op.soliton,
+                                                                  op.soliton / w)
     diagnostics = {"kind": op.kind, "l": op.l, "mu": op.mu, "sigma": sigma, "opinv_calls": 0}
+    if op.nonlocal_scale != 0.0:
+        shifted_solve = _shifted_inverse(op, sigma, diagnostics)
+    else:
+        local_solve = op.grid.band_solver(op.l, -sigma, 1.0, 1.0 + op.local_potential)
+
+        def shifted_solve(x):
+            return w * local_solve(x / w)
 
     def opinv(x):
         diagnostics["opinv_calls"] += 1
-        if nonlocal_part is None:
-            return local_inverse(x)
-        sol, info = spla.cg(shifted, x, rtol=INNER_RTOL, atol=0.0,
-                            maxiter=INNER_MAXITER, M=precond)
-        if info != 0:
-            raise ConvergenceError("shift-invert CG solve did not converge",
-                                   diagnostics={**diagnostics, "cg_info": info})
-        return sol
+        return shifted_solve(x)
 
     try:
-        # ARPACK returns the eigenvalues of B itself, in ascending order
+        # in shift-invert mode ARPACK applies only OPinv and reads A's shape
+        # and dtype alone; it returns the eigenvalues of B in ascending order
         vals, vecs = spla.eigsh(
-            spla.LinearOperator((n, n), matvec=apply_b), k=k, sigma=sigma, which="LM",
-            v0=w * np.exp(-r), tol=EIGSH_TOL, OPinv=spla.LinearOperator((n, n), matvec=opinv),
+            sp.csr_matrix((n, n)), k=k, sigma=sigma, which="LM", v0=w * np.exp(-r),
+            tol=EIGSH_TOL, OPinv=spla.LinearOperator((n, n), matvec=opinv),
         )
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"shift-invert Lanczos did not converge: {exc}",

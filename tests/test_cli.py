@@ -169,9 +169,11 @@ def test_numerical_failure_exits_1(tmp_path, monkeypatch):
 
 
 def test_failed_eigensolve_exits_1(tmp_path, monkeypatch):
-    from dcnls import linop
+    from dcnls import hartree
 
-    monkeypatch.setattr(linop, "INNER_MAXITER", 1)    # no shift-invert CG solve converges
+    # a negative bound lifts the shift above L_+,0's lowest eigenvalue, so the
+    # Cholesky factor of B - sigma I fails
+    monkeypatch.setattr(hartree.HodlrMatrix, "scaled_frobenius", lambda self, left, right: -1e3)
     code = _run(["spectrum", "--mu", "0.02", "--grid-n", "256"], str(tmp_path))
     assert code == 1
     run_dir = tmp_path / "runs" / "spectrum-mu0.02-n256"

