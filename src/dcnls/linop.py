@@ -168,6 +168,23 @@ def assemble_channel_operator(gs, kind, l):
     return linearize(gs.grid, gs.Q.values, gs.mu, kind, l)
 
 
+def _spectral_shift(op):
+    """The shift sigma of `lowest_eigenpairs`, a lower bound on the spectrum of B.
+
+    (-Delta)_l is the flux-form stiffness plus the diagonal l(l+1)/r^2, and
+    W times the stiffness part is symmetric PSD, so lambda_min(B_loc) >=
+    min(1 + local potential + l(l+1)/r^2); and ||N||_2 <= ||N||_F <=
+    |s| ||D1 K D2||_F.  So B - sigma I and B_loc - sigma I are SPD.
+    """
+    w = np.sqrt(op.grid.weights)
+    sigma = float(np.min(1.0 + op.local_potential + op.l * (op.l + 1) / op.grid.nodes ** 2))
+    if op.nonlocal_scale != 0.0:
+        kernel = build_multipole_kernel(op.grid, op.l).matrix
+        sigma -= abs(op.nonlocal_scale) * kernel.scaled_frobenius(w * op.soliton,
+                                                                  op.soliton / w)
+    return sigma
+
+
 def _shifted_inverse(op, sigma, diagnostics):
     """The solve of B - sigma I for the plus kind at mu != 0, by one direct
     factor on the kernel's own HODLR block tree (recursive Sherman-Morrison-
@@ -177,7 +194,7 @@ def _shifted_inverse(op, sigma, diagnostics):
     kernel's bisection.  A diagonal leaf is the dense B_loc + N leaf minus
     sigma I, factored by Cholesky; a principal submatrix of an SPD matrix is
     SPD, so a failed leaf Cholesky raises ConvergenceError.  The upper block
-    of a node is (s/2)[D1 U | D2 V'^T][D2 V^T | D1 U']^T plus the band corner
+    of a node is (s/2)[D1 U | D2 V'][D2 V | D1 U']^T plus the band corner
     of B_loc, with (U, V^T) the kernel's upper and (U', V'^T) its lower
     block, recompressed by `_recompress` to Z_top Z_bottom^T; B's symmetry
     gives the lower block.  With Z = diag(Z_top, Z_bottom), C = [[0, I],
@@ -245,12 +262,12 @@ def lowest_eigenpairs(op, k):
     with D1 = W^{1/2} q, D2 = q W^{-1/2} and s the nonlocal scale.  No n x n
     array is built.  Shift-invert Lanczos (ARPACK) runs on (B - sigma I)^{-1}
     with the shift sigma = min(1 + local potential + l(l+1)/r^2)
-    - |s| ||D1 K D2||_F, a lower bound on the spectrum, so the k eigenvalues
-    nearest sigma are the k lowest.  The inverse is the band Cholesky of
-    B_loc - sigma I or, with N, one direct HODLR factor of B - sigma I
-    (`_shifted_inverse`); either raises ConvergenceError unless its
-    Cholesky factors exist.  That B - sigma I is positive definite rests on
-    the bound ||N||_2 <= ||N||_F below.
+    - |s| ||D1 K D2||_F, a lower bound on the spectrum (`_spectral_shift`),
+    so the k eigenvalues nearest sigma are the k lowest.  The inverse is the
+    band Cholesky of B_loc - sigma I or, with N, one direct HODLR factor of
+    B - sigma I (`_shifted_inverse`); either raises ConvergenceError unless
+    its Cholesky factors exist.  That B - sigma I is positive definite rests
+    on the bound ||N||_2 <= ||N||_F.
     ARPACK stops at relative tolerance EIGSH_TOL and starts from the fixed
     vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed factor or
     ARPACK iteration raises ConvergenceError.
@@ -258,17 +275,8 @@ def lowest_eigenpairs(op, k):
     _check_integer("eigenpair count k", k, 1, MAX_EIGENPAIRS)
     n = op.grid.n
     w = np.sqrt(op.grid.weights)
-    # sigma is a lower bound on the spectrum of B.  (-Delta)_l is the
-    # flux-form stiffness plus the diagonal l(l+1)/r^2, and W times the
-    # stiffness part is symmetric PSD, so lambda_min(B_loc) >= min(1 + local
-    # potential + l(l+1)/r^2); and ||N||_2 <= ||N||_F <= |s| ||D1 K D2||_F.
-    # So B - sigma I and B_loc - sigma I are SPD.
     r = op.grid.nodes
-    sigma = float(np.min(1.0 + op.local_potential + op.l * (op.l + 1) / r ** 2))
-    if op.nonlocal_scale != 0.0:
-        kernel = build_multipole_kernel(op.grid, op.l).matrix
-        sigma -= abs(op.nonlocal_scale) * kernel.scaled_frobenius(w * op.soliton,
-                                                                  op.soliton / w)
+    sigma = _spectral_shift(op)
     diagnostics = {"kind": op.kind, "l": op.l, "mu": op.mu, "sigma": sigma, "opinv_calls": 0}
     if op.nonlocal_scale != 0.0:
         shifted_solve = _shifted_inverse(op, sigma, diagnostics)

@@ -168,19 +168,10 @@ def test_unconverged_lanczos_is_typed(gs_mu, monkeypatch):
     assert diag["opinv_calls"] >= 1
 
 
-def _shift(op):
-    """The shift of `lowest_eigenpairs`: its lower bound on the spectrum of B."""
-    w = np.sqrt(op.grid.weights)
-    r = op.grid.nodes
-    kernel = linop.build_multipole_kernel(op.grid, op.l).matrix
-    return (np.min(1.0 + op.local_potential + op.l * (op.l + 1) / r ** 2)
-            - abs(op.nonlocal_scale) * kernel.scaled_frobenius(w * op.soliton, op.soliton / w))
-
-
 def _assert_shifted_inverse_matches_dense(op):
     grid = op.grid
     w = np.sqrt(grid.weights)
-    sigma = _shift(op)
+    sigma = linop._spectral_shift(op)
     balanced = w[:, None] * _dense_operator(op) / w[None, :]
     shifted = 0.5 * (balanced + balanced.T) - sigma * np.eye(grid.n)
     rhs = np.random.default_rng(op.l).standard_normal(grid.n)
