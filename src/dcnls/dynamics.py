@@ -230,6 +230,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
     refactorizations = 1
     pot = None if linear_only else nonlinear_potential(grid, u, mu)
+    phase = None      # exp(i dt/2 V) of the current potential and step, once computed
     steps = 0
     dt_min = np.inf
     direction = 1.0 if dt > 0 else -1.0
@@ -254,13 +255,20 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
             step_dt = want
             cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
             refactorizations += 1
+            phase = None
 
         if not linear_only:
-            u = u * np.exp(0.5j * step_dt * pot)
+            # the last step's closing half rotation opens this one, unless dt
+            # changed; the two are not merged because the controller reads the
+            # gradient of the rotated state
+            if phase is None:
+                phase = np.exp(0.5j * step_dt * pot)
+            u = u * phase
         u = u - 1j * step_dt * cn_solve(lap @ u)
         if not linear_only:
             pot = nonlinear_potential(grid, u, mu)
-            u = u * np.exp(0.5j * step_dt * pot)
+            phase = np.exp(0.5j * step_dt * pot)
+            u = u * phase
         t += step_dt
         steps += 1
         dt_min = min(dt_min, abs(step_dt))

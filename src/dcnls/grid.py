@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import make_interp_spline
-from scipy.linalg.lapack import dpbtrf, dpbtrs, zgbtrf, zgbtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs, zgbtrf, zgbtrs
 
 from .errors import ConfigurationError, ConvergenceError, GridMismatchError
 
@@ -172,6 +172,30 @@ class RadialGrid:
         if np.iscomplexobj(b):
             return lambda rhs: zgbtrs(lu, hw, hw, rhs, piv)[0]
         return lambda rhs: dpbtrs(chol, s * rhs)[0] / s
+
+
+def _cholesky_solver(a, diagnostics):
+    """The solve of the symmetric positive definite dense `a` by LAPACK's upper
+    Cholesky factor (dpotrf, dpotrs).  A failed factor raises ConvergenceError
+    with LAPACK's `info`, the order of the first leading minor that is not
+    positive, added to `diagnostics`."""
+    chol, info = dpotrf(a, clean=0)
+    if info != 0:
+        raise ConvergenceError(f"Cholesky factor failed: the leading minor of order {info} "
+                               "is not positive",
+                               diagnostics={**diagnostics, "info": int(info)})
+    return lambda rhs: dpotrs(chol, rhs)[0]
+
+
+def _lu_solver(a, diagnostics):
+    """The solve of the dense `a` by LAPACK's partially pivoted LU (dgetrf,
+    dgetrs).  An exactly singular factor raises ConvergenceError with LAPACK's
+    `info`, the index of its zero pivot, added to `diagnostics`."""
+    lu, piv, info = dgetrf(a)
+    if info != 0:
+        raise ConvergenceError(f"LU factor has a zero pivot at {info}",
+                               diagnostics={**diagnostics, "info": int(info)})
+    return lambda rhs: dgetrs(lu, piv, rhs)[0]
 
 
 @dataclass(eq=False)

@@ -32,12 +32,12 @@ Lanczos step is one solve and no n x n matrix is built.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, ConvergenceError, SolvabilityError
-from .grid import RadialField, _check_integer, generator, h2_norm_3d
+from .grid import (RadialField, _check_integer, _cholesky_solver, _lu_solver, generator,
+                   h2_norm_3d)
 from .hartree import _L_MAX_TABLE, _recompress, build_multipole_kernel, nonlinear_potential
 
 __all__ = [
@@ -114,7 +114,7 @@ class ChannelOperator:
         else:
             border = self.local
         full_rhs = np.concatenate([rhs, np.zeros(k)])
-        lu = spla.splu(border)
+        lu = spla.splu(border, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4)
         if self.nonlocal_scale == 0.0:
             return lu.solve(full_rhs)[:n]
 
@@ -222,13 +222,7 @@ def _shifted_inverse(op, sigma, diagnostics):
             dressed = d1[a:b, None] * leaves[a, b] * d2[None, a:b]
             dense = b_loc[a:b, a:b].toarray() + half * (dressed + dressed.T)
             dense[np.diag_indices(b - a)] -= sigma
-            try:
-                chol = sla.cho_factor(dense, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"Cholesky factor of the leaf {a}:{b} of B - sigma I "
-                                       f"failed: {exc}",
-                                       diagnostics={**diagnostics, "leaf": f"{a}:{b}"}) from exc
-            return lambda x: sla.cho_solve(chol, x, check_finite=False)
+            return _cholesky_solver(dense, {**diagnostics, "leaf": f"{a}:{b}"})
         m, (u, vt) = upper[a, b]
         u_low, vt_low = lower[a, b]
         z_top, zt_bottom = _recompress(
@@ -239,13 +233,13 @@ def _shifted_inverse(op, sigma, diagnostics):
         y_top, y_bottom = solve_top(z_top), solve_bottom(z_bottom)
         rank = z_top.shape[1]
         eye = np.eye(rank)
-        lu = sla.lu_factor(np.block([[z_top.T @ y_top, eye], [eye, z_bottom.T @ y_bottom]]),
-                           check_finite=False)
+        solve_capacitance = _lu_solver(
+            np.block([[z_top.T @ y_top, eye], [eye, z_bottom.T @ y_bottom]]),
+            {**diagnostics, "node": f"{a}:{b}"})
 
         def solve(x):
             top, bottom = solve_top(x[:m - a]), solve_bottom(x[m - a:])
-            t = sla.lu_solve(lu, np.concatenate((z_top.T @ top, z_bottom.T @ bottom)),
-                             check_finite=False)
+            t = solve_capacitance(np.concatenate((z_top.T @ top, z_bottom.T @ bottom)))
             return np.concatenate((top - y_top @ t[:rank], bottom - y_bottom @ t[rank:]))
         return solve
 

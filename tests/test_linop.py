@@ -20,6 +20,7 @@ from dcnls.linop import (
     nondegeneracy_report,
     solve_with_constraints,
 )
+from dcnls.profile import build_hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,7 @@ def test_failed_shift_invert_factor_is_typed(gs_mu, monkeypatch):
     assert diag["sigma"] > -4.7
     assert diag["opinv_calls"] == 0      # the factor fails before the first apply
     assert diag["leaf"] == "0:256"
+    assert 1 <= diag["info"] <= 256      # LAPACK's first leading minor that is not positive
 
 
 def test_unconverged_lanczos_is_typed(gs_mu, monkeypatch):
@@ -284,6 +286,61 @@ def test_bordered_solve_matches_dense_oracle(grid, gs_mu):
     assert _w_rel(grid, x, _dense_bordered_solve(op, np.exp(-r), cons)) <= 1e-10
     for c in cons:
         assert abs(np.sum(w * c * x)) <= 1e-10 * np.sqrt(np.sum(w * c ** 2) * np.sum(w * x ** 2))
+
+
+@pytest.mark.parametrize("coupling", ["gs_std", "gs_std_mu05"])
+def test_bordered_factor_is_band_sized_and_accurate(request, coupling, monkeypatch):
+    # the constraint row is never promoted into the local block, so L + U keeps
+    # the band's fill plus the border, against about 440 n with partial pivoting
+    gs = request.getfixturevalue(coupling)
+    grid = gs.grid
+    r, w, q = grid.nodes, grid.weights, gs.Q.values
+    qprime = grid.d1_free(0) @ q
+    factors = []
+    splu = spla.splu
+
+    def kept(matrix, **kwargs):
+        factors.append((matrix, splu(matrix, **kwargs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(spla, "splu", kept)
+    for kind, l, src, con in (("minus", 0, generator(grid, q), q),
+                              ("plus", 1, r * np.exp(-r), qprime)):
+        src = src - con * np.sum(w * con * src) / np.sum(w * con ** 2)
+        assemble_channel_operator(gs, kind, l).solve(src, [con])
+        matrix, lu = factors[-1]
+        assert lu.L.nnz + lu.U.nnz <= 16 * grid.n, (kind, l)
+        rhs = np.concatenate([src, [0.0]])
+        ref = sla.solve(matrix.toarray(), rhs)
+        assert np.linalg.norm(lu.solve(rhs) - ref) <= 2e-12 * np.linalg.norm(ref), (kind, l)
+
+
+def test_gmres_inner_steps_stay_within_the_documented_bound(monkeypatch):
+    # ChannelOperator.solve documents at most nine inner steps per solve; a
+    # fresh grid, so no cached ground state skips the Newton solves
+    steps = []
+    gmres = spla.gmres
+
+    def counted(*args, **kwargs):
+        count = [0]
+
+        def tick(_):
+            count[0] += 1
+
+        out = gmres(*args, callback=tick, callback_type="pr_norm", **kwargs)
+        steps.append(count[0])
+        return out
+
+    monkeypatch.setattr(spla, "gmres", counted)
+    grid = build_grid(1536, 40.0, "tanh")
+    for mu in (0.02, 0.05):
+        steps.clear()
+        gs = solve_Q_mu(mu, grid)
+        newton = list(steps)
+        steps.clear()
+        build_hierarchy(gs)
+        assert newton and max(newton) <= 9, (mu, newton)
+        assert steps and max(steps) <= 9, (mu, steps)
 
 
 def test_unconverged_bordered_solve_is_typed():
