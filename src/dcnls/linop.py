@@ -10,7 +10,8 @@ a diagonal) and, for the plus kind at mu != 0, the nonlocal channel block:
 the channel kernel (a HODLR matrix, see `hartree`) dressed with the
 exponentially decaying soliton on both sides.
 Every linear solve goes through `ChannelOperator.solve`, which borders the
-local part with W-weighted constraint rows and factors it with a sparse LU.
+local part with W-weighted constraint rows and factors it with a sparse LU
+whose fill stays that of the band plus the border.
 Without a nonlocal block that factor is the solve; with one it
 preconditions GMRES on the full bordered operator.  Newton steps and the
 profile hierarchy both use it, and the bordering keeps discrete
@@ -25,8 +26,10 @@ B = sym(W^{1/2} M W^{-1/2}), computed by shift-invert Lanczos from a shift
 below the spectrum: the inverse is the band Cholesky of the shifted
 balanced local part (`RadialGrid.band_solver`, whose success proves that
 part positive definite) or, with a nonlocal block, one direct factor of
-the whole shifted operator on the kernel's HODLR block tree, so each
-Lanczos step is one solve and no n x n matrix is built.
+the whole shifted operator on the kernel's HODLR block tree, whose dense
+leaf Cholesky and capacitance LU factors call LAPACK through
+`grid._cholesky_solver` and `grid._lu_solver`, so each Lanczos step is one
+solve and no n x n matrix is built.
 """
 
 from dataclasses import dataclass, field
@@ -93,14 +96,27 @@ class ChannelOperator:
         """Solve the bordered system [[M, C], [(W C)^T, 0]] [x; y] = [rhs; 0].
 
         C holds the constraint profiles as columns, so x is W-orthogonal to
-        each of them; returns x (the multipliers y are dropped).  It keeps a
-        sparse LU: the border is dense and L_{-,0} is singular, so no Schur
-        complement through a band factor exists.  With a nonlocal block,
-        GMRES stops at relative residual `rtol` and raises ConvergenceError
-        if it cannot get there within four restart cycles of 20 inner steps.
-        Across the test suite and the benchmark workloads the solves take at
-        most two cycles (the second re-checks the true residual) and nine
-        inner steps, so one that needs more has failed.
+        each of them; returns x (the multipliers y are dropped).  The sparse
+        LU of the bordered matrix A orders the unknowns by minimum degree on
+        A^T + A, which puts the dense border last, and keeps the diagonal as
+        pivot unless it is below 1e-4 of its column.  So the constraint row
+        is promoted, if at all, only near the end of the elimination, where
+        it meets the near-kernel of a singular M such as L_{-,0}, and L + U
+        holds about 14 n nonzeros (full partial pivoting promoted it hundreds
+        of columns early: about 440 n).  A Schur complement through a band
+        factor of M would divide by that near-kernel's pivot, so the border
+        stays in the factor.  The price is that near pivot: a source's
+        component along M's near-kernel, which `_checked_solve` caps at
+        SOLVABILITY_TOL, moves the factor's x by about 1e-4 of that
+        component relative (n = 1536), so a gated solve stays within 2e-12
+        of a dense solve.
+        With a nonlocal block, GMRES stops at relative residual `rtol` and
+        raises ConvergenceError if it cannot get there within four restart
+        cycles of 20 inner steps.  Across the test suite and the benchmark
+        workloads the solves take at most two cycles (the second re-checks
+        the true residual) and nine inner steps, so one that needs more has
+        failed; `test_gmres_inner_steps_stay_within_the_documented_bound`
+        pins the nine at n = 1536.
         """
         n = self.grid.n
         k = len(constraints)
@@ -193,14 +209,17 @@ def _shifted_inverse(op, sigma, diagnostics):
     B = B_loc + N with N = (s/2)(D1 K D2 + D2 K^T D1) is HODLR on the
     kernel's bisection.  A diagonal leaf is the dense B_loc + N leaf minus
     sigma I, factored by Cholesky; a principal submatrix of an SPD matrix is
-    SPD, so a failed leaf Cholesky raises ConvergenceError.  The upper block
-    of a node is (s/2)[D1 U | D2 V'][D2 V | D1 U']^T plus the band corner
-    of B_loc, with (U, V^T) the kernel's upper and (U', V'^T) its lower
-    block, recompressed by `_recompress` to Z_top Z_bottom^T; B's symmetry
-    gives the lower block.  With Z = diag(Z_top, Z_bottom), C = [[0, I],
-    [I, 0]] and D the two children, B - sigma I = D + Z C Z^T, so each node
-    keeps Y = D^{-1} Z and an LU of the capacitance matrix C + Z^T Y, which
-    is 2r x 2r for a block of rank r.
+    SPD, so a failed leaf Cholesky raises ConvergenceError with LAPACK's
+    `info`, the order of the leaf's first leading minor that is not
+    positive.  The upper block of a node is (s/2)[D1 U | D2 V'][D2 V | D1 U']^T
+    plus the band corner of B_loc, with (U, V^T) the kernel's upper and
+    (U', V'^T) its lower block, recompressed by `_recompress` to
+    Z_top Z_bottom^T; B's symmetry gives the lower block.  With
+    Z = diag(Z_top, Z_bottom), C = [[0, I], [I, 0]] and D the two children,
+    B - sigma I = D + Z C Z^T, so each node keeps Y = D^{-1} Z and an LU of
+    the capacitance matrix C + Z^T Y, which is 2r x 2r for a block of rank r.
+    Both factors call LAPACK directly (`grid._cholesky_solver`,
+    `grid._lu_solver`).
     """
     kernel = build_multipole_kernel(op.grid, op.l).matrix
     w = np.sqrt(op.grid.weights)
