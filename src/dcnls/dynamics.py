@@ -9,7 +9,11 @@ inner product.  The composition is time-symmetric, hence reversible.
 As the rotation keeps |u|, a step's trailing potential is the next step's
 leading one; the Crank-Nicolson half is u - i dt (I + i dt/2 L)^{-1} L u, so
 its rounding scales with the update rather than with u: one solve against the
-band LU of `RadialGrid.band_solver`, refactored only when dt changes.
+band LU of `RadialGrid.band_solver`, refactored only when dt changes.  So a
+step applies the Hartree kernel once, for its trailing potential, and takes
+one gradient, of the rotated state, which the next step's controller and
+this step's record share; a record's quartic energy term reuses the step's
+A(|u|^2).
 
 Near blowup the step shrinks like the square of the focal scale and a
 resolution guard truncates the run cleanly once the core falls under a
@@ -28,8 +32,8 @@ from scipy.optimize import least_squares
 
 from .errors import ConfigurationError
 from .grid import RadialField, _check_integer, _parity_spline, profile_interpolator
-from .groundstate import energy_mu, grad_sq_3d, mass_3d
-from .hartree import nonlinear_potential
+from .groundstate import _energy, _quartic, energy_mu, grad_sq_3d, mass_3d, power_3d
+from .hartree import build_multipole_kernel
 
 __all__ = [
     "EvolutionState",
@@ -183,6 +187,9 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     integer, a `stop_grad_factor` that is not finite and above 1, and a
     `lambda0` or `min_scale_cells` that is not positive and finite;
     `t_final == u0.t` is a run of no steps.  `final` is the last record.
+    A record's mass and gradient norm are those of its snapshot; its energy
+    takes the quartic term from the step's own A(|u|^2), evaluated before
+    the closing rotation, which moves |u| by rounding only.
     """
     grid = u0.field.grid
     if t_final is None and stop_grad_factor is None:
@@ -206,30 +213,45 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     g0 = u0.grad_norm
     h_core = grid.core_spacing()
     r2w = grid.weights * grid.nodes ** 2
+    d1, lap = grid.d1_free(0), grid.laplacian(0)
+    kernel = None if linear_only or mu == 0.0 else build_multipole_kernel(grid, 0).matrix
+    watch = adaptive or stop_grad_factor is not None or lambda0 is not None
 
     times, masses, energies, grads, xu2s = [], [], [], [], []
     snapshots = []
 
-    def grad_of(vals):
-        return float(np.sqrt(grad_sq_3d(grid, vals)))
+    def grad_sq(vals):
+        # ||grad u||^2 as grad_sq_3d computes it, with d/dr fetched once per run
+        return mass_3d(grid, d1 @ vals)
 
-    def record(vals, tt):
+    def potential(vals):
+        """V = |u|^{4/3} + mu A(|u|^2) from one |u|, and the quartic term
+        H = int A(|u|^2) |u|^2 as a callable, from the same A(|u|^2)."""
+        modulus = np.abs(vals)
+        pot = modulus ** (4.0 / 3.0)
+        if kernel is None:
+            return pot, None
+        dens = modulus ** 2
+        hart = kernel @ dens
+        return pot + mu * hart, lambda: _quartic(grid, hart, dens)
+
+    def record(vals, tt, g2, quartic):
         times.append(tt)
         masses.append(mass_3d(grid, vals))
-        energies.append(energy_mu(grid, vals, mu) if not linear_only else
-                        0.5 * grad_sq_3d(grid, vals))
-        grads.append(grad_of(vals))
+        energies.append(0.5 * g2 if linear_only else
+                        _energy(g2, power_3d(grid, vals), mu, quartic))
+        grads.append(float(np.sqrt(g2)))
         xu2s.append(float(4 * np.pi * np.sum(r2w * np.abs(vals) ** 2)))
         if len(snapshots) == 0 or tt != snapshots[-1][0]:
             snapshots.append((tt, vals.copy()))
 
-    record(u, t)
+    pot, quartic = (None, None) if linear_only else potential(u)
+    g2 = grad_sq(u)
+    record(u, t, g2, quartic)
     stopped_by = "t_final"
     step_dt = dt
-    lap = grid.laplacian(0)
     cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
     refactorizations = 1
-    pot = None if linear_only else nonlinear_potential(grid, u, mu)
     phase = None      # exp(i dt/2 V) of the current potential and step, once computed
     steps = 0
     dt_min = np.inf
@@ -239,7 +261,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
             remaining = (t_final - t) * direction
             if remaining <= 1e-14 * max(abs(t_final), 1.0):
                 break
-        g = grad_of(u) if (adaptive or stop_grad_factor or lambda0) else None
+        g = float(np.sqrt(g2)) if watch else None
         if stop_grad_factor is not None and g >= stop_grad_factor * g0:
             stopped_by = "grad_factor"
             break
@@ -266,19 +288,23 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
             u = u * phase
         u = u - 1j * step_dt * cn_solve(lap @ u)
         if not linear_only:
-            pot = nonlinear_potential(grid, u, mu)
+            pot, quartic = potential(u)
             phase = np.exp(0.5j * step_dt * pot)
             u = u * phase
         t += step_dt
         steps += 1
         dt_min = min(dt_min, abs(step_dt))
-        if steps % record_every == 0:
-            record(u, t)
+        # one gradient per step serves the next step's controller and this
+        # step's record; unwatched runs take it at records only
+        recording = steps % record_every == 0
+        g2 = grad_sq(u) if watch or recording else None
+        if recording:
+            record(u, t, g2, quartic)
     else:
         stopped_by = "max_steps"
 
     if times[-1] != t:
-        record(u, t)
+        record(u, t, grad_sq(u) if g2 is None else g2, quartic)
     final = EvolutionState(t=t, field=RadialField(grid, 0, u), mass=masses[-1],
                            energy=energies[-1], grad_norm=grads[-1])
     return Trajectory(

@@ -133,14 +133,15 @@ class RadialGrid:
         """(-Delta)_l in LAPACK general band storage, the input of `band_solver`.
 
         The flux-form stencil couples nodes up to 5 apart (two staggered
-        derivatives of half-width 2.5 composed), so the band is 11 wide.
+        derivatives of half-width 2.5 composed), so the band is 11 wide.  It
+        is held in Fortran order, as LAPACK reads it.
         """
         key = ("lapband", l)
         if key not in self._cache:
             lap = self.laplacian(l)
             coo = lap.tocoo()
             hw = int(np.max(np.abs(coo.row - coo.col)))
-            ab = self._cache[key] = np.zeros((2 * hw + 1, self.n))
+            ab = self._cache[key] = np.zeros((2 * hw + 1, self.n), order="F")
             for d in range(-hw, hw + 1):     # row hw - d holds diagonal d
                 ab[hw - d, max(d, 0):max(d, 0) + self.n - abs(d)] = lap.diagonal(d)
         return self._cache[key]
@@ -154,10 +155,12 @@ class RadialGrid:
         hw = band.shape[0] // 2
         diag = band[hw] if potential is None else band[hw] + potential
         if np.iscomplexobj(b):
-            ab = np.zeros((3 * hw + 1, self.n), dtype=complex)   # hw extra rows for pivoting
-            ab[hw:] = b * band
+            # hw extra rows for pivoting, which zgbtrf sets itself; Fortran
+            # order lets it factor the buffer in place
+            ab = np.empty((3 * hw + 1, self.n), dtype=complex, order="F")
+            np.multiply(band, b, out=ab[hw:])
             ab[2 * hw] = b * diag + a
-            lu, piv, info = zgbtrf(ab, hw, hw)
+            lu, piv, info = zgbtrf(ab, hw, hw, overwrite_ab=1)
         else:
             s = np.sqrt(self.weights)
             ab = np.zeros((hw + 1, self.n))        # upper band: row hw - d holds B[j - d, j]

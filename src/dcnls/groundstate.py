@@ -54,8 +54,7 @@ def mass_3d(grid, values):
     return float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** 2))
 
 def grad_sq_3d(grid, values):
-    dv = grid.d1_free(0) @ values
-    return float(4.0 * np.pi * np.sum(grid.weights * np.abs(dv) ** 2))
+    return mass_3d(grid, grid.d1_free(0) @ values)
 
 def power_3d(grid, values):
     """int |u|^{10/3} over R^3."""
@@ -64,7 +63,11 @@ def power_3d(grid, values):
 def hartree_quartic_3d(grid, values):
     """int A(|u|^2) |u|^2 over R^3."""
     dens = np.abs(values) ** 2
-    return float(4.0 * np.pi * np.sum(grid.weights * hartree_apply(grid, dens) * dens))
+    return _quartic(grid, hartree_apply(grid, dens), dens)
+
+def _quartic(grid, potential, dens):
+    """int A(|u|^2) |u|^2 over R^3 from the density |u|^2 and its A(|u|^2)."""
+    return float(4.0 * np.pi * np.sum(grid.weights * potential * dens))
 
 def _energy(g2, p, mu, quartic):
     """E = G/2 - 0.3 P - mu H/4 from G = ||grad u||^2 and P = int |u|^{10/3};

@@ -18,7 +18,7 @@ the grid's product-integration node weights, 0 on the diagonal, plus one
 sparse near-field correction: each row re-integrates an interval of cells
 around the diagonal against the local degree-5 interpolant, by a Gauss
 rule per cell and a double-exponential rule absorbing the logarithmic
-singularity on the diagonal cell itself.  It is built block by block as
+singularity on the diagonal cell itself.  It is built level by level as
 a hierarchical off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the
 index range is bisected down to dense diagonal leaves, and each
 off-diagonal block of the bisection, smooth because it touches the
@@ -29,7 +29,9 @@ each block then takes its near-field corner as extra columns, is
 recompressed to singular values above 1e-14 times its largest, and is
 checked against a fixed sample of its exact rows and columns.  No
 off-diagonal block is evaluated whole, and above one leaf no n x n array
-is held during the build.
+is held during the build.  The leaves sit in stacked arrays, and so do
+each level's factors, padded to the level's largest rank, so a product
+takes one batched matmul for the leaves and two for each level.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -158,32 +160,52 @@ _CHECK_TOL = 1e-12  # largest sampled error, relative to the largest sampled ent
 
 
 class HodlrMatrix:
-    """A square matrix as dense diagonal leaves plus factored off-diagonal blocks.
+    """A square matrix as dense diagonal leaves plus factored off-diagonal
+    blocks, stored by tree level and applied one level at a time.
 
-    Each block is a (rows, cols, factors) triple whose factors multiply out
-    to the block: (D,) for a dense block, (U, V^T) for a low-rank one.
-    Supports `@` on real, complex and stacked (n, m) operands.
+    `groups` holds the matrix.  Each group is a run of equal-shape blocks of
+    the leaves or of one tree level, as (rows, cols, factors): the factors
+    are stacks of shape (k, t, ., .) whose products are the blocks, (D,) for
+    dense leaves and (U, V^T) for low-rank blocks with the rank padded by
+    zeros to the group's largest.  Block [j, s] reads the operand rows
+    cols[0] + j cols[1] + s cols[2] onwards, cols[3] of them, and adds into
+    the rows that `rows` gives alike; t = 2 stacks the upper and the lower
+    block of one node whose halves are equal, the second one's rows being
+    the first one's columns.  So `@` takes one batched matmul for each group
+    of leaves and two for each group of a level, on strided views of the
+    operand, for real, complex and stacked (n, m) operands.
+
+    `blocks` lists every block as a (rows, cols, factors) triple of slices
+    and views into the stacks, the low-rank factors trimmed to the block's
+    own rank: (D,) for a dense block, (U, V^T) for a low-rank one.
     """
 
-    def __init__(self, n, blocks):
+    def __init__(self, n, groups, blocks):
         self.shape = (n, n)
+        self.groups = groups
         self.blocks = blocks
 
     @property
     def nbytes(self):
-        return sum(f.nbytes for _, _, factors in self.blocks for f in factors)
+        return sum(f.nbytes for _, _, factors in self.groups for f in factors)
 
     def __matmul__(self, x):
         x = np.asarray(x)
         if x.shape[:1] != self.shape[1:]:
             raise ValueError(f"operand of shape {x.shape} does not match {self.shape}")
-        out = np.zeros(x.shape, dtype=np.result_type(float, x.dtype))
-        for rows, cols, factors in self.blocks:
-            y = x[cols]
+        dtype = np.result_type(float, x.dtype)
+        flat = np.ascontiguousarray(x, dtype=dtype).reshape(self.shape[0], -1)
+        if dtype.kind == "c":
+            flat = flat.view(flat.real.dtype)   # (n, 2m): real and imaginary columns
+        out = np.zeros_like(flat)
+        for rows, cols, factors in self.groups:
+            counts = factors[0].shape[:2]
+            y = _window(flat, cols, counts)
             for f in reversed(factors):
-                y = f @ y
-            out[rows] += y
-        return out
+                y = np.matmul(f, y)
+            view = _window(out, rows, counts)
+            view += y
+        return out.view(dtype).reshape(x.shape)
 
     def scaled_frobenius(self, left, right):
         """The Frobenius norm of diag(left) H diag(right), from the factors."""
@@ -203,6 +225,56 @@ class HodlrMatrix:
         for rows, cols, factors in self.blocks:
             out[rows, cols] = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
         return out
+
+
+def _window(a, where, counts):
+    """The strided view of rows of the C-contiguous (n, m) array `a` with
+    shape counts + (size, m), whose [j, s, i] is row start + j step + s pair + i,
+    for where = (start, step, pair, size)."""
+    start, step, pair, size = where
+    row = a.strides[0]
+    return np.ndarray(counts + (size,) + a.shape[1:], a.dtype, a, start * row,
+                      (step * row, pair * row) + a.strides)
+
+
+def _bisection(n):
+    """The HODLR tree of range(n): its leaves (a, b) of at most _LEAF rows,
+    and its split nodes (a, m, b), m = (a + b) // 2, level by level from the
+    root."""
+    leaves, levels, nodes = [], [], [(0, n)]
+    while nodes:
+        leaves += [(a, b) for a, b in nodes if b - a <= _LEAF]
+        split = [(a, (a + b) // 2, b) for a, b in nodes if b - a > _LEAF]
+        if split:
+            levels.append(split)
+        nodes = [half for a, m, b in split for half in ((a, m), (m, b))]
+    return leaves, levels
+
+
+def _runs(slots):
+    """The groups of `HodlrMatrix` that hold the block slots of one level.
+
+    A slot (row, col, pair, p, q) is the p x q block at (row, col) or, with
+    pair = p > 0, the two blocks of one node with equal halves, at
+    (row, col) and (row + p, col - p).  Slots come in row order.  A run takes
+    the slots of equal (pair, p, q) whose rows are evenly spaced.  Yields
+    each run's row and column windows (start, step, pair, size), its stack
+    counts (k, t) and its blocks as (rows, cols) slices in stack order.
+    """
+    runs, last = [], {}
+    for slot in slots:
+        run = last.get(slot[2:])
+        if run is None or len(run) > 1 and slot[0] - run[-1][0] != run[1][0] - run[0][0]:
+            run = last[slot[2:]] = []
+            runs.append(run)
+        run.append(slot)
+    for run in runs:
+        row, col, pair, p, q = run[0]
+        step = run[1][0] - row if len(run) > 1 else 0
+        sides = (0, pair) if pair else (0,)
+        spans = [(slice(r + s, r + s + p), slice(c - s, c - s + q))
+                 for r, c, *_ in run for s in sides]
+        yield (row, step, pair, p), (col, step, -pair, q), (len(run), len(sides)), spans
 
 
 @dataclass(eq=False)
@@ -325,38 +397,54 @@ def _check_block(grid, l, near, rows, cols, factors):
 
 
 def _hodlr_kernel(grid, l):
-    """The channel-l operator on `grid` as a HodlrMatrix, built block by block.
+    """The channel-l operator on `grid` as a HodlrMatrix, built level by level.
 
-    Each diagonal leaf is evaluated whole.  Each mirrored pair of
-    off-diagonal blocks takes one cross approximation of the upper block's
-    far field k_l(r_i, rho_j) w_j.  The pointwise kernel is symmetric, so
-    (U, V) for the upper block gives (V / w, U w) for the lower one.  Each
-    block then takes its entries of `_near_field`, is recompressed, and is
-    checked against a sample of its exact entries.  No off-diagonal block is
-    evaluated whole.
+    Each diagonal leaf is evaluated straight into its slot of the stacked
+    leaves.  Each mirrored pair of off-diagonal blocks takes one cross
+    approximation of the upper block's far field k_l(r_i, rho_j) w_j.  The
+    pointwise kernel is symmetric, so (U, V) for the upper block gives
+    (V / w, U w) for the lower one.  Each block then takes its entries of
+    `_near_field`, is recompressed, and is checked against a sample of its
+    exact entries; each level is packed into its stacks once all its blocks
+    are made.  No off-diagonal block is evaluated whole.
     """
     r, w = grid.nodes, grid.weights
     near = _near_field(grid, l)
-    blocks = []
-    stack = [(0, grid.n)]
-    while stack:
-        a, b = stack.pop()
-        if b - a <= _LEAF:
-            span = np.arange(a, b)
-            blocks.append((slice(a, b), slice(a, b), (_entries(grid, l, near, span, span),)))
-            continue
-        m = (a + b) // 2
-        top, bottom = slice(a, m), slice(m, b)
-        u, v = _cross(lambda i: _kernel_values(l, r[a + i], r[bottom]) * w[bottom],
-                      lambda j: _kernel_values(l, r[top], r[m + j]) * w[m + j],
-                      m - a, b - m)
-        for rows, cols, (us, vs) in ((top, bottom, (u, v)),
-                                     (bottom, top, (v / w[bottom, None], u * w[top, None]))):
-            factors = _recompress(us, vs, near[rows, cols])
-            _check_block(grid, l, near, rows, cols, factors)
-            blocks.append((rows, cols, factors))
-        stack += [(m, b), (a, m)]
-    return HodlrMatrix(grid.n, blocks)
+    leaves, levels = _bisection(grid.n)
+    groups, blocks = [], []
+    for rows, cols, counts, spans in _runs([(a, a, 0, b - a, b - a) for a, b in leaves]):
+        stack = np.empty((len(spans), rows[3], rows[3]))
+        for leaf, (span, _) in zip(stack, spans):
+            index = np.arange(span.start, span.stop)
+            leaf[...] = _entries(grid, l, near, index, index)
+            blocks.append((span, span, (leaf,)))
+        groups.append((rows, cols, (stack.reshape(counts + stack.shape[1:]),)))
+    for level in levels:
+        made, slots = {}, []
+        for a, m, b in level:
+            top, bottom = slice(a, m), slice(m, b)
+            u, v = _cross(lambda i: _kernel_values(l, r[a + i], r[bottom]) * w[bottom],
+                          lambda j: _kernel_values(l, r[top], r[m + j]) * w[m + j],
+                          m - a, b - m)
+            for rows, cols, (us, vs) in ((top, bottom, (u, v)),
+                                         (bottom, top, (v / w[bottom, None], u * w[top, None]))):
+                factors = _recompress(us, vs, near[rows, cols])
+                _check_block(grid, l, near, rows, cols, factors)
+                made[rows.start] = factors
+            p, q = m - a, b - m
+            slots += [(a, m, p, p, p)] if p == q else [(a, m, 0, p, q), (m, a, 0, q, p)]
+        for rows, cols, counts, spans in _runs(slots):
+            rank = max(made[span.start][0].shape[1] for span, _ in spans)
+            u_stack = np.zeros((len(spans), rows[3], rank))
+            vt_stack = np.zeros((len(spans), rank, cols[3]))
+            for u, vt, (span, other) in zip(u_stack, vt_stack, spans):
+                u_own, vt_own = made.pop(span.start)
+                k = u_own.shape[1]
+                u[:, :k], vt[:k] = u_own, vt_own
+                blocks.append((span, other, (u[:, :k], vt[:k])))
+            groups.append((rows, cols, tuple(f.reshape(counts + f.shape[1:])
+                                             for f in (u_stack, vt_stack))))
+    return HodlrMatrix(grid.n, groups, blocks)
 
 
 def _cell_rule(grid, cells, diagonal):

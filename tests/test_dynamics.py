@@ -3,7 +3,7 @@ import pytest
 
 from dcnls.errors import ConfigurationError
 from dcnls.grid import RadialField, build_grid
-from dcnls.groundstate import mass_3d, solve_classical_Q, solve_Q_mu
+from dcnls.groundstate import energy_mu, grad_sq_3d, mass_3d, solve_classical_Q, solve_Q_mu
 from dcnls.dynamics import (
     EvolutionState,
     blowup_fit,
@@ -342,25 +342,76 @@ def test_dt_min_is_the_smallest_step_taken():
     assert adaptive.dt_min == pytest.approx(dt * (adaptive.grad_norm[0] / g_max) ** 2, rel=2e-3)
 
 
-def test_one_potential_and_one_factor_per_fixed_dt_run(monkeypatch):
+class _Counted:
+    """An operator whose products `@` are counted."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.op @ x
+
+
+def _count_kernel_applies(monkeypatch):
     from dcnls import hartree
 
+    counter = _Counted(None)
+    apply = hartree.HodlrMatrix.__matmul__
+
+    def counted(self, x):
+        counter.calls += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(hartree.HodlrMatrix, "__matmul__", counted)
+    return counter
+
+
+def test_one_potential_and_one_factor_per_fixed_dt_run(monkeypatch):
     g = build_grid(128, 40.0, "tanh")
     mu, dt, n_steps = 0.02, 1e-3, 10
     u0 = make_initial_data("gaussian", grid=g, width=1.5, amplitude=0.8, mu=mu)
-    calls = []
-    apply = hartree.hartree_apply
-
-    def counted(grid, dens):
-        calls.append(1)
-        return apply(grid, dens)
-
-    # records go through groundstate's own binding, so only step-loop calls count
-    monkeypatch.setattr(hartree, "hartree_apply", counted)
+    # the records reuse their step's A(|u|^2), so every kernel apply counts
+    applies = _count_kernel_applies(monkeypatch)
     traj = evolve(u0, mu, dt=dt, t_final=n_steps * dt, record_every=n_steps)
-    assert len(calls) == n_steps + 1
+    assert applies.calls == n_steps + 1
     assert traj.steps == n_steps
     assert traj.refactorizations == 1
+
+
+@pytest.fixture
+def counted_adaptive_run(monkeypatch):
+    """A short adaptive nonlinear run with its kernel applies and d/dr products counted."""
+    g = build_grid(256, 40.0, "tanh")
+    mu = 0.02
+    u0 = make_initial_data("gaussian", grid=g, width=1.5, amplitude=1.2, mu=mu)
+    d1 = _Counted(g.d1_free(0))
+    free = g.d1_free
+    monkeypatch.setattr(g, "d1_free", lambda l: d1 if l == 0 else free(l))
+    applies = _count_kernel_applies(monkeypatch)
+    traj = evolve(u0, mu, dt=2e-3, t_final=0.2, adaptive=True, record_every=5)
+    monkeypatch.undo()
+    return g, mu, traj, applies.calls, d1.calls
+
+
+def test_each_step_applies_the_kernel_and_d_dr_once(counted_adaptive_run):
+    _, _, traj, applies, gradients = counted_adaptive_run
+    assert traj.steps >= 50 and traj.refactorizations > 1
+    # one of each per step; the initial record and the final one take the rest
+    assert traj.steps <= applies <= traj.steps + 2
+    assert traj.steps <= gradients <= traj.steps + 2
+
+
+def test_records_match_fresh_evaluations(counted_adaptive_run):
+    g, mu, traj, _, _ = counted_adaptive_run
+    assert traj.times.size == len(traj.snapshots) > 10
+    for k, (t, vals) in enumerate(traj.snapshots):
+        assert t == traj.times[k]
+        assert traj.mass[k] == mass_3d(g, vals)
+        assert traj.grad_norm[k] == np.sqrt(grad_sq_3d(g, vals))
+        # the quartic term is the step's own A(|u|^2), taken before the
+        # closing rotation, which moves |u| by rounding only
+        assert traj.energy[k] == pytest.approx(energy_mu(g, vals, mu), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("mu, linear_only", [(0.0, True), (0.02, False)])

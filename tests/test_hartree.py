@@ -344,6 +344,39 @@ def test_hodlr_kernel_matches_dense_fill(monkeypatch, l):
         np.linalg.norm(left[:, None] * held * right[None, :]), rel=1e-12)
 
 
+@pytest.mark.parametrize("l", [0, 2])
+@pytest.mark.parametrize("n, leaf", [(257, None), (777, None), (1025, None), (300, 300)])
+def test_packed_apply_matches_dense_on_any_tree(monkeypatch, n, leaf, l):
+    # 257, 777 and 1025 bisect into leaves and level blocks of unequal
+    # shapes (1025: leaves of 256, 256, 256, 128 and 129); leaf = n is a
+    # tree of one leaf
+    if leaf is not None:
+        monkeypatch.setattr(hartree, "_LEAF", leaf)
+    kernel = hartree._hodlr_kernel(build_grid(n, 40.0, "tanh"), l)
+    dense = kernel.toarray()
+    rng = np.random.default_rng(n + l)
+    real, stacked = rng.standard_normal(n), rng.standard_normal((n, 3))
+    for x in (real, real + 1j * rng.standard_normal(n),
+              stacked, stacked + 1j * rng.standard_normal((n, 3))):
+        out = kernel @ x
+        assert out.shape == x.shape and out.dtype == x.dtype
+        assert _rel(out, dense @ x) <= 1e-14
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_kernel_factors_are_held_once(l):
+    # every block is a view into the level-packed stacks, whose rank padding
+    # adds at most 5 % to the blocks' own storage
+    kernel = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), l).matrix
+    stacks = [f for _, _, factors in kernel.groups for f in factors]
+    own = 0
+    for _, _, factors in kernel.blocks:
+        for f in factors:
+            assert any(np.shares_memory(f, stack) for stack in stacks)
+            own += f.nbytes
+    assert kernel.nbytes <= 1.05 * own
+
+
 @pytest.mark.parametrize("n", [100, 256])
 def test_small_kernel_is_one_dense_leaf(n):
     # reference assembled here from the two parts: far field plus near field
