@@ -60,14 +60,14 @@ def power_3d(grid, values):
     """int |u|^{10/3} over R^3."""
     return float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** (10.0 / 3.0)))
 
+def _quartic(grid, potential, dens):
+    """int A(|u|^2) |u|^2 over R^3 from the density |u|^2 and its A(|u|^2)."""
+    return float(4.0 * np.pi * np.sum(grid.weights * potential * dens))
+
 def hartree_quartic_3d(grid, values):
     """int A(|u|^2) |u|^2 over R^3."""
     dens = np.abs(values) ** 2
     return _quartic(grid, hartree_apply(grid, dens), dens)
-
-def _quartic(grid, potential, dens):
-    """int A(|u|^2) |u|^2 over R^3 from the density |u|^2 and its A(|u|^2)."""
-    return float(4.0 * np.pi * np.sum(grid.weights * potential * dens))
 
 def _energy(g2, p, mu, quartic):
     """E = G/2 - 0.3 P - mu H/4 from G = ||grad u||^2 and P = int |u|^{10/3};

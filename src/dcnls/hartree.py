@@ -198,6 +198,8 @@ class HodlrMatrix:
         if dtype.kind == "c":
             flat = flat.view(flat.real.dtype)   # (n, 2m): real and imaginary columns
         out = np.zeros_like(flat)
+        if out.size == 0:       # no buffer to take windows of
+            return out.view(dtype).reshape(x.shape)
         for rows, cols, factors in self.groups:
             counts = factors[0].shape[:2]
             y = _window(flat, cols, counts)

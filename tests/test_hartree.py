@@ -361,6 +361,7 @@ def test_packed_apply_matches_dense_on_any_tree(monkeypatch, n, leaf, l):
         out = kernel @ x
         assert out.shape == x.shape and out.dtype == x.dtype
         assert _rel(out, dense @ x) <= 1e-14
+    assert (kernel @ np.empty((n, 0))).shape == (n, 0)
 
 
 @pytest.mark.parametrize("l", range(5))
