@@ -100,9 +100,9 @@ class RadialGrid:
     r_max: float
     nodes: np.ndarray
     weights: np.ndarray          # quadrature for integral of f r^2 dr
-    edges: np.ndarray
     jac: np.ndarray              # dr/dxi at the nodes
     jac_face: np.ndarray         # dr/dxi at the cell edges
+    stretch: str                 # the map xi -> r, "uniform" or "tanh" (`_stretch_functions`)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -239,9 +239,6 @@ def build_grid(n, r_max, stretch="tanh"):
     xi_nodes = (np.arange(n) + 0.5) / n
     xi_edges = np.arange(n + 1) / n
     nodes = m(xi_nodes)
-    edges = m(xi_edges)
-    edges[0] = 0.0
-    edges[-1] = float(r_max)
     jac = m1(xi_nodes)
     jac_face = m1(xi_edges)
 
@@ -254,9 +251,9 @@ def build_grid(n, r_max, stretch="tanh"):
         r_max=float(r_max),
         nodes=nodes,
         weights=weights,
-        edges=edges,
         jac=jac,
         jac_face=jac_face,
+        stretch=stretch,
     )
 
 

@@ -14,11 +14,16 @@ with rational coefficients is used to dodge the cancellation in the
 closed forms and, up to a cut that grows with l, the forward recurrence.
 
 The channel operator is the pointwise far field k_l(r_i, rho_j) w_j with
-the grid's product-integration node weights, 0 on the diagonal, plus one
-sparse near-field correction: each row re-integrates an interval of cells
-around the diagonal against the local degree-5 interpolant, by a Gauss
+the grid's quadrature weights, 0 on the diagonal, plus one sparse
+near-field correction.  Each row splits its kernel by a smooth window in
+the computational coordinate xi (a partition of unity, Bruno and
+Kunyansky 2001): the far part is smooth, so the midpoint far field
+converges geometrically with no end corrections, and the near part is
+integrated cell by cell against the degree-5 interpolant in xi, by a Gauss
 rule per cell and a double-exponential rule absorbing the logarithmic
-singularity on the diagonal cell itself.  It is built level by level as
+singularity on the diagonal cell itself.  The window values and the
+interpolation weights depend only on the cell offset and the stencil
+position, so they are tables built once.  It is built level by level as
 a hierarchical off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the
 index range is bisected down to dense diagonal leaves, and each
 off-diagonal block of the bisection, smooth because it touches the
@@ -46,9 +51,10 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
+from scipy.special import erfc
 
 from .errors import QuadratureError
-from .grid import RadialField, _check_integer, _fd_weights, profile_interpolator
+from .grid import RadialField, _check_integer, _stretch_functions, profile_interpolator
 
 __all__ = [
     "MultipoleKernel",
@@ -146,12 +152,11 @@ def _tanh_sinh_rule():
 
 
 _DE_X, _DE_W = _tanh_sinh_rule()
-_GL = np.polynomial.legendre.leggauss(12)   # every exact cell off the diagonal
 
-_BAND = 12       # cells each side of the diagonal integrated exactly
-_CORE = _BAND + 24   # cells integrated exactly for every row up to _CORE + _BAND
-_ROWS = 64       # row chunk of the near-field quadratures, whose per-pair weight
-                 # gather grows with it: 256 rows add 0.6-1.8 MiB of peak RSS at n = 1536
+_BAND = 20       # cells each side of the diagonal that the window reaches
+_WINDOW = (10.0, 1.75)   # centre and width, in cells, of the window's erfc edge
+_ROWS = 64       # row chunk of the near-field quadratures, whose per-pair Lagrange
+                 # gather grows with it: 256 rows add 7-8 MiB of traced peak at n = 1536
 _LEAF = 256      # largest dense diagonal leaf of the HODLR kernel
 _ACA_TOL = 5e-14  # a cross approximation stops at crosses this small against its norm
 _SVD_CUT = 1e-14  # singular values kept, relative to the block's largest
@@ -292,27 +297,6 @@ class MultipoleKernel:
     matrix: HodlrMatrix
 
 
-def _lagrange_values(stencil_r, x):
-    """Values of the 6 Lagrange basis polynomials of `stencil_r` at x."""
-    width = stencil_r.shape[-1]
-    diffs = [x - stencil_r[..., j, None] for j in range(width)]
-    out = []
-    for m in range(width):
-        lag = np.ones_like(x)
-        for j in range(width):
-            if j == m:
-                continue
-            lag *= diffs[j]
-            lag /= stencil_r[..., m, None] - stencil_r[..., j, None]
-        out.append(lag)
-    return np.stack(out, axis=-2)   # (..., 6, npts)
-
-
-# one-sided d/dxi weights at a cell edge from the 4 nodes on either side
-_GREG_R = _fd_weights(np.array([0.5, 1.5, 2.5, 3.5]), 1)
-_GREG_L = _fd_weights(np.array([-0.5, -1.5, -2.5, -3.5]), 1)
-
-
 def build_multipole_kernel(grid, l):
     """The channel-l operator on `grid`, cached on the grid, in HODLR form."""
     _check_integer("channel index", l, hi=_L_MAX_TABLE - 1)
@@ -449,68 +433,79 @@ def _hodlr_kernel(grid, l):
     return HodlrMatrix(grid.n, groups, blocks)
 
 
-def _cell_rule(grid, cells, diagonal):
-    """(stencils, x, weights): each cell's 6 interpolation nodes, quadrature
-    nodes x and weights w_q x^2 L_m(x), L_m its Lagrange basis, by the Gauss
-    rule on the cell or, for the `diagonal` cell c of row c, tanh-sinh on
-    either side of the log singularity at r_c."""
-    r = grid.nodes
-    stencils = np.clip(cells - 2, 0, grid.n - 6)[:, None] + np.arange(6)
-    a, b = grid.edges[cells, None], grid.edges[cells + 1, None]
-    if diagonal:
-        mid = r[cells, None]
-        x = np.hstack((a + (mid - a) * _DE_X, mid + (b - mid) * _DE_X))
-        wq = np.hstack(((mid - a) * _DE_W, (b - mid) * _DE_W))
-    else:
-        gx, gw = _GL
-        x = 0.5 * (a + b) + 0.5 * (b - a) * gx
-        wq = 0.5 * (b - a) * gw
-    return stencils, x, (wq * x ** 2)[:, None, :] * _lagrange_values(r[stencils], x)
+def _rule_tables(x, w):
+    """(x, w, window, lagrange) for a cell rule with nodes x in [-1/2, 1/2],
+    in cell widths from the cell's centre, and weights w summing to 1.
+
+    window[core, _BAND + d, q] is the partition of unity at node q of the
+    cell d cells from the row's own, 1 left of the row for core rows (core
+    = 1); lagrange[s, m, q] is the m-th Lagrange polynomial of the cell's
+    6-node stencil, whose s-th node is the cell's own, at node q.  Both
+    depend on the cell offset and stencil position alone.
+    """
+    d = np.arange(-_BAND, _BAND + 1)[:, None] + x
+    centre, width = _WINDOW
+    window = 0.5 * erfc((np.abs(d) - centre) / width)
+    nodes = np.arange(6)
+    lagrange = np.array([[np.prod([(x + s - j) / (m - j) for j in nodes if j != m], axis=0)
+                          for m in nodes] for s in nodes])
+    return x, w, np.stack((window, np.where(d < 0, 1.0, window))), lagrange
+
+
+def _gauss_tables(points):
+    """`_rule_tables` of the `points`-point Gauss rule on a cell."""
+    gx, gw = np.polynomial.legendre.leggauss(points)
+    return _rule_tables(0.5 * gx, 0.5 * gw)
+
+
+_GAUSS = _gauss_tables(10)   # every cell of the window but the row's own
+# the row's own cell, split at its node by tanh-sinh on either side of the log singularity
+_DIAGONAL = _rule_tables(np.hstack((-0.5 * _DE_X, 0.5 * _DE_X)), np.hstack((0.5 * _DE_W,) * 2))
+_NODE_WINDOW = _rule_tables(np.zeros(1), np.ones(1))[2][..., 0]   # the window at the nodes
 
 
 def _near_field(grid, l):
     """Every correction to the far field k_l(r_i, rho_j) w_j, as one CSR matrix.
 
-    Rows are quadratures of k_l(r_i, rho) f(rho) rho^2 drho: midpoint node
-    weights away from the diagonal (their Euler-Maclaurin boundary terms
-    vanish at rho = 0 by parity and are cancelled at the cuts by
-    Gregory-type corrections), and exact kernel integration against the
-    local degree-5 interpolant of f on one interval of cells per row: the
-    _BAND cells each side of the diagonal, and for core rows every cell
-    down to the origin, where the kernel varies on the scale of rho itself.
-    Each chunk of rows tabulates its cells' rules once.  Duplicate (row,
-    column) corrections are summed.  Every entry lies within _BAND + 4 of
-    the diagonal or has row and column at most _CORE + _BAND.
+    Row i splits its kernel as phi_i k + (1 - phi_i) k by the window
+    phi_i = erfc((|xi - xi_i| / h - 10) / 1.75) / 2 in the computational
+    coordinate xi, which is 1 to rounding at the row's node and below 1e-16
+    at the far edge of the _BAND-th cell; core rows i <= _BAND take
+    phi_i = 1 for xi < xi_i, down to the origin.  (1 - phi_i) k f is smooth, so the far field's midpoint weights
+    integrate it with no end corrections; each row subtracts phi_i k w at
+    the nodes and integrates phi_i k f rho^2 drho exactly against the
+    degree-5 interpolant of f in xi, cell by cell.  Every entry lies within
+    _BAND + 3 of the diagonal.  Only r(xi) and h w r'(xi) r^2 at the cell
+    rules' nodes depend on the grid; duplicate (row, column) entries are
+    summed.
     """
     n, r, w = grid.n, grid.nodes, grid.weights
-    w_mid = grid.h_xi * grid.jac * r ** 2   # pure midpoint weights (Gregory samples)
+    m, m1 = _stretch_functions(grid.stretch, grid.r_max)
+    stencil = np.clip(np.arange(n) - 2, 0, n - 6)    # each cell's first stencil node
     chunks = []     # rows in chunks of _ROWS, which bound the quadrature temporaries
     for start in range(0, n, _ROWS):
         rows = np.arange(start, min(start + _ROWS, n))
-        # row i integrates cells lo_i..hi_i exactly: its own cell by the
-        # diagonal rule, the others, pairs (i, c), by the Gauss rule
-        lo = np.where(rows <= _CORE + _BAND, 0, rows - _BAND)
+        # row i integrates cells lo_i..hi_i: its own by the diagonal rule,
+        # the others, pairs (i, c), by the Gauss rule
+        lo = np.where(rows <= _BAND, 0, rows - _BAND)
         hi = np.minimum(rows + _BAND, n - 1)
         cells = np.arange(lo[0], hi[-1] + 1)
         i, c = np.broadcast_arrays(rows[:, None], cells)
         pair = (c >= lo[:, None]) & (c <= hi[:, None]) & (c != i)
         i, c = i[pair], c[pair]
-        parts = [(i, c, -w[c] * _kernel_values(l, r[i], r[c]))]    # (rows, columns, values)
-        for row, k, table, diagonal in ((i, c - lo[0], cells, False),
-                                        (rows, rows - start, rows, True)):
-            stencils, x, weights = _cell_rule(grid, table, diagonal)
-            v = np.einsum("pq,pmq->pm", _kernel_values(l, r[row, None], x[k]), weights[k])
-            parts.append((np.repeat(row, 6), stencils[k].ravel(), v.ravel()))
-
-        # Gregory corrections at the cuts between the exact zone and the
-        # midpoint far zone: error of the far sum is (h^2/24) g'(cut) per side
-        d = np.arange(4)
-        for ok, j, weight in ((rows + _BAND + 4 < n, rows[:, None] + _BAND + 1 + d, -_GREG_R),
-                              (rows > _CORE + _BAND, rows[:, None] - _BAND - 1 - d, _GREG_L)):
-            i, j = np.broadcast_arrays(rows[ok, None], j[ok])
-            v = (weight / 24.0) * _kernel_values(l, r[i], r[j]) * w_mid[j]
-            parts.append((i.ravel(), j.ravel(), v.ravel()))
-
+        phi = _NODE_WINDOW[(i <= _BAND).astype(int), _BAND + c - i]
+        parts = [(i, c, -phi * w[c] * _kernel_values(l, r[i], r[c]))]   # (rows, columns, values)
+        for (x, wq, window, lagrange), i, c, span in ((_GAUSS, i, c, cells),
+                                                      (_DIAGONAL, rows, rows, rows)):
+            # r(xi) and h w r'(xi) r^2 at the rule's nodes in the cells of `span`
+            xi = (span[:, None] + 0.5 + x) * grid.h_xi
+            at = m(xi)
+            weight = grid.h_xi * wq * m1(xi) * at ** 2
+            k = c - span[0]
+            phi = window[(i <= _BAND).astype(int), _BAND + c - i]
+            kw = _kernel_values(l, r[i, None], at[k]) * weight[k] * phi
+            v = np.einsum("pq,pmq->pm", kw, lagrange[c - stencil[c]])
+            parts.append((np.repeat(i, 6), (stencil[c, None] + np.arange(6)).ravel(), v.ravel()))
         i, j, v = (np.concatenate(x) for x in zip(*parts))
         chunks.append(sparse.csr_matrix((v, (i - start, j)), shape=(rows.size, n)))
 

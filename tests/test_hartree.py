@@ -37,6 +37,8 @@ def test_gaussian_against_dawson_form(grid):
     exact = 2 * np.pi ** 1.5 * dawsn(r) / r
     err = np.max(np.abs(out - exact)[r < 30]) / np.max(np.abs(exact))
     assert err <= 5e-7
+    # a hard band cut in the near field would leave a first-order error of 4e-8
+    assert np.max(np.abs(out - exact)[r < 25]) <= 1e-11 * np.max(np.abs(exact))
     assert _oracle_error(dens, exact) <= 1e-10
 
 
@@ -113,6 +115,7 @@ def test_channel_l1_against_dawson_form(grid):
     exact = -np.pi ** 1.5 * ((1 - 2 * r * F) / r - F / r ** 2)
     err = np.max(np.abs(out - exact)[r < 25]) / np.max(np.abs(exact))
     assert err <= 1e-6
+    assert err <= 1e-11
     assert _oracle_error(dens, exact) <= 1e-10
 
 
@@ -129,6 +132,9 @@ def test_channel_l2_against_dawson_form(grid):
     exact = (Tpp - Tp / r) / 6.0
     err = np.max(np.abs(out - exact)[r < 25]) / np.max(np.abs(exact))
     assert err <= 1e-6
+    # below r = 0.2 the closed form cancels to a few digits
+    core = (r > 0.2) & (r < 25)
+    assert np.max(np.abs(out - exact)[core]) <= 1e-11 * np.max(np.abs(exact))
     assert _oracle_error(dens, exact) <= 1e-10
 
 
@@ -209,7 +215,7 @@ def test_near_field_gauss_rule_is_converged(monkeypatch, l):
     # the off-diagonal cells' Gauss rule sits at the rounding floor of a 32-point one
     g = build_grid(1024, 40.0, "tanh")
     near = hartree._near_field(g, l)
-    monkeypatch.setattr(hartree, "_GL", np.polynomial.legendre.leggauss(32))
+    monkeypatch.setattr(hartree, "_GAUSS", hartree._gauss_tables(32))
     fine = hartree._near_field(g, l)
     assert abs(near - fine).max() <= 3e-13 * abs(fine).max()
 
@@ -235,13 +241,12 @@ def test_row_block_fill_matches_single_block(monkeypatch, l):
 
 @pytest.mark.parametrize("l", range(5))
 def test_near_field_hugs_the_diagonal(l):
-    # every correction to the pointwise far field sits in the band or the
-    # core corner, so blocks away from the diagonal are exactly k(r_i, rho_j) w_j
+    # every correction to the pointwise far field sits within the window's
+    # cells and their stencils, so blocks away from the diagonal are exactly
+    # k(r_i, rho_j) w_j
     near = hartree._near_field(build_grid(700, 40.0, "tanh"), l).tocoo()
-    corner = hartree._CORE + hartree._BAND
     assert near.nnz > 0
-    assert np.all((np.abs(near.row - near.col) <= hartree._BAND + 4)
-                  | ((near.row <= corner) & (near.col <= corner)))
+    assert np.all(np.abs(near.row - near.col) <= hartree._BAND + 3)
 
 
 def test_kernel_build_makes_no_dense_temporaries():
@@ -260,7 +265,7 @@ def test_kernel_build_makes_no_dense_temporaries():
 @pytest.mark.parametrize("l", [0, 2])
 def test_kernel_build_evaluates_no_whole_off_diagonal_block(monkeypatch, l):
     # the leaves (n * _LEAF entries) and the near-field quadratures take
-    # about 0.34 n^2 at n = 2048, and the whole build 0.383 n^2 at l = 0;
+    # about 0.39 n^2 at n = 2048, and the whole build 0.439 n^2 at l = 0;
     # filling every off-diagonal block once more would add 0.44 n^2
     n = 2048
     g = build_grid(n, 40.0, "tanh")

@@ -4,6 +4,7 @@ import pytest
 from dcnls.errors import ConfigurationError
 from dcnls.grid import RadialField, build_grid, generator
 from dcnls.groundstate import solve_Q_mu, solve_classical_Q
+from dcnls.linop import SOLVABILITY_TOL
 from dcnls.profile import (
     assemble_R,
     build_hierarchy,
@@ -31,6 +32,14 @@ def test_solvability_inner_products(ps0, ps_mu):
     for ps in (ps0, ps_mu):
         for name, defect in ps.solvability.items():
             assert defect <= 1e-6, (name, defect)
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.05])
+def test_hierarchy_builds_on_a_coarse_grid(mu):
+    # the order-bd condition on L_+,1 reads 7.1e-9 and 7.5e-9 here; a hard
+    # band cut in the kernel puts it above the 1e-8 gate
+    ps = build_hierarchy(solve_Q_mu(mu, build_grid(256, 40.0, "tanh")))
+    assert max(ps.solvability.values()) <= SOLVABILITY_TOL
 
 
 def test_field_equation_residuals(ps0, ps_mu):
