@@ -285,23 +285,14 @@ def _fd_rows_folded(n, stencil, parity):
 
     Mirror ghosts: node -k maps to k-1 with sign `parity`.  The last
     `_HALF_WIDTH` rows are skipped for the caller to close one-sidedly.
+    Triplets come row by row, each row's in stencil order.
     """
-    rows, cols, vals = [], [], []
-    hw = _HALF_WIDTH
-    for i in range(n - hw):
-        for o, c in enumerate(stencil):
-            if c == 0.0:
-                continue
-            j = i + o - hw
-            if j < 0:
-                rows.append(i)
-                cols.append(-1 - j)
-                vals.append(parity * c)
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(c)
-    return rows, cols, vals
+    offsets = np.flatnonzero(stencil)
+    rows = np.repeat(np.arange(n - _HALF_WIDTH), offsets.size)
+    cols = rows + np.tile(offsets - _HALF_WIDTH, n - _HALF_WIDTH)
+    vals = np.tile(stencil[offsets], n - _HALF_WIDTH)
+    ghost = cols < 0
+    return rows, np.where(ghost, -1 - cols, cols), np.where(ghost, parity * vals, vals)
 
 
 def _one_sided_d1_rows(n):
@@ -321,12 +312,9 @@ def _one_sided_d1_rows(n):
 def _build_d1(grid, parity):
     n = grid.n
     h = grid.h_xi
-    rows, cols, vals = _fd_rows_folded(n, _D1_STENCIL, parity)
-    r2, c2, v2 = _one_sided_d1_rows(n)
-    rows += r2
-    cols += c2
-    vals += v2
-    d1_xi = sp.csr_matrix((np.array(vals) / h, (rows, cols)), shape=(n, n))
+    rows, cols, vals = (np.concatenate(t) for t in zip(_fd_rows_folded(n, _D1_STENCIL, parity),
+                                                      _one_sided_d1_rows(n)))
+    d1_xi = sp.csr_matrix((vals / h, (rows, cols)), shape=(n, n))
     return sp.diags(1.0 / grid.jac) @ d1_xi
 
 
@@ -334,18 +322,14 @@ def _staggered_gradient_line(n_nodes):
     """Plain staggered 6th-order derivative on a line of n_nodes nodes.
 
     Faces sit between nodes (n_nodes + 1 of them); face j uses nodes
-    j-3 .. j+2 and nodes outside the line are treated as zero.
+    j-3 .. j+2 and nodes outside the line are treated as zero.  Triplets
+    come stencil weight by weight, each weight's face by face.
     """
-    rows, cols, vals = [], [], []
-    for o, c in enumerate(_DSTAG):
-        off = o - 3
-        for j in range(n_nodes + 1):
-            idx = j + off
-            if 0 <= idx < n_nodes:
-                rows.append(j)
-                cols.append(idx)
-                vals.append(c)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes + 1, n_nodes))
+    faces = np.broadcast_to(np.arange(n_nodes + 1), (_DSTAG.size, n_nodes + 1))
+    nodes = faces + np.arange(-3, 3)[:, None]
+    on_line = (nodes >= 0) & (nodes < n_nodes)
+    vals = np.broadcast_to(_DSTAG[:, None], faces.shape)[on_line]
+    return sp.csr_matrix((vals, (faces[on_line], nodes[on_line])), shape=(n_nodes + 1, n_nodes))
 
 
 def _build_laplacian(grid, l):

@@ -8,35 +8,38 @@ the convolution is again a single channel with radial profile
 where Q_l is the Legendre function of the second kind evaluated at
 z = (r^2 + rho^2) / (2 r rho).  Writing t = min(r,rho)/max(r,rho) gives
 Q_l(z)/(r rho) = g_l(t) / max(r,rho)^2 with g_l analytic on [0, 1) and a
-logarithmic blow-up at the diagonal t = 1.  g_0(t) = 2 atanh(t)/t, and the
-higher g_l follow from the Legendre recurrence; for small t a power series
-with rational coefficients is used to dodge the cancellation in the
+logarithmic blow-up at the diagonal t = 1.  g_0(t) = 2 atanh(t)/t, exact
+to an ulp at every t, and the higher g_l follow from the Legendre
+recurrence; for small t a power series with rational coefficients, as
+many terms as its cut needs, is used to dodge the cancellation in the
 closed forms and, up to a cut that grows with l, the forward recurrence.
 
 The channel operator is the pointwise far field k_l(r_i, rho_j) w_j with
-the grid's quadrature weights, 0 on the diagonal, plus one sparse
-near-field correction.  Each row splits its kernel by a smooth window in
-the computational coordinate xi (a partition of unity, Bruno and
+the grid's quadrature weights, 0 on the diagonal, plus one near-field
+correction held as a dense band.  Each row splits its kernel by a smooth
+window in the computational coordinate xi (a partition of unity, Bruno and
 Kunyansky 2001): the far part is smooth, so the midpoint far field
 converges geometrically with no end corrections, and the near part is
 integrated cell by cell against the degree-5 interpolant in xi, by a Gauss
 rule per cell and a double-exponential rule absorbing the logarithmic
 singularity on the diagonal cell itself.  The window values and the
 interpolation weights depend only on the cell offset and the stencil
-position, so they are tables built once.  It is built level by level as
-a hierarchical off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the
-index range is bisected down to dense diagonal leaves, and each
-off-diagonal block of the bisection, smooth because it touches the
-diagonal at one corner only, is held as a product U V^T.  Each mirrored
-pair of blocks takes one partially pivoted cross approximation of its far
-field (Bebendorf 2000), which evaluates only its pivot rows and columns;
-each block then takes its near-field corner as extra columns, is
-recompressed to singular values above 1e-14 times its largest, and is
-checked against a fixed sample of its exact rows and columns.  No
-off-diagonal block is evaluated whole, and above one leaf no n x n array
-is held during the build.  The leaves sit in stacked arrays, and so do
-each level's factors, padded to the level's largest rank, so a product
-takes one batched matmul for the leaves and two for each level.
+position, so they are tables built once, and the cells of a chunk of rows
+lie on a regular (row, cell offset) layout whose centred cells take one
+matmul.  It is built level by level as a hierarchical off-diagonal
+low-rank (HODLR) matrix (Hackbusch 1999): the index range is bisected down
+to dense diagonal leaves, and each off-diagonal block of the bisection,
+smooth because it touches the diagonal at one corner only, is held as a
+product U V^T.  Each mirrored pair of blocks takes one partially pivoted
+cross approximation of its far field (Bebendorf 2000), which evaluates
+only its pivot rows and columns; each block then takes its near-field
+corner as extra columns, is recompressed to singular values above 1e-14
+times its largest, and is checked against a fixed sample of its exact rows
+and columns.  No off-diagonal block is evaluated whole, and above one leaf
+no n x n array is held during the build.  The leaves sit in stacked
+arrays, and so do each level's factors, padded to the level's largest
+rank, so a product takes one batched matmul for the leaves and two for
+each level.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from .errors import QuadratureError
@@ -66,22 +69,24 @@ __all__ = [
 CHANNEL_COEFFICIENT = 2.0 * np.pi   # resolved normalization of the channel kernel
 
 _SERIES_CUT = 0.45
-_SERIES_TERMS = 30       # t < 0.45: terms past k = 30 are below 1e-21
-_SERIES_TERMS_WIDE = 80  # t < 0.72, the widest cut (l = 7): terms past k = 80 are below 1e-22
+_SERIES_TERMS = 80       # the untrimmed series: below the widest cut, 0.72 (l = 7),
+                         # terms past k = 80 are below 1e-22
 _L_MAX_TABLE = 8
-# g_l takes its series below _CUTS[l]: above it, the forward recurrence's
-# rounding grows about like t^(-2l) and stays near 100 ulps (l <= 2: 0.45)
-_CUTS = [max(_SERIES_CUT, 100.0 ** (-0.5 / max(l, 1))) for l in range(_L_MAX_TABLE)]
+# g_0 takes its closed form 2 atanh(t)/t at every t.  g_l, l >= 1, takes its
+# series below _CUTS[l]: above it, the forward recurrence's rounding grows
+# about like t^(-2l) and stays near 100 ulps (l <= 2: 0.45)
+_CUTS = [0.0] + [max(_SERIES_CUT, 100.0 ** (-0.5 / l)) for l in range(1, _L_MAX_TABLE)]
 
 
 def _series_table():
-    """Rational series coefficients beta[l][k]: g_l(t) = sum_k beta t^(l+2k).
+    """Rational series coefficients beta[l][k], g_l(t) = sum_k beta t^(l+2k),
+    as floats, _SERIES_TERMS of them for each l.
 
     g_0 = 2 atanh(t)/t gives beta_{0,k} = 2/(2k+1); Q_1 = z Q_0 - 1 gives
     beta_{1,k} = (beta_{0,k} + beta_{0,k+1})/2 (the -1 cancels the constant
     term of z Q_0 exactly); higher rows follow the Legendre recurrence.
     """
-    head = _SERIES_TERMS_WIDE + _L_MAX_TABLE + 2
+    head = _SERIES_TERMS + _L_MAX_TABLE + 2
     beta = [[Fraction(2, 2 * k + 1) for k in range(head)]]
     beta.append([Fraction(1, 2) * (beta[0][k] + beta[0][k + 1]) for k in range(head - 1)])
     for l in range(1, _L_MAX_TABLE):
@@ -93,17 +98,22 @@ def _series_table():
             ) / (l + 1)
             nxt.append(val)
         beta.append(nxt)
-    return [np.array([float(x) for x in row[:_SERIES_TERMS if cut == _SERIES_CUT
-                                             else _SERIES_TERMS_WIDE]])
-            for row, cut in zip(beta, _CUTS)]
+    return [np.array([float(x) for x in row[:_SERIES_TERMS]]) for row in beta]
 
 
-_BETA = _series_table()
+# each channel keeps the terms whose t^2k at its own cut exceeds 1e-21: 30 for
+# l <= 2, 73 for l = 7, none for l = 0
+_BETA = [row[:int(-21.0 / np.log10(cut * cut)) if cut else 0]
+         for row, cut in zip(_series_table(), _CUTS)]
 
 
 def _g_ratio(l, t):
-    """g_l(t) = Q_l((t + 1/t)/2) / t, vectorized, stable on [0, 1)."""
+    """g_l(t) = Q_l((t + 1/t)/2) / t, vectorized, stable on (0, 1)."""
     t = np.asarray(t, dtype=float)
+    if l == 0:
+        # clamp just below the diagonal; quadrature weights there are ~1e-12
+        tb = np.minimum(t, 1.0 - 1e-13)
+        return 2.0 * np.arctanh(tb) / tb
     out = np.empty_like(t)
     small = t < _CUTS[l]
 
@@ -118,16 +128,12 @@ def _g_ratio(l, t):
 
     big = ~small
     if np.any(big):
-        # clamp just below the diagonal; quadrature weights there are ~1e-12
         tb = np.minimum(t[big], 1.0 - 1e-13)
         z = 0.5 * (tb + 1.0 / tb)
         q_prev = 2.0 * np.arctanh(tb)
-        if l == 0:
-            q = q_prev
-        else:
-            q = z * q_prev - 1.0
-            for ll in range(1, l):
-                q, q_prev = ((2 * ll + 1) * z * q - ll * q_prev) / (ll + 1), q
+        q = z * q_prev - 1.0
+        for ll in range(1, l):
+            q, q_prev = ((2 * ll + 1) * z * q - ll * q_prev) / (ll + 1), q
         out[big] = q / tb
     return out
 
@@ -155,8 +161,9 @@ _DE_X, _DE_W = _tanh_sinh_rule()
 
 _BAND = 20       # cells each side of the diagonal that the window reaches
 _WINDOW = (10.0, 1.75)   # centre and width, in cells, of the window's erfc edge
-_ROWS = 64       # row chunk of the near-field quadratures, whose per-pair Lagrange
-                 # gather grows with it: 256 rows add 7-8 MiB of traced peak at n = 1536
+_REACH = _BAND + 3   # the near field's half-width: the window's cells and their stencils
+_ROWS = 64       # row chunk of the near-field quadratures, whose (row, offset, node)
+                 # arrays grow with it
 _LEAF = 256      # largest dense diagonal leaf of the HODLR kernel
 _ACA_TOL = 5e-14  # a cross approximation stops at crosses this small against its norm
 _SVD_CUT = 1e-14  # singular values kept, relative to the block's largest
@@ -308,11 +315,42 @@ def build_multipole_kernel(grid, l):
 
 def _entries(grid, l, near, rows, cols):
     """The kernel's entries at the index arrays rows x cols: the far field
-    k_l(r_i, rho_j) w_j, 0 on the diagonal, plus the sparse `near`."""
+    k_l(r_i, rho_j) w_j, 0 on the diagonal, plus the band `near`."""
     r, w = grid.nodes, grid.weights
     far = _kernel_values(l, r[rows, None], r[cols]) * w[cols]
     far[rows[:, None] == cols] = 0.0
-    return far + near[rows][:, cols].toarray()
+    return far + _band_part(near, rows, cols)
+
+
+def _band_part(near, rows, cols):
+    """The entries of the band `near` at the index arrays rows x cols, of
+    which `cols`, or `rows` where it is the longer, holds consecutive
+    indices.  Each row (or column) of them is one slice of the band, whose
+    entry (i, j) sits at [i, _REACH + j - i], flat index 2 _REACH i + _REACH + j."""
+    flat, step = near.reshape(-1), 2 * _REACH
+    out = np.zeros((rows.size, cols.size))
+    if rows.size <= cols.size:
+        for k, i in enumerate(rows):
+            lo, hi = max(cols[0], i - _REACH), min(cols[-1], i + _REACH) + 1
+            if lo < hi:
+                out[k, lo - cols[0]:hi - cols[0]] = flat[step * i + _REACH + lo:
+                                                         step * i + _REACH + hi]
+    else:
+        for k, j in enumerate(cols):
+            lo, hi = max(rows[0], j - _REACH), min(rows[-1], j + _REACH) + 1
+            if lo < hi:
+                out[lo - rows[0]:hi - rows[0], k] = flat[step * lo + _REACH + j:
+                                                         step * hi + _REACH + j:step]
+    return out
+
+
+def _near_rows(near, rows, cols):
+    """(held, values): the rows of the block rows x cols (slices) that hold
+    entries of the band `near`, as indices into the block, and those entries."""
+    lo, hi = max(rows.start, cols.start - _REACH), min(rows.stop, cols.stop + _REACH)
+    values = _band_part(near, np.arange(lo, hi), np.arange(cols.start, cols.stop))
+    held = np.flatnonzero(values.any(axis=1))
+    return lo - rows.start + held, values[held]
 
 
 def _cross(row, col, p, q):
@@ -348,16 +386,15 @@ def _cross(row, col, p, q):
                           error_estimate=float(np.sqrt(cross2 / norm2)))
 
 
-def _recompress(u, v, near):
-    """(U, V^T) for u v^T plus the sparse `near`, truncated at singular
-    values _SVD_CUT times the largest.  The rows of `near` that hold entries
+def _recompress(u, v, held, near):
+    """(U, V^T) for u v^T plus the dense rows `near` at the rows `held`,
+    truncated at singular values _SVD_CUT times the largest.  The held rows
     join u and v as unit and row columns; one QR of each side and an SVD of
     the small core recompress the sum."""
-    held = np.flatnonzero(np.diff(near.indptr))
     unit = np.zeros((u.shape[0], held.size))
     unit[held, np.arange(held.size)] = 1.0
     qu, ru = np.linalg.qr(np.hstack((u, unit)))
-    qv, rv = np.linalg.qr(np.hstack((v, near[held].toarray().T)))
+    qv, rv = np.linalg.qr(np.hstack((v, near.T)))
     core_u, s, core_vt = np.linalg.svd(ru @ rv.T)
     rank = int(np.count_nonzero(s > _SVD_CUT * s[0]))
     return qu @ (core_u[:, :rank] * s[:rank]), core_vt[:rank] @ qv.T
@@ -414,7 +451,7 @@ def _hodlr_kernel(grid, l):
                           m - a, b - m)
             for rows, cols, (us, vs) in ((top, bottom, (u, v)),
                                          (bottom, top, (v / w[bottom, None], u * w[top, None]))):
-                factors = _recompress(us, vs, near[rows, cols])
+                factors = _recompress(us, vs, *_near_rows(near, rows, cols))
                 _check_block(grid, l, near, rows, cols, factors)
                 made[rows.start] = factors
             p, q = m - a, b - m
@@ -453,67 +490,97 @@ def _rule_tables(x, w):
 
 
 def _gauss_tables(points):
-    """`_rule_tables` of the `points`-point Gauss rule on a cell."""
+    """`_rule_tables` of the `points`-point Gauss rule on a cell, the window
+    0 on the row's own cell, which `_DIAGONAL` integrates."""
     gx, gw = np.polynomial.legendre.leggauss(points)
-    return _rule_tables(0.5 * gx, 0.5 * gw)
+    tables = _rule_tables(0.5 * gx, 0.5 * gw)
+    tables[2][:, _BAND] = 0.0
+    return tables
 
 
 _GAUSS = _gauss_tables(10)   # every cell of the window but the row's own
 # the row's own cell, split at its node by tanh-sinh on either side of the log singularity
 _DIAGONAL = _rule_tables(np.hstack((-0.5 * _DE_X, 0.5 * _DE_X)), np.hstack((0.5 * _DE_W,) * 2))
-_NODE_WINDOW = _rule_tables(np.zeros(1), np.ones(1))[2][..., 0]   # the window at the nodes
+_NODE_WINDOW = _gauss_tables(1)[2][..., 0]   # the window at the nodes, the 1-point rule's
+
+
+def _by_offset(a):
+    """The view of the per-cell array `a`, over a chunk's run of cells from
+    _BAND before its first row, whose [k, _BAND + o] is the cell of row k + o."""
+    return np.moveaxis(sliding_window_view(a, 2 * _BAND + 1, axis=0), -1, 1)
 
 
 def _near_field(grid, l):
-    """Every correction to the far field k_l(r_i, rho_j) w_j, as one CSR matrix.
+    """Every correction to the far field k_l(r_i, rho_j) w_j, as one band
+    whose entry (i, j) sits at [i, _REACH + j - i].
 
     Row i splits its kernel as phi_i k + (1 - phi_i) k by the window
     phi_i = erfc((|xi - xi_i| / h - 10) / 1.75) / 2 in the computational
     coordinate xi, which is 1 to rounding at the row's node and below 1e-16
     at the far edge of the _BAND-th cell; core rows i <= _BAND take
-    phi_i = 1 for xi < xi_i, down to the origin.  (1 - phi_i) k f is smooth, so the far field's midpoint weights
-    integrate it with no end corrections; each row subtracts phi_i k w at
-    the nodes and integrates phi_i k f rho^2 drho exactly against the
-    degree-5 interpolant of f in xi, cell by cell.  Every entry lies within
-    _BAND + 3 of the diagonal.  Only r(xi) and h w r'(xi) r^2 at the cell
-    rules' nodes depend on the grid; duplicate (row, column) entries are
-    summed.
+    phi_i = 1 for xi < xi_i, down to the origin.  (1 - phi_i) k f is
+    smooth, so the far field's midpoint weights integrate it with no end
+    corrections; each row subtracts phi_i k w at the nodes and integrates
+    phi_i k f rho^2 drho exactly against the degree-5 interpolant of f in
+    xi, cell by cell.  Every entry lies within _REACH = _BAND + 3 of the
+    diagonal.  Only r(xi) and h w r'(xi) r^2 at the cell rules' nodes
+    depend on the grid.
+
+    The cells i + o, |o| <= _BAND, of a chunk of rows lie on a regular
+    (row, offset) layout, as windows onto the chunk's run of cells; cells
+    off the grid weigh 0.  Cells whose stencil is centred, all but the first
+    two and the last three, contract with one Lagrange table in one matmul, and
+    their six stencil weights land in the band as six slabs.  Every row
+    adds its terms in one fixed order, so the chunking changes no bit.
     """
-    n, r, w = grid.n, grid.nodes, grid.weights
+    n, r, w, h = grid.n, grid.nodes, grid.weights, grid.h_xi
     m, m1 = _stretch_functions(grid.stretch, grid.r_max)
     stencil = np.clip(np.arange(n) - 2, 0, n - 6)    # each cell's first stencil node
-    chunks = []     # rows in chunks of _ROWS, which bound the quadrature temporaries
-    for start in range(0, n, _ROWS):
+    uncentred = np.flatnonzero(np.arange(n) - stencil != 2)
+    offsets = slice(_REACH - _BAND, _REACH + _BAND + 1)
+    band = np.zeros((n, 2 * _REACH + 1))
+    for start in range(0, n, _ROWS):    # rows in chunks, which bound the quadrature temporaries
         rows = np.arange(start, min(start + _ROWS, n))
-        # row i integrates cells lo_i..hi_i: its own by the diagonal rule,
-        # the others, pairs (i, c), by the Gauss rule
-        lo = np.where(rows <= _BAND, 0, rows - _BAND)
-        hi = np.minimum(rows + _BAND, n - 1)
-        cells = np.arange(lo[0], hi[-1] + 1)
-        i, c = np.broadcast_arrays(rows[:, None], cells)
-        pair = (c >= lo[:, None]) & (c <= hi[:, None]) & (c != i)
-        i, c = i[pair], c[pair]
-        phi = _NODE_WINDOW[(i <= _BAND).astype(int), _BAND + c - i]
-        parts = [(i, c, -phi * w[c] * _kernel_values(l, r[i], r[c]))]   # (rows, columns, values)
-        for (x, wq, window, lagrange), i, c, span in ((_GAUSS, i, c, cells),
-                                                      (_DIAGONAL, rows, rows, rows)):
-            # r(xi) and h w r'(xi) r^2 at the rule's nodes in the cells of `span`
-            xi = (span[:, None] + 0.5 + x) * grid.h_xi
-            at = m(xi)
-            weight = grid.h_xi * wq * m1(xi) * at ** 2
-            k = c - span[0]
-            phi = window[(i <= _BAND).astype(int), _BAND + c - i]
-            kw = _kernel_values(l, r[i, None], at[k]) * weight[k] * phi
-            v = np.einsum("pq,pmq->pm", kw, lagrange[c - stencil[c]])
-            parts.append((np.repeat(i, 6), (stencil[c, None] + np.arange(6)).ravel(), v.ravel()))
-        i, j, v = (np.concatenate(x) for x in zip(*parts))
-        chunks.append(sparse.csr_matrix((v, (i - start, j)), shape=(rows.size, n)))
+        core = (rows <= _BAND).astype(int)
+        cells = np.arange(start - _BAND, rows[-1] + _BAND + 1)
+        inside = (cells >= 0) & (cells < n)
+        cells = np.clip(cells, 0, n - 1)
+
+        ri = r[rows, None]
+        chunk = band[start:start + rows.size]
+        chunk[:, offsets] -= (_NODE_WINDOW[core] * _by_offset(w[cells] * inside)
+                             * _kernel_values(l, ri, _by_offset(r[cells])))
+        # r(xi) and h w r'(xi) r^2 at the Gauss nodes of the cells, and at
+        # the diagonal rule's nodes of the rows' own cells
+        x, wq, window, lagrange = _GAUSS
+        xi = (cells[:, None] + 0.5 + x) * h
+        at = m(xi)
+        weight = h * wq * m1(xi) * at ** 2 * inside[:, None]
+        kw = _kernel_values(l, ri[:, :, None], _by_offset(at)) * _by_offset(weight) * window[core]
+        v = (kw.reshape(-1, x.size) @ lagrange[2].T).reshape(kw.shape[:2] + (6,))
+        x, wq, window, own_lagrange = _DIAGONAL
+        xi = (rows[:, None] + 0.5 + x) * h
+        at = m(xi)
+        own = _kernel_values(l, ri, at) * (h * wq * m1(xi) * at ** 2) * window[core, _BAND]
+        v[:, _BAND] = np.einsum("pq,mq->pm", own, own_lagrange[2])
+        # the uncentred cells take their own stencils
+        fixes = []
+        for c in uncentred:
+            for k in np.flatnonzero(np.abs(rows - c) <= _BAND):
+                o = _BAND + c - rows[k]
+                kw_c, table = (own[k], own_lagrange) if o == _BAND else (kw[k, o], lagrange)
+                v[k, o] = 0.0
+                fixes.append((k, _REACH + stencil[c] - rows[k], table[c - stencil[c]] @ kw_c))
+        for s in range(6):      # stencil node s of cell i + o is column i + o - 2 + s
+            chunk[:, s + _REACH - _BAND - 2:s + _REACH + _BAND - 1] += v[:, :, s]
+        for k, j, vals in fixes:
+            chunk[k, j:j + 6] += vals
 
     # no explicit W-symmetrization: each row is an accurate quadrature of the
     # symmetric continuum form, so bilinear symmetry holds to quadrature
     # accuracy, while forcing entrywise symmetry would corrupt the near-origin
     # rows (midpoint column weights underweight the first nodes individually).
-    return sparse.vstack(chunks, format="csr")
+    return band
 
 
 def hartree_apply(grid, density_values):

@@ -244,9 +244,12 @@ def _shifted_inverse(op, sigma, diagnostics):
             return _cholesky_solver(dense, {**diagnostics, "leaf": f"{a}:{b}"})
         m, (u, vt) = upper[a, b]
         u_low, vt_low = lower[a, b]
+        corner = b_loc[a:m, m:b]
+        held = np.flatnonzero(np.diff(corner.indptr))
         z_top, zt_bottom = _recompress(
             half * np.hstack((d1[a:m, None] * u, d2[a:m, None] * vt_low.T)),
-            np.hstack((d2[m:b, None] * vt.T, d1[m:b, None] * u_low)), b_loc[a:m, m:b])
+            np.hstack((d2[m:b, None] * vt.T, d1[m:b, None] * u_low)),
+            held, corner[held].toarray())
         z_bottom = zt_bottom.T
         solve_top, solve_bottom = factor(a, m), factor(m, b)
         y_top, y_bottom = solve_top(z_top), solve_bottom(z_bottom)

@@ -200,14 +200,30 @@ def test_hls_quotient_scale_invariant(grid):
 
 @pytest.mark.parametrize("l", range(hartree._L_MAX_TABLE))
 def test_g_ratio_matches_legendre_q(l):
-    # g_l(t) = Q_l((t + 1/t)/2) / t against 40-digit Legendre functions,
-    # densest just past the series cut, where the forward recurrence starts
+    # g_l(t) = Q_l((t + 1/t)/2) / t against 40-digit Legendre functions from
+    # 1e-4 to 0.9999, densest just past the series cut, where the forward
+    # recurrence starts; g_0 takes its closed form throughout
     mpmath = pytest.importorskip("mpmath")
-    t = np.concatenate((np.linspace(0.05, 0.44, 8), np.linspace(0.45, 0.999, 56)))
+    t = np.concatenate((np.geomspace(1e-4, 0.44, 16), np.linspace(0.45, 0.9999, 56)))
     with mpmath.workdps(40):
         exact = np.array([float(mpmath.legenq(l, 0, (1 / mpmath.mpf(x) + x) / 2, type=3).real / x)
                           for x in t])
     assert np.max(np.abs(hartree._g_ratio(l, t) / exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("l", range(1, hartree._L_MAX_TABLE))
+def test_trimmed_series_matches_the_untrimmed_one(l):
+    # each channel's series stops where its terms at its own cut fall below
+    # 1e-21; just below the cut it agrees with all _SERIES_TERMS terms to 1 ulp
+    cut = hartree._CUTS[l]
+    t = np.append(np.nextafter(cut, 0.0), cut * (1.0 - np.geomspace(1e-15, 1e-2, 8)))
+    assert np.all(t < cut)
+    full = np.zeros_like(t)
+    for beta in hartree._series_table()[l][::-1]:
+        full = full * t * t + beta
+    full *= t ** l
+    assert hartree._BETA[l].size < hartree._SERIES_TERMS
+    assert np.all(np.abs(hartree._g_ratio(l, t) - full) <= np.spacing(full))
 
 
 @pytest.mark.parametrize("l", [0, 7])
@@ -239,14 +255,31 @@ def test_row_block_fill_matches_single_block(monkeypatch, l):
         assert np.array_equal(blocked, whole), n
 
 
+def _band_to_dense(band):
+    """The n x n near field held in `band`, whose entry (i, j) sits at
+    [i, reach + j - i]; its slots off the matrix must hold 0."""
+    n, width = band.shape
+    reach = width // 2
+    i = np.broadcast_to(np.arange(n)[:, None], band.shape)
+    j = i + np.arange(-reach, reach + 1)
+    inside = (j >= 0) & (j < n)
+    assert np.all(band[~inside] == 0.0)
+    dense = np.zeros((n, n))
+    dense[i[inside], j[inside]] = band[inside]
+    return dense
+
+
 @pytest.mark.parametrize("l", range(5))
 def test_near_field_hugs_the_diagonal(l):
     # every correction to the pointwise far field sits within the window's
-    # cells and their stencils, so blocks away from the diagonal are exactly
-    # k(r_i, rho_j) w_j
-    near = hartree._near_field(build_grid(700, 40.0, "tanh"), l).tocoo()
-    assert near.nnz > 0
-    assert np.all(np.abs(near.row - near.col) <= hartree._BAND + 3)
+    # cells and their stencils, _BAND + 3 of the diagonal, so blocks away
+    # from it are exactly k(r_i, rho_j) w_j; the band is no wider than that
+    # reach, and its outermost upper diagonal is used
+    g = build_grid(700, 40.0, "tanh")
+    band = hartree._near_field(g, l)
+    assert band.shape == (g.n, 2 * (hartree._BAND + 3) + 1)
+    assert np.count_nonzero(_band_to_dense(band)) > 0
+    assert np.count_nonzero(band[:, -1]) > 0
 
 
 def test_kernel_build_makes_no_dense_temporaries():
@@ -258,14 +291,15 @@ def test_kernel_build_makes_no_dense_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a dense fill alone would be n*n*8 bytes, a dense mirrored pair half of it
+    # a dense fill alone would be n*n*8 bytes, a dense mirrored pair half of
+    # it; the build's traced peak is about 9.9 MiB, 0.3 of the bound
     assert peak <= 0.5 * n * n * 8
 
 
 @pytest.mark.parametrize("l", [0, 2])
 def test_kernel_build_evaluates_no_whole_off_diagonal_block(monkeypatch, l):
     # the leaves (n * _LEAF entries) and the near-field quadratures take
-    # about 0.39 n^2 at n = 2048, and the whole build 0.439 n^2 at l = 0;
+    # about 0.40 n^2 at n = 2048, and the whole build 0.444 n^2 at l = 0;
     # filling every off-diagonal block once more would add 0.44 n^2
     n = 2048
     g = build_grid(n, 40.0, "tanh")
@@ -390,7 +424,7 @@ def test_small_kernel_is_one_dense_leaf(n):
     r = g.nodes
     dense = hartree._kernel_values(1, r[:, None], r[None, :]) * g.weights
     np.fill_diagonal(dense, 0.0)
-    dense += hartree._near_field(g, 1).toarray()
+    dense += _band_to_dense(hartree._near_field(g, 1))
     kernel = build_multipole_kernel(g, 1).matrix
     assert len(kernel.blocks) == 1
     assert np.array_equal(kernel.toarray(), dense)
