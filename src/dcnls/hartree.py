@@ -109,11 +109,10 @@ _BETA = [row[:int(-21.0 / np.log10(cut * cut)) if cut else 0]
 
 def _g_ratio(l, t):
     """g_l(t) = Q_l((t + 1/t)/2) / t, vectorized, stable on (0, 1)."""
-    t = np.asarray(t, dtype=float)
+    # clamp just below the diagonal; quadrature weights there are ~1e-12
+    t = np.minimum(np.asarray(t, dtype=float), 1.0 - 1e-13)
     if l == 0:
-        # clamp just below the diagonal; quadrature weights there are ~1e-12
-        tb = np.minimum(t, 1.0 - 1e-13)
-        return 2.0 * np.arctanh(tb) / tb
+        return 2.0 * np.arctanh(t) / t
     out = np.empty_like(t)
     small = t < _CUTS[l]
 
@@ -128,7 +127,7 @@ def _g_ratio(l, t):
 
     big = ~small
     if np.any(big):
-        tb = np.minimum(t[big], 1.0 - 1e-13)
+        tb = t[big]
         z = 0.5 * (tb + 1.0 / tb)
         q_prev = 2.0 * np.arctanh(tb)
         q = z * q_prev - 1.0
