@@ -96,7 +96,7 @@ def _checksum(path):
     return h.hexdigest()
 
 
-def _finish_run(run_dir, command, cfg, status, started, extra=None):
+def _finish_run(run_dir, command, cfg, status, started, extra=None, diagnostics=None):
     from . import __version__
 
     inventory = {}
@@ -116,6 +116,8 @@ def _finish_run(run_dir, command, cfg, status, started, extra=None):
     }
     if extra:
         manifest["summary"] = extra
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics
     tmp = os.path.join(run_dir, "manifest.json.tmp")
     with open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -397,7 +399,11 @@ def run_command(argv):
         from .errors import ConfigurationError
 
         kind = "configuration" if isinstance(exc, ConfigurationError) else "numerical"
-        _finish_run(run_dir, args.command, cfg, f"FAILED ({kind}): {exc}", started)
+        # the typed errors of `errors` carry a dict or one of these figures
+        found = {name: getattr(exc, name) for name in ("error_estimate", "defect", "threshold")
+                 if getattr(exc, name, None) is not None}
+        _finish_run(run_dir, args.command, cfg, f"FAILED ({kind}): {exc}", started,
+                    diagnostics=_jsonable({**getattr(exc, "diagnostics", {}), **found}))
         print(f"{kind} failure: {exc}", file=sys.stderr)
         return 2 if kind == "configuration" else 1
     finally:

@@ -28,7 +28,7 @@ scale, the modulation b and the phase of the profile family frame by frame.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .errors import ConfigurationError
 from .grid import RadialField, _check_integer, _parity_spline, profile_interpolator
@@ -514,10 +514,12 @@ def modulation_extract(traj, gs, ps):
         else:
             x0 = guess
         fun, jac = _frame_residual(family, grid, vals)
-        sol = least_squares(fun, x0, jac=jac, method="lm", max_nfev=400)
-        rel = np.sqrt(np.sum(sol.fun ** 2)) / norm
-        ok = sol.success and rel <= 0.3
-        lam, gamma, b = float(np.exp(sol.x[0])), float(sol.x[1]), float(sol.x[2])
+        # MINPACK lmder with scipy's least_squares(method="lm") settings
+        x, _, info, _, ier = leastsq(fun, x0, Dfun=jac, full_output=True, maxfev=400,
+                                     diag=np.ones(3), ftol=1e-8, xtol=1e-8, gtol=1e-8)
+        rel = np.sqrt(np.sum(info["fvec"] ** 2)) / norm
+        ok = ier in (1, 2, 3, 4) and rel <= 0.3
+        lam, gamma, b = float(np.exp(x[0])), float(x[1]), float(x[2])
         times.append(t)
         lams.append(lam if ok else np.nan)
         bs.append(b if ok else np.nan)
@@ -525,7 +527,7 @@ def modulation_extract(traj, gs, ps):
         residuals.append(rel)
         flags.append(ok)
         if ok:
-            guess = sol.x
+            guess = x
     flags = np.array(flags, dtype=bool)
     gammas = np.array(gammas)
     gammas[flags] = np.unwrap(gammas[flags])

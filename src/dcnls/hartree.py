@@ -14,32 +14,32 @@ recurrence; for small t a power series with rational coefficients, as
 many terms as its cut needs, is used to dodge the cancellation in the
 closed forms and, up to a cut that grows with l, the forward recurrence.
 
-The channel operator is the pointwise far field k_l(r_i, rho_j) w_j with
-the grid's quadrature weights, 0 on the diagonal, plus one near-field
-correction held as a dense band.  Each row splits its kernel by a smooth
-window in the computational coordinate xi (a partition of unity, Bruno and
-Kunyansky 2001): the far part is smooth, so the midpoint far field
-converges geometrically with no end corrections, and the near part is
-integrated cell by cell against the degree-5 interpolant in xi, by a Gauss
-rule per cell and a double-exponential rule absorbing the logarithmic
-singularity on the diagonal cell itself.  The window values and the
-interpolation weights depend only on the cell offset and the stencil
-position, so they are tables built once, and the cells of a chunk of rows
-lie on a regular (row, cell offset) layout whose centred cells take one
-matmul.  It is built level by level as a hierarchical off-diagonal
-low-rank (HODLR) matrix (Hackbusch 1999): the index range is bisected down
-to dense diagonal leaves, and each off-diagonal block of the bisection,
-smooth because it touches the diagonal at one corner only, is held as a
-product U V^T.  Each mirrored pair of blocks takes one partially pivoted
-cross approximation of its far field (Bebendorf 2000), which evaluates
-only its pivot rows and columns; each block then takes its near-field
-corner as extra columns, is recompressed to singular values above 1e-14
-times its largest, and is checked against a fixed sample of its exact rows
-and columns.  No off-diagonal block is evaluated whole, and above one leaf
-no n x n array is held during the build.  The leaves sit in stacked
-arrays, and so do each level's factors, padded to the level's largest
-rank, so a product takes one batched matmul for the leaves and two for
-each level.
+The channel operator is K = S W + B: the symmetric far field
+S_ij = k_l(r_i, rho_j), 0 on the diagonal, times the grid's quadrature
+weights W, plus one near-field correction B held as a band.  Each row
+splits its kernel by a smooth window in the computational coordinate xi (a
+partition of unity, Bruno and Kunyansky 2001): the far part is smooth, so
+the midpoint far field converges geometrically with no end corrections,
+and the near part is integrated cell by cell against the degree-5
+interpolant in xi, by a Gauss rule per cell and a double-exponential rule
+absorbing the logarithmic singularity on the diagonal cell itself.  The
+window values and the interpolation weights depend only on the cell offset
+and the stencil position, so they are tables built once, and the cells of
+a chunk of rows lie on a regular (row, cell offset) layout whose centred
+cells take one matmul.  S is built level by level as a hierarchical
+off-diagonal low-rank (HODLR) matrix (Hackbusch 1999): the index range is
+bisected down to diagonal leaves, held as packed upper triangles, and each
+off-diagonal block of the bisection, smooth because it touches the
+diagonal at one corner only, is held as a product U V^T, whose mirror
+image V U^T is the block across the diagonal.  Each node takes one
+partially pivoted cross approximation of its block (Bebendorf 2000), which
+evaluates only its pivot rows and columns, recompressed to singular values
+above 1e-14 times its largest and checked against a fixed sample of its
+exact rows and columns.  No off-diagonal block is evaluated whole, and
+above one leaf no n x n array is held during the build.  Each level's
+factors sit in stacks, padded to the level's largest rank, so a product
+takes one BLAS dspmv for each leaf, two batched matmuls for each level and
+one BLAS dgbmv for the band, which is held once, in LAPACK band storage.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -54,6 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgbmv, dspmv
 from scipy.special import erfc
 
 from .errors import QuadratureError
@@ -171,34 +172,40 @@ _CHECK_TOL = 1e-12  # largest sampled error, relative to the largest sampled ent
 
 
 class HodlrMatrix:
-    """A square matrix as dense diagonal leaves plus factored off-diagonal
-    blocks, stored by tree level and applied one level at a time.
+    """The channel operator K = S diag(w) + B: the symmetric far field S in
+    hierarchical off-diagonal low-rank form, scaled by the quadrature
+    weights w, plus the near-field band B.
 
-    `groups` holds the matrix.  Each group is a run of equal-shape blocks of
-    the leaves or of one tree level, as (rows, cols, factors): the factors
-    are stacks of shape (k, t, ., .) whose products are the blocks, (D,) for
-    dense leaves and (U, V^T) for low-rank blocks with the rank padded by
-    zeros to the group's largest.  Block [j, s] reads the operand rows
-    cols[0] + j cols[1] + s cols[2] onwards, cols[3] of them, and adds into
-    the rows that `rows` gives alike; t = 2 stacks the upper and the lower
-    block of one node whose halves are equal, the second one's rows being
-    the first one's columns.  So `@` takes one batched matmul for each group
-    of leaves and two for each group of a level, on strided views of the
-    operand, for real, complex and stacked (n, m) operands.
-
-    `blocks` lists every block as a (rows, cols, factors) triple of slices
-    and views into the stacks, the low-rank factors trimmed to the block's
-    own rank: (D,) for a dense block, (U, V^T) for a low-rank one.
+    S holds k_l(r_i, r_j), 0 on the diagonal.  `leaves` lists its diagonal
+    leaves as (a, b, packed), the upper triangle of S[a:b, a:b] packed
+    column by column (views into one buffer), applied by BLAS dspmv.
+    `nodes` maps each split node (a, b) to (m, U, V): U V^T is the block of
+    rows a:m and columns m:b, and V U^T its mirror image.  The factors sit
+    in stacks by tree level: `groups` holds runs of nodes with equal halves
+    at even spacing as (where, F), with F of shape (count, 2, q, r) holding
+    each node's U (zero-padded to q rows) and V, the rank padded by zeros to
+    the run's largest, and where = (a, step, count, p, q) the rows of the
+    first node's halves a:a + q and m:m + q, m = a + p, and the spacing of
+    the nodes.  `band` holds B once in LAPACK band storage,
+    band[_REACH + i - j, j] = B[i, j], applied by dgbmv.  So a product
+    K x = S (w x) + B x takes, for each real column of a real, complex or
+    stacked (n, m) operand, one dspmv per leaf and one dgbmv, and two
+    batched matmuls for each run, F^T [x_top; x_bottom] and F times its
+    swapped halves.
     """
 
-    def __init__(self, n, groups, blocks):
-        self.shape = (n, n)
+    def __init__(self, weights, leaves, nodes, groups, band):
+        self.shape = (weights.size,) * 2
+        self.weights = weights
+        self.leaves = leaves
+        self.nodes = nodes
         self.groups = groups
-        self.blocks = blocks
+        self.band = band
 
     @property
     def nbytes(self):
-        return sum(f.nbytes for _, _, factors in self.groups for f in factors)
+        return (sum(packed.nbytes for _, _, packed in self.leaves) + self.band.nbytes
+                + sum(stack.nbytes for _, stack in self.groups))
 
     def __matmul__(self, x):
         x = np.asarray(x)
@@ -208,45 +215,100 @@ class HodlrMatrix:
         flat = np.ascontiguousarray(x, dtype=dtype).reshape(self.shape[0], -1)
         if dtype.kind == "c":
             flat = flat.view(flat.real.dtype)   # (n, 2m): real and imaginary columns
-        out = np.zeros_like(flat)
+        n, m = flat.shape
+        # scipy's dgbmv takes no fewer rows than the band is wide, so a grid
+        # narrower than that gets zero rows past its last
+        out = np.zeros((max(n, 2 * _REACH + 1), m))
         if out.size == 0:       # no buffer to take windows of
-            return out.view(dtype).reshape(x.shape)
-        for rows, cols, factors in self.groups:
-            counts = factors[0].shape[:2]
-            y = _window(flat, cols, counts)
-            for f in reversed(factors):
-                y = np.matmul(f, y)
-            view = _window(out, rows, counts)
-            view += y
-        return out.view(dtype).reshape(x.shape)
+            return out[:n].view(dtype).reshape(x.shape)
+        scaled = flat * self.weights[:, None]
+        # BLAS reads column c of the flat (n, m) arrays at offset c, stride m
+        xs, xb, ys = scaled.reshape(-1), flat.reshape(-1), out.reshape(-1)
+        for c in range(m):
+            for a, b, packed in self.leaves:
+                dspmv(b - a, 1.0, packed, xs, incx=m, offx=a * m + c,
+                      y=ys, incy=m, offy=a * m + c, overwrite_y=1)
+            dgbmv(out.shape[0], n, _REACH, _REACH, 1.0, self.band, xb, incx=m, offx=c,
+                  beta=1.0, y=ys, incy=m, offy=c, overwrite_y=1)
+        for where, stack in self.groups:
+            p = where[3]
+            half = stack.transpose(0, 1, 3, 2) @ _window(scaled, where)   # U^T x_top, V^T x_bottom
+            y = stack @ half[:, ::-1]
+            view = _window(out, where)
+            view[:, 0, :p] += y[:, 0, :p]
+            view[:, 1] += y[:, 1]
+        return out[:n].view(dtype).reshape(x.shape)
+
+    def _band_entries(self):
+        """(i, j, B[i, j]) over the band's slots inside the matrix."""
+        inside, i, j = _band_slots(self.shape[0])
+        return i, j, self.band[inside]
+
+    def _far_at(self, i, j):
+        """S at the index pairs (i, j), read from the leaves and the factors."""
+        out = np.zeros(i.shape)
+        for a, b, packed in self.leaves:
+            at = (a <= i) & (i < b) & (a <= j) & (j < b)
+            lo, hi = np.minimum(i[at], j[at]) - a, np.maximum(i[at], j[at]) - a
+            out[at] = packed[lo + hi * (hi + 1) // 2]
+        for (a, b), (m, u, v) in self.nodes.items():
+            for (r0, r1, f), (c0, c1, g) in (((a, m, u), (m, b, v)), ((m, b, v), (a, m, u))):
+                at = (r0 <= i) & (i < r1) & (c0 <= j) & (j < c1)
+                out[at] = np.einsum("kr,kr->k", f[i[at] - r0], g[j[at] - c0])
+        return out
 
     def scaled_frobenius(self, left, right):
-        """The Frobenius norm of diag(left) H diag(right), from the factors."""
+        """The Frobenius norm of diag(left) K diag(right), from the held parts."""
+        right_w = right * self.weights
         total = 0.0
-        for rows, cols, factors in self.blocks:
-            if len(factors) == 1:
-                total += np.sum((left[rows, None] * factors[0] * right[None, cols]) ** 2)
-            else:
-                # ||A B||_F^2 = sum((A^T A) * (B B^T)) for the scaled factors A, B
-                u = left[rows, None] * factors[0]
-                vt = factors[1] * right[None, cols]
-                total += np.sum((u.T @ u) * (vt @ vt.T))
+        for a, b, packed in self.leaves:
+            total += np.sum((left[a:b, None] * _unpacked(packed, b - a) * right_w[a:b]) ** 2)
+        for (a, b), (m, u, v) in self.nodes.items():
+            # ||A B^T||_F^2 = sum((A^T A) * (B^T B)), for each block's scaled factors
+            for f, g, rows, cols in ((u, v, slice(a, m), slice(m, b)),
+                                     (v, u, slice(m, b), slice(a, m))):
+                f, g = left[rows, None] * f, right_w[cols, None] * g
+                total += np.sum((f.T @ f) * (g.T @ g))
+        # where B is held, the entry is S w + B: trade S w's squares for the sums'
+        i, j, near = self._band_entries()
+        far = self._far_at(i, j) * right_w[j] * left[i]
+        total += np.sum((far + left[i] * near * right[j]) ** 2 - far ** 2)
         return float(np.sqrt(total))
 
-    def toarray(self):
+    def _far_array(self):
+        """S as a dense array, for tests."""
         out = np.empty(self.shape)
-        for rows, cols, factors in self.blocks:
-            out[rows, cols] = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
+        for a, b, packed in self.leaves:
+            out[a:b, a:b] = _unpacked(packed, b - a)
+        for (a, b), (m, u, v) in self.nodes.items():
+            out[a:m, m:b] = u @ v.T
+            out[m:b, a:m] = out[a:m, m:b].T
+        return out
+
+    def toarray(self):
+        out = self._far_array() * self.weights
+        i, j, near = self._band_entries()
+        out[i, j] += near
         return out
 
 
-def _window(a, where, counts):
+def _unpacked(packed, size):
+    """The symmetric size x size matrix whose upper triangle `packed` holds
+    column by column, as BLAS packs it."""
+    cols, rows = np.tril_indices(size)     # packed order: by column, then row
+    out = np.empty((size, size))
+    out[rows, cols] = packed
+    out[cols, rows] = packed
+    return out
+
+
+def _window(a, where):
     """The strided view of rows of the C-contiguous (n, m) array `a` with
-    shape counts + (size, m), whose [j, s, i] is row start + j step + s pair + i,
-    for where = (start, step, pair, size)."""
-    start, step, pair, size = where
+    shape (count, 2, size, m), whose [k, t, s] is row start + k step + t pair
+    + s, for where = (start, step, count, pair, size)."""
+    start, step, count, pair, size = where
     row = a.strides[0]
-    return np.ndarray(counts + (size,) + a.shape[1:], a.dtype, a, start * row,
+    return np.ndarray((count, 2, size) + a.shape[1:], a.dtype, a, start * row,
                       (step * row, pair * row) + a.strides)
 
 
@@ -264,38 +326,25 @@ def _bisection(n):
     return leaves, levels
 
 
-def _runs(slots):
-    """The groups of `HodlrMatrix` that hold the block slots of one level.
-
-    A slot (row, col, pair, p, q) is the p x q block at (row, col) or, with
-    pair = p > 0, the two blocks of one node with equal halves, at
-    (row, col) and (row + p, col - p).  Slots come in row order.  A run takes
-    the slots of equal (pair, p, q) whose rows are evenly spaced.  Yields
-    each run's row and column windows (start, step, pair, size), its stack
-    counts (k, t) and its blocks as (rows, cols) slices in stack order.
-    """
+def _runs(level):
+    """The split nodes (a, m, b) of one level, in row order, as runs of
+    equal halves (m - a, b - m) whose first rows are evenly spaced."""
     runs, last = [], {}
-    for slot in slots:
-        run = last.get(slot[2:])
-        if run is None or len(run) > 1 and slot[0] - run[-1][0] != run[1][0] - run[0][0]:
-            run = last[slot[2:]] = []
+    for a, m, b in level:
+        run = last.get((m - a, b - m))
+        if run is None or len(run) > 1 and a - run[-1][0] != run[1][0] - run[0][0]:
+            run = last[m - a, b - m] = []
             runs.append(run)
-        run.append(slot)
-    for run in runs:
-        row, col, pair, p, q = run[0]
-        step = run[1][0] - row if len(run) > 1 else 0
-        sides = (0, pair) if pair else (0,)
-        spans = [(slice(r + s, r + s + p), slice(c - s, c - s + q))
-                 for r, c, *_ in run for s in sides]
-        yield (row, step, pair, p), (col, step, -pair, q), (len(run), len(sides)), spans
+        run.append((a, m, b))
+    return runs
 
 
 @dataclass(eq=False)
 class MultipoleKernel:
     """Channel operator for the |x|^-2 convolution at fixed l, as the grid caches it.
 
-    `matrix` is a HodlrMatrix: dense diagonal leaves of at most _LEAF rows
-    and off-diagonal blocks held as low-rank products.  A channel profile p
+    `matrix` is a HodlrMatrix: the symmetric far field in HODLR form, times
+    the quadrature weights, plus the near-field band.  A channel profile p
     on the grid maps to A_l p as `matrix @ p`; `matrix.toarray()` gives the
     dense form, for tests.
     """
@@ -310,46 +359,6 @@ def build_multipole_kernel(grid, l):
     if key not in grid._cache:
         grid._cache[key] = MultipoleKernel(matrix=_hodlr_kernel(grid, l))
     return grid._cache[key]
-
-
-def _entries(grid, l, near, rows, cols):
-    """The kernel's entries at the index arrays rows x cols: the far field
-    k_l(r_i, rho_j) w_j, 0 on the diagonal, plus the band `near`."""
-    r, w = grid.nodes, grid.weights
-    far = _kernel_values(l, r[rows, None], r[cols]) * w[cols]
-    far[rows[:, None] == cols] = 0.0
-    return far + _band_part(near, rows, cols)
-
-
-def _band_part(near, rows, cols):
-    """The entries of the band `near` at the index arrays rows x cols, of
-    which `cols`, or `rows` where it is the longer, holds consecutive
-    indices.  Each row (or column) of them is one slice of the band, whose
-    entry (i, j) sits at [i, _REACH + j - i], flat index 2 _REACH i + _REACH + j."""
-    flat, step = near.reshape(-1), 2 * _REACH
-    out = np.zeros((rows.size, cols.size))
-    if rows.size <= cols.size:
-        for k, i in enumerate(rows):
-            lo, hi = max(cols[0], i - _REACH), min(cols[-1], i + _REACH) + 1
-            if lo < hi:
-                out[k, lo - cols[0]:hi - cols[0]] = flat[step * i + _REACH + lo:
-                                                         step * i + _REACH + hi]
-    else:
-        for k, j in enumerate(cols):
-            lo, hi = max(rows[0], j - _REACH), min(rows[-1], j + _REACH) + 1
-            if lo < hi:
-                out[lo - rows[0]:hi - rows[0], k] = flat[step * lo + _REACH + j:
-                                                         step * hi + _REACH + j:step]
-    return out
-
-
-def _near_rows(near, rows, cols):
-    """(held, values): the rows of the block rows x cols (slices) that hold
-    entries of the band `near`, as indices into the block, and those entries."""
-    lo, hi = max(rows.start, cols.start - _REACH), min(rows.stop, cols.stop + _REACH)
-    values = _band_part(near, np.arange(lo, hi), np.arange(cols.start, cols.stop))
-    held = np.flatnonzero(values.any(axis=1))
-    return lo - rows.start + held, values[held]
 
 
 def _cross(row, col, p, q):
@@ -385,88 +394,100 @@ def _cross(row, col, p, q):
                           error_estimate=float(np.sqrt(cross2 / norm2)))
 
 
-def _recompress(u, v, held, near):
-    """(U, V^T) for u v^T plus the dense rows `near` at the rows `held`,
-    truncated at singular values _SVD_CUT times the largest.  The held rows
-    join u and v as unit and row columns; one QR of each side and an SVD of
-    the small core recompress the sum."""
-    unit = np.zeros((u.shape[0], held.size))
-    unit[held, np.arange(held.size)] = 1.0
-    qu, ru = np.linalg.qr(np.hstack((u, unit)))
-    qv, rv = np.linalg.qr(np.hstack((v, near.T)))
+def _recompress(u, v):
+    """(U, V) with U V^T = u v^T truncated at singular values _SVD_CUT times
+    the largest: one QR of each side and an SVD of the small core."""
+    qu, ru = np.linalg.qr(u)
+    qv, rv = np.linalg.qr(v)
     core_u, s, core_vt = np.linalg.svd(ru @ rv.T)
     rank = int(np.count_nonzero(s > _SVD_CUT * s[0]))
-    return qu @ (core_u[:, :rank] * s[:rank]), core_vt[:rank] @ qv.T
+    return qu @ (core_u[:, :rank] * s[:rank]), qv @ core_vt[:rank].T
 
 
-def _check_block(grid, l, near, rows, cols, factors):
-    """Raise QuadratureError unless the factors match _SAMPLE exact rows and
-    _SAMPLE exact columns of the block, spread evenly from edge to edge, to
-    _CHECK_TOL relative to their largest entry."""
-    u, vt = factors
+def _check_block(l, r, rows, cols, u, v):
+    """Raise QuadratureError unless U V^T matches _SAMPLE exact rows and
+    _SAMPLE exact columns of the far-field block k_l(r[rows], r[cols]),
+    spread evenly from edge to edge, to _CHECK_TOL relative to their largest
+    entry."""
     rows, cols = np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop)
     i = np.linspace(0, rows.size - 1, _SAMPLE).astype(int)
     j = np.linspace(0, cols.size - 1, _SAMPLE).astype(int)
-    exact_rows = _entries(grid, l, near, rows[i], cols)
-    exact_cols = _entries(grid, l, near, rows, cols[j])
+    exact_rows = _kernel_values(l, r[rows[i], None], r[cols])
+    exact_cols = _kernel_values(l, r[rows, None], r[cols[j]])
     scale = max(np.max(np.abs(exact_rows)), np.max(np.abs(exact_cols)))
-    err = max(np.max(np.abs(u[i] @ vt - exact_rows)),
-              np.max(np.abs(u @ vt[:, j] - exact_cols))) / scale
+    err = max(np.max(np.abs(u[i] @ v.T - exact_rows)),
+              np.max(np.abs(u @ v[j].T - exact_cols))) / scale
     if not err <= _CHECK_TOL:
         raise QuadratureError(
             f"low-rank block {rows[0]}:{rows[-1] + 1} x {cols[0]}:{cols[-1] + 1} "
             f"misses its sampled entries", error_estimate=float(err))
 
 
+def _band_slots(n):
+    """The slots of LAPACK band storage of half-width _REACH that lie inside
+    an n x n matrix, as a mask of shape (2 _REACH + 1, n), and the (i, j)
+    they hold."""
+    j = np.broadcast_to(np.arange(n), (2 * _REACH + 1, n))
+    i = j + np.arange(-_REACH, _REACH + 1)[:, None]
+    inside = (i >= 0) & (i < n)
+    return inside, i[inside], j[inside]
+
+
+def _band_storage(near):
+    """The band `near`, whose entry (i, j) sits at [i, _REACH + j - i], in
+    LAPACK band storage, (i, j) at [_REACH + i - j, j], Fortran-ordered."""
+    n = near.shape[0]
+    inside, i, j = _band_slots(n)
+    band = np.zeros((n, 2 * _REACH + 1)).T
+    band[inside] = near[i, _REACH + j - i]
+    return band
+
+
 def _hodlr_kernel(grid, l):
     """The channel-l operator on `grid` as a HodlrMatrix, built level by level.
 
-    Each diagonal leaf is evaluated straight into its slot of the stacked
-    leaves.  Each mirrored pair of off-diagonal blocks takes one cross
-    approximation of the upper block's far field k_l(r_i, rho_j) w_j.  The
-    pointwise kernel is symmetric, so (U, V) for the upper block gives
-    (V / w, U w) for the lower one.  Each block then takes its entries of
-    `_near_field`, is recompressed, and is checked against a sample of its
-    exact entries; each level is packed into its stacks once all its blocks
-    are made.  No off-diagonal block is evaluated whole.
+    Each diagonal leaf's upper triangle of k_l(r_i, r_j) is evaluated
+    straight into its slot of the packed buffer.  Each split node takes one
+    cross approximation of its upper block k_l(r_i, r_j), which the symmetry
+    of the pointwise kernel makes the lower block's too; it is recompressed
+    and checked against a sample of its exact rows and columns, and each
+    level is packed into its stacks once all its nodes are made.  No
+    off-diagonal block is evaluated whole.  The band is `_near_field`'s.
     """
-    r, w = grid.nodes, grid.weights
-    near = _near_field(grid, l)
+    r = grid.nodes
     leaves, levels = _bisection(grid.n)
-    groups, blocks = [], []
-    for rows, cols, counts, spans in _runs([(a, a, 0, b - a, b - a) for a, b in leaves]):
-        stack = np.empty((len(spans), rows[3], rows[3]))
-        for leaf, (span, _) in zip(stack, spans):
-            index = np.arange(span.start, span.stop)
-            leaf[...] = _entries(grid, l, near, index, index)
-            blocks.append((span, span, (leaf,)))
-        groups.append((rows, cols, (stack.reshape(counts + stack.shape[1:]),)))
+    buffer = np.empty(sum((b - a) * (b - a + 1) // 2 for a, b in leaves))
+    packed_leaves, start = [], 0
+    for a, b in leaves:
+        cols, rows = np.tril_indices(b - a)    # BLAS packing order, as in `_unpacked`
+        packed = buffer[start:start + rows.size]
+        packed[...] = _kernel_values(l, r[a + rows], r[a + cols])
+        packed[rows == cols] = 0.0
+        packed_leaves.append((a, b, packed))
+        start += rows.size
+    nodes, groups = {}, []
     for level in levels:
-        made, slots = {}, []
+        made = {}
         for a, m, b in level:
             top, bottom = slice(a, m), slice(m, b)
-            u, v = _cross(lambda i: _kernel_values(l, r[a + i], r[bottom]) * w[bottom],
-                          lambda j: _kernel_values(l, r[top], r[m + j]) * w[m + j],
-                          m - a, b - m)
-            for rows, cols, (us, vs) in ((top, bottom, (u, v)),
-                                         (bottom, top, (v / w[bottom, None], u * w[top, None]))):
-                factors = _recompress(us, vs, *_near_rows(near, rows, cols))
-                _check_block(grid, l, near, rows, cols, factors)
-                made[rows.start] = factors
-            p, q = m - a, b - m
-            slots += [(a, m, p, p, p)] if p == q else [(a, m, 0, p, q), (m, a, 0, q, p)]
-        for rows, cols, counts, spans in _runs(slots):
-            rank = max(made[span.start][0].shape[1] for span, _ in spans)
-            u_stack = np.zeros((len(spans), rows[3], rank))
-            vt_stack = np.zeros((len(spans), rank, cols[3]))
-            for u, vt, (span, other) in zip(u_stack, vt_stack, spans):
-                u_own, vt_own = made.pop(span.start)
-                k = u_own.shape[1]
-                u[:, :k], vt[:k] = u_own, vt_own
-                blocks.append((span, other, (u[:, :k], vt[:k])))
-            groups.append((rows, cols, tuple(f.reshape(counts + f.shape[1:])
-                                             for f in (u_stack, vt_stack))))
-    return HodlrMatrix(grid.n, groups, blocks)
+            u, v = _recompress(*_cross(lambda i: _kernel_values(l, r[a + i], r[bottom]),
+                                       lambda j: _kernel_values(l, r[top], r[m + j]),
+                                       m - a, b - m))
+            _check_block(l, r, top, bottom, u, v)
+            made[a] = u, v
+        for run in _runs(level):
+            (a, m, b), count = run[0], len(run)
+            step = run[1][0] - a if count > 1 else 0
+            rank = max(made[node[0]][0].shape[1] for node in run)
+            stack = np.zeros((count, 2, b - m, rank))
+            for f, (a_k, m_k, b_k) in zip(stack, run):
+                u, v = made.pop(a_k)
+                k = u.shape[1]
+                f[0, :m - a, :k], f[1, :, :k] = u, v
+                nodes[a_k, b_k] = m_k, f[0, :m - a, :k], f[1, :, :k]
+            groups.append(((a, step, count, m - a, b - m), stack))
+    return HodlrMatrix(grid.weights, packed_leaves, nodes, groups,
+                       _band_storage(_near_field(grid, l)))
 
 
 def _rule_tables(x, w):
@@ -537,16 +558,19 @@ def _near_field(grid, l):
     stencil = np.clip(np.arange(n) - 2, 0, n - 6)    # each cell's first stencil node
     uncentred = np.flatnonzero(np.arange(n) - stencil != 2)
     offsets = slice(_REACH - _BAND, _REACH + _BAND + 1)
-    band = np.zeros((n, 2 * _REACH + 1))
-    for start in range(0, n, _ROWS):    # rows in chunks, which bound the quadrature temporaries
-        rows = np.arange(start, min(start + _ROWS, n))
+    # rows in chunks of _ROWS, which bound the quadrature temporaries; the
+    # last chunk runs on past row n - 1 into rows that are dropped, so every
+    # chunk contracts arrays of one shape
+    band = np.zeros((-(-n // _ROWS) * _ROWS, 2 * _REACH + 1))
+    for start in range(0, n, _ROWS):
+        rows = np.arange(start, start + _ROWS)
         core = (rows <= _BAND).astype(int)
-        cells = np.arange(start - _BAND, rows[-1] + _BAND + 1)
+        cells = np.arange(start - _BAND, start + _ROWS + _BAND)
         inside = (cells >= 0) & (cells < n)
         cells = np.clip(cells, 0, n - 1)
 
-        ri = r[rows, None]
-        chunk = band[start:start + rows.size]
+        ri = r[np.minimum(rows, n - 1), None]
+        chunk = band[start:start + _ROWS]
         chunk[:, offsets] -= (_NODE_WINDOW[core] * _by_offset(w[cells] * inside)
                              * _kernel_values(l, ri, _by_offset(r[cells])))
         # r(xi) and h w r'(xi) r^2 at the Gauss nodes of the cells, and at
@@ -558,14 +582,14 @@ def _near_field(grid, l):
         kw = _kernel_values(l, ri[:, :, None], _by_offset(at)) * _by_offset(weight) * window[core]
         v = (kw.reshape(-1, x.size) @ lagrange[2].T).reshape(kw.shape[:2] + (6,))
         x, wq, window, own_lagrange = _DIAGONAL
-        xi = (rows[:, None] + 0.5 + x) * h
+        xi = (np.minimum(rows, n - 1)[:, None] + 0.5 + x) * h
         at = m(xi)
         own = _kernel_values(l, ri, at) * (h * wq * m1(xi) * at ** 2) * window[core, _BAND]
         v[:, _BAND] = np.einsum("pq,mq->pm", own, own_lagrange[2])
         # the uncentred cells take their own stencils
         fixes = []
         for c in uncentred:
-            for k in np.flatnonzero(np.abs(rows - c) <= _BAND):
+            for k in np.flatnonzero((np.abs(rows - c) <= _BAND) & (rows < n)):
                 o = _BAND + c - rows[k]
                 kw_c, table = (own[k], own_lagrange) if o == _BAND else (kw[k, o], lagrange)
                 v[k, o] = 0.0
@@ -579,7 +603,7 @@ def _near_field(grid, l):
     # symmetric continuum form, so bilinear symmetry holds to quadrature
     # accuracy, while forcing entrywise symmetry would corrupt the near-origin
     # rows (midpoint column weights underweight the first nodes individually).
-    return band
+    return band[:n]
 
 
 def hartree_apply(grid, density_values):

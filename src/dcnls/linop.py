@@ -41,7 +41,8 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, ConvergenceError, SolvabilityError
 from .grid import (RadialField, _check_integer, _cholesky_solver, _lu_solver, generator,
                    h2_norm_3d)
-from .hartree import _L_MAX_TABLE, _recompress, build_multipole_kernel, nonlinear_potential
+from .hartree import (_L_MAX_TABLE, _recompress, _unpacked, build_multipole_kernel,
+                      nonlinear_potential)
 
 __all__ = [
     "ChannelOperator",
@@ -206,51 +207,47 @@ def _shifted_inverse(op, sigma, diagnostics):
     factor on the kernel's own HODLR block tree (recursive Sherman-Morrison-
     Woodbury; Ambikasaran and Darve 2013).
 
-    B = B_loc + N with N = (s/2)(D1 K D2 + D2 K^T D1) is HODLR on the
-    kernel's bisection.  A diagonal leaf is the dense B_loc + N leaf minus
-    sigma I, factored by Cholesky; a principal submatrix of an SPD matrix is
-    SPD, so a failed leaf Cholesky raises ConvergenceError with LAPACK's
-    `info`, the order of the leaf's first leading minor that is not
-    positive.  The upper block of a node is (s/2)[D1 U | D2 V'][D2 V | D1 U']^T
-    plus the band corner of B_loc, with (U, V^T) the kernel's upper and
-    (U', V'^T) its lower block, recompressed by `_recompress` to
-    Z_top Z_bottom^T; B's symmetry gives the lower block.  With
+    B = B_loc + N with N = (s/2)(D1 K D2 + D2 K^T D1).  The kernel is
+    K = S W + B_near with S symmetric, and W D2 = D1, so the far part of N
+    is s D1 S D1, HODLR on the kernel's bisection, and the dressed band
+    (s/2)(D1 B_near D2 + D2 B_near^T D1) joins the sparse B_loc.  A diagonal
+    leaf is the dense B_loc leaf plus s D1 S D1 minus sigma I, factored by
+    Cholesky; a principal submatrix of an SPD matrix is SPD, so a failed
+    leaf Cholesky raises ConvergenceError with LAPACK's `info`, the order
+    of the leaf's first leading minor that is not positive.  The upper
+    block of a node is s (D1 U)(D1 V)^T plus the corner of B_loc, whose
+    rows that hold entries join as unit and row columns; `_recompress`
+    makes it Z_top Z_bottom^T, of rank at most the kernel block's rank r
+    plus those rows, and B's symmetry gives the lower block.  With
     Z = diag(Z_top, Z_bottom), C = [[0, I], [I, 0]] and D the two children,
     B - sigma I = D + Z C Z^T, so each node keeps Y = D^{-1} Z and an LU of
-    the capacitance matrix C + Z^T Y, which is 2r x 2r for a block of rank r.
-    Both factors call LAPACK directly (`grid._cholesky_solver`,
-    `grid._lu_solver`).
+    the capacitance matrix C + Z^T Y.  Both factors call LAPACK directly
+    (`grid._cholesky_solver`, `grid._lu_solver`).
     """
     kernel = build_multipole_kernel(op.grid, op.l).matrix
+    n = op.grid.n
     w = np.sqrt(op.grid.weights)
-    b_loc = sp.diags(w) @ op.local @ sp.diags(1.0 / w)
-    b_loc = (0.5 * (b_loc + b_loc.T)).tocsr()
     d1, d2 = w * op.soliton, op.soliton / w
-    half = 0.5 * op.nonlocal_scale
-    leaves, upper, lower = {}, {}, {}
-    for rows, cols, factors in kernel.blocks:
-        if rows == cols:
-            leaves[rows.start, rows.stop] = factors[0]
-        elif rows.start < cols.start:
-            upper[rows.start, cols.stop] = rows.stop, factors
-        else:
-            lower[cols.start, rows.stop] = factors
+    scale = op.nonlocal_scale
+    i, j, near = kernel._band_entries()
+    dressed = sp.csr_matrix((d1[i] * near * d2[j], (i, j)), shape=(n, n))
+    b_loc = sp.diags(w) @ op.local @ sp.diags(1.0 / w)
+    b_loc = (0.5 * (b_loc + b_loc.T) + 0.5 * scale * (dressed + dressed.T)).tocsr()
+    leaves = {(a, b): packed for a, b, packed in kernel.leaves}
 
     def factor(a, b):
         if (a, b) in leaves:
-            dressed = d1[a:b, None] * leaves[a, b] * d2[None, a:b]
-            dense = b_loc[a:b, a:b].toarray() + half * (dressed + dressed.T)
+            dense = (b_loc[a:b, a:b].toarray()
+                     + scale * d1[a:b, None] * _unpacked(leaves[a, b], b - a) * d1[a:b])
             dense[np.diag_indices(b - a)] -= sigma
             return _cholesky_solver(dense, {**diagnostics, "leaf": f"{a}:{b}"})
-        m, (u, vt) = upper[a, b]
-        u_low, vt_low = lower[a, b]
+        m, u, v = kernel.nodes[a, b]
         corner = b_loc[a:m, m:b]
         held = np.flatnonzero(np.diff(corner.indptr))
-        z_top, zt_bottom = _recompress(
-            half * np.hstack((d1[a:m, None] * u, d2[a:m, None] * vt_low.T)),
-            np.hstack((d2[m:b, None] * vt.T, d1[m:b, None] * u_low)),
-            held, corner[held].toarray())
-        z_bottom = zt_bottom.T
+        unit = np.zeros((m - a, held.size))
+        unit[held, np.arange(held.size)] = 1.0
+        z_top, z_bottom = _recompress(np.hstack((scale * d1[a:m, None] * u, unit)),
+                                      np.hstack((d1[m:b, None] * v, corner[held].toarray().T)))
         solve_top, solve_bottom = factor(a, m), factor(m, b)
         y_top, y_bottom = solve_top(z_top), solve_bottom(z_bottom)
         rank = z_top.shape[1]
@@ -265,7 +262,7 @@ def _shifted_inverse(op, sigma, diagnostics):
             return np.concatenate((top - y_top @ t[:rank], bottom - y_bottom @ t[rank:]))
         return solve
 
-    return factor(0, op.grid.n)
+    return factor(0, n)
 
 
 def lowest_eigenpairs(op, k):

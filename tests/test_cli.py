@@ -179,6 +179,28 @@ def test_failed_eigensolve_exits_1(tmp_path, monkeypatch):
     run_dir = tmp_path / "runs" / "spectrum-mu0.02-n256"
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"].startswith("FAILED (numerical)")
+    assert manifest["diagnostics"]["leaf"] == "0:256"
+
+
+def test_failed_run_keeps_its_diagnostics(tmp_path, monkeypatch):
+    import numpy as np
+
+    from dcnls import groundstate
+    from dcnls.errors import ConvergenceError
+
+    def stalled(grid, q0, mu):
+        raise ConvergenceError("Newton did not reach tolerance",
+                               diagnostics={"mu": mu, "best_residual": np.float64(3.3e-9),
+                                            "tol": 1e-9})
+
+    monkeypatch.setattr(groundstate, "_newton_polish", stalled)
+    code = _run(["groundstate", "--mu", "0.05", "--grid-n", "256"], str(tmp_path))
+    assert code == 1
+    run_dir = tmp_path / "runs" / "groundstate-mu0.05-n256"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "FAILED (numerical): Newton did not reach tolerance"
+    assert manifest["diagnostics"]["best_residual"] == 3.3e-9
+    assert manifest["diagnostics"]["tol"] == 1e-9
 
 
 def test_determinism_byte_identical(tmp_path):

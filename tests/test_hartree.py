@@ -292,15 +292,16 @@ def test_kernel_build_makes_no_dense_temporaries():
     finally:
         tracemalloc.stop()
     # a dense fill alone would be n*n*8 bytes, a dense mirrored pair half of
-    # it; the build's traced peak is about 9.9 MiB, 0.3 of the bound
+    # it; the build's traced peak is about 8.1 MiB, 0.25 of the bound
     assert peak <= 0.5 * n * n * 8
 
 
 @pytest.mark.parametrize("l", [0, 2])
 def test_kernel_build_evaluates_no_whole_off_diagonal_block(monkeypatch, l):
-    # the leaves (n * _LEAF entries) and the near-field quadratures take
-    # about 0.40 n^2 at n = 2048, and the whole build 0.444 n^2 at l = 0;
-    # filling every off-diagonal block once more would add 0.44 n^2
+    # the leaves' upper triangles (n * _LEAF / 2 entries) and the near-field
+    # quadratures take about 0.34 n^2 at n = 2048, and the whole build
+    # 0.375 n^2 at l = 0; filling every off-diagonal block once more would
+    # add 0.44 n^2
     n = 2048
     g = build_grid(n, 40.0, "tanh")
     evaluated = []
@@ -405,31 +406,50 @@ def test_packed_apply_matches_dense_on_any_tree(monkeypatch, n, leaf, l):
 
 @pytest.mark.parametrize("l", range(5))
 def test_kernel_factors_are_held_once(l):
-    # every block is a view into the level-packed stacks, whose rank padding
-    # adds at most 5 % to the blocks' own storage
+    # the leaves are views into one packed buffer and every node's factors
+    # into its level's stack, whose rank and row padding adds at most 5 % to
+    # the parts' own storage; holding both mirror images of every block and
+    # both triangles of every leaf took 4.37 MB here
     kernel = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), l).matrix
-    stacks = [f for _, _, factors in kernel.groups for f in factors]
-    own = 0
-    for _, _, factors in kernel.blocks:
-        for f in factors:
+    buffer = kernel.leaves[0][2].base
+    assert all(packed.base is buffer for _, _, packed in kernel.leaves)
+    stacks = [stack for _, stack in kernel.groups]
+    own = kernel.band.nbytes + buffer.nbytes
+    for _, u, v in kernel.nodes.values():
+        for f in (u, v):
             assert any(np.shares_memory(f, stack) for stack in stacks)
             own += f.nbytes
     assert kernel.nbytes <= 1.05 * own
+    assert kernel.nbytes <= 0.6 * 4.37e6
 
 
 @pytest.mark.parametrize("n", [100, 256])
 def test_small_kernel_is_one_dense_leaf(n):
-    # reference assembled here from the two parts: far field plus near field
+    # reference assembled here from the two parts: far field plus near field;
+    # the product sums S (w x) and B x apart, so it matches to rounding only
     g = build_grid(n, 40.0, "tanh")
     r = g.nodes
     dense = hartree._kernel_values(1, r[:, None], r[None, :]) * g.weights
     np.fill_diagonal(dense, 0.0)
     dense += _band_to_dense(hartree._near_field(g, 1))
     kernel = build_multipole_kernel(g, 1).matrix
-    assert len(kernel.blocks) == 1
+    assert len(kernel.leaves) == 1 and not kernel.nodes
     assert np.array_equal(kernel.toarray(), dense)
     x = np.random.default_rng(0).standard_normal(n)
-    assert np.array_equal(kernel @ x, dense @ x)
+    assert _rel(kernel @ x, dense @ x) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [100, 256, 1025])
+def test_kernel_is_symmetric_far_field_times_weights_plus_band(n):
+    # S holds k_l(r_i, r_j) with 0 on the diagonal, symmetric to the bit, and
+    # K = S diag(w) + B entry for entry; 1025 bisects into unequal halves
+    g = build_grid(n, 40.0, "tanh")
+    kernel = hartree._hodlr_kernel(g, 1)
+    far = kernel._far_array()
+    assert np.array_equal(far, far.T)
+    assert np.all(np.diag(far) == 0.0)
+    assert np.array_equal(kernel.toarray(),
+                          far * g.weights + _band_to_dense(hartree._near_field(g, 1)))
 
 
 def test_kernel_compression_is_reproducible():

@@ -206,12 +206,38 @@ def test_shifted_inverse_matches_dense_solve(gs_384, l):
     _assert_shifted_inverse_matches_dense(assemble_channel_operator(gs_384, "plus", l))
 
 
+def test_shifted_inverse_node_has_the_kernel_rank_plus_held_rows(gs_384, monkeypatch):
+    # the far part of N is s D1 S D1, one rank-r product for the node, so its
+    # update has rank r plus the rows of its band corner, not 2 r plus them
+    op = assemble_channel_operator(gs_384, "plus", 0)
+    (_, u, _), = linop.build_multipole_kernel(gs_384.grid, 0).matrix.nodes.values()
+    widths, sizes = [], []
+    recompress, lu_solver = linop._recompress, linop._lu_solver
+
+    def recorded(left, right):
+        widths.append(left.shape[1])
+        return recompress(left, right)
+
+    def capacitance(matrix, diagnostics):
+        sizes.append(matrix.shape[0])
+        return lu_solver(matrix, diagnostics)
+
+    monkeypatch.setattr(linop, "_recompress", recorded)
+    monkeypatch.setattr(linop, "_lu_solver", capacitance)
+    linop._shifted_inverse(op, linop._spectral_shift(op), {})
+    (width,), (size,) = widths, sizes
+    held = width - u.shape[1]
+    assert 0 < held <= hartree._REACH
+    assert size <= 2 * (u.shape[1] + held)
+    print(f"rank r {u.shape[1]}, held rows {held}, capacitance {size} x {size}")
+
+
 def test_shifted_inverse_of_one_leaf_matches_dense_solve(gs_384, monkeypatch):
     # the one-leaf kernel of the truncation test below has no off-diagonal block
     grid = gs_384.grid
     monkeypatch.setattr(hartree, "_LEAF", grid.n)
     fill = hartree._hodlr_kernel(grid, 0)
-    assert len(fill.blocks) == 1
+    assert len(fill.leaves) == 1 and not fill.nodes
     monkeypatch.setattr(linop, "build_multipole_kernel",
                         lambda grid, l: SimpleNamespace(matrix=fill))
     _assert_shifted_inverse_matches_dense(assemble_channel_operator(gs_384, "plus", 0))
