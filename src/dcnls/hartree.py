@@ -222,39 +222,55 @@ class HodlrMatrix:
         if out.size == 0:       # no buffer to take windows of
             return out[:n].view(dtype).reshape(x.shape)
         scaled = flat * self.weights[:, None]
-        # BLAS reads column c of the flat (n, m) arrays at offset c, stride m
+        # BLAS reads column c of the flat (n, m) arrays at offset c, stride m.
+        # Positional arguments skip the wrappers' keyword parsing:
+        # dspmv(n, alpha, ap, x, incx, offx, beta, y, incy, offy, lower, overwrite_y),
+        # dgbmv(m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
         xs, xb, ys = scaled.reshape(-1), flat.reshape(-1), out.reshape(-1)
         for c in range(m):
             for a, b, packed in self.leaves:
-                dspmv(b - a, 1.0, packed, xs, incx=m, offx=a * m + c,
-                      y=ys, incy=m, offy=a * m + c, overwrite_y=1)
-            dgbmv(out.shape[0], n, _REACH, _REACH, 1.0, self.band, xb, incx=m, offx=c,
-                  beta=1.0, y=ys, incy=m, offy=c, overwrite_y=1)
+                dspmv(b - a, 1.0, packed, xs, m, a * m + c, 0.0, ys, m, a * m + c, 0, 1)
+            dgbmv(out.shape[0], n, _REACH, _REACH, 1.0, self.band, xb, m, c,
+                  1.0, ys, m, c, 0, 1)
         for where, stack in self.groups:
-            p = where[3]
+            p, q = where[3:]
             half = stack.transpose(0, 1, 3, 2) @ _window(scaled, where)   # U^T x_top, V^T x_bottom
             y = stack @ half[:, ::-1]
             view = _window(out, where)
-            view[:, 0, :p] += y[:, 0, :p]
-            view[:, 1] += y[:, 1]
+            if p == q:
+                view += y
+            else:       # the upper half's padding row is the lower half's first
+                view[:, 0, :p] += y[:, 0, :p]
+                view[:, 1] += y[:, 1]
         return out[:n].view(dtype).reshape(x.shape)
 
     def _band_entries(self):
-        """(i, j, B[i, j]) over the band's slots inside the matrix."""
+        """(i, j, B[i, j]) over the band's slots inside the matrix, column by
+        column."""
         inside, i, j = _band_slots(self.shape[0])
-        return i, j, self.band[inside]
+        return i, j, self.band.T[inside]
 
-    def _far_at(self, i, j):
-        """S at the index pairs (i, j), read from the leaves and the factors."""
+    def _far_band(self, i, j):
+        """S at the slots (i, j) of `_band_entries`, read from the leaves and
+        the factors: the slots of a block's columns within _REACH of its rows
+        are one run."""
         out = np.zeros(i.shape)
+
+        def run(r0, r1, c0, c1):
+            """The block r0:r1 x c0:c1's slots: out's run, the mask of the
+            run's slots inside the block and their rows and columns in it."""
+            cut = slice(*np.searchsorted(j, (max(c0, r0 - _REACH), min(c1, r1 + _REACH))))
+            at = (i[cut] >= r0) & (i[cut] < r1)
+            return out[cut], at, i[cut][at] - r0, j[cut][at] - c0
+
         for a, b, packed in self.leaves:
-            at = (a <= i) & (i < b) & (a <= j) & (j < b)
-            lo, hi = np.minimum(i[at], j[at]) - a, np.maximum(i[at], j[at]) - a
-            out[at] = packed[lo + hi * (hi + 1) // 2]
+            view, at, rows, cols = run(a, b, a, b)
+            lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+            view[at] = packed[lo + hi * (hi + 1) // 2]
         for (a, b), (m, u, v) in self.nodes.items():
-            for (r0, r1, f), (c0, c1, g) in (((a, m, u), (m, b, v)), ((m, b, v), (a, m, u))):
-                at = (r0 <= i) & (i < r1) & (c0 <= j) & (j < c1)
-                out[at] = np.einsum("kr,kr->k", f[i[at] - r0], g[j[at] - c0])
+            for r0, r1, c0, c1, f, g in ((a, m, m, b, u, v), (m, b, a, m, v, u)):
+                view, at, rows, cols = run(r0, r1, c0, c1)
+                view[at] = np.einsum("kr,kr->k", f[rows], g[cols])
         return out
 
     def scaled_frobenius(self, left, right):
@@ -262,7 +278,8 @@ class HodlrMatrix:
         right_w = right * self.weights
         total = 0.0
         for a, b, packed in self.leaves:
-            total += np.sum((left[a:b, None] * _unpacked(packed, b - a) * right_w[a:b]) ** 2)
+            # sum_ij (l_i S_ij r_j)^2 = (l^2)^T (S o S) r^2, S o S packed alike
+            total += left[a:b] ** 2 @ dspmv(b - a, 1.0, packed ** 2, right_w[a:b] ** 2)
         for (a, b), (m, u, v) in self.nodes.items():
             # ||A B^T||_F^2 = sum((A^T A) * (B^T B)), for each block's scaled factors
             for f, g, rows, cols in ((u, v, slice(a, m), slice(m, b)),
@@ -271,7 +288,7 @@ class HodlrMatrix:
                 total += np.sum((f.T @ f) * (g.T @ g))
         # where B is held, the entry is S w + B: trade S w's squares for the sums'
         i, j, near = self._band_entries()
-        far = self._far_at(i, j) * right_w[j] * left[i]
+        far = self._far_band(i, j) * right_w[j] * left[i]
         total += np.sum((far + left[i] * near * right[j]) ** 2 - far ** 2)
         return float(np.sqrt(total))
 
@@ -425,10 +442,10 @@ def _check_block(l, r, rows, cols, u, v):
 
 def _band_slots(n):
     """The slots of LAPACK band storage of half-width _REACH that lie inside
-    an n x n matrix, as a mask of shape (2 _REACH + 1, n), and the (i, j)
-    they hold."""
-    j = np.broadcast_to(np.arange(n), (2 * _REACH + 1, n))
-    i = j + np.arange(-_REACH, _REACH + 1)[:, None]
+    an n x n matrix, as a mask over the storage's transpose, shape
+    (n, 2 _REACH + 1), and the (i, j) they hold, column by column."""
+    j = np.broadcast_to(np.arange(n)[:, None], (n, 2 * _REACH + 1))
+    i = j + np.arange(-_REACH, _REACH + 1)
     inside = (i >= 0) & (i < n)
     return inside, i[inside], j[inside]
 
@@ -438,9 +455,9 @@ def _band_storage(near):
     LAPACK band storage, (i, j) at [_REACH + i - j, j], Fortran-ordered."""
     n = near.shape[0]
     inside, i, j = _band_slots(n)
-    band = np.zeros((n, 2 * _REACH + 1)).T
+    band = np.zeros((n, 2 * _REACH + 1))
     band[inside] = near[i, _REACH + j - i]
-    return band
+    return band.T
 
 
 def _hodlr_kernel(grid, l):
