@@ -207,8 +207,10 @@ def test_shifted_inverse_matches_dense_solve(gs_384, l):
 
 
 def test_shifted_inverse_node_has_the_kernel_rank_plus_held_rows(gs_384, monkeypatch):
-    # the far part of N is s D1 S D1, one rank-r product for the node, so its
-    # update has rank r plus the rows of its band corner, not 2 r plus them
+    # the far part of N is s D1 S D1, one rank-r product for the node, so the
+    # block recompressed for its update has r columns plus one per row of its
+    # band corner, at most _REACH of them; both mirror blocks' factors would
+    # give 2 r plus those rows
     op = assemble_channel_operator(gs_384, "plus", 0)
     (_, u, _), = linop.build_multipole_kernel(gs_384.grid, 0).matrix.nodes.values()
     widths, sizes = [], []
@@ -226,10 +228,8 @@ def test_shifted_inverse_node_has_the_kernel_rank_plus_held_rows(gs_384, monkeyp
     monkeypatch.setattr(linop, "_lu_solver", capacitance)
     linop._shifted_inverse(op, linop._spectral_shift(op), {})
     (width,), (size,) = widths, sizes
-    held = width - u.shape[1]
-    assert 0 < held <= hartree._REACH
-    assert size <= 2 * (u.shape[1] + held)
-    print(f"rank r {u.shape[1]}, held rows {held}, capacitance {size} x {size}")
+    assert u.shape[1] < width <= u.shape[1] + hartree._REACH
+    assert size <= 2 * width
 
 
 def test_shifted_inverse_of_one_leaf_matches_dense_solve(gs_384, monkeypatch):
