@@ -58,10 +58,11 @@ class EvolutionState:
     grad_norm: float
 
     @classmethod
-    def from_values(cls, grid, values, mu, t=0.0):
+    def from_values(cls, grid, values, mu):
+        """The state at t = 0 with samples `values`."""
         values = np.asarray(values, dtype=complex)
         return cls(
-            t=t,
+            t=0.0,
             field=RadialField(grid, 0, values),
             mass=mass_3d(grid, values),
             energy=energy_mu(grid, values, mu),

@@ -36,10 +36,11 @@ partially pivoted cross approximation of its block (Bebendorf 2000), which
 evaluates only its pivot rows and columns, recompressed to singular values
 above 1e-14 times its largest and checked against a fixed sample of its
 exact rows and columns.  No off-diagonal block is evaluated whole, and
-above one leaf no n x n array is held during the build.  Each level's
-factors sit in stacks, padded to the level's largest rank, so a product
-takes one BLAS dspmv for each leaf, two batched matmuls for each level and
-one BLAS dgbmv for the band, which is held once, in LAPACK band storage.
+above one leaf no n x n array is held during the build.  Each node's
+factors are held once, in Fortran order, so a product takes one BLAS dspmv
+for each leaf, four BLAS dgemv for each node, written straight into the
+output, and one BLAS dgbmv for the band, which is held once, in LAPACK band
+storage.
 
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
@@ -54,10 +55,10 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import dgbmv, dspmv
+from scipy.linalg.blas import dgbmv, dgemv, dspmv
 from scipy.special import erfc
 
-from .errors import QuadratureError
+from .errors import GridMismatchError, QuadratureError
 from .grid import RadialField, _check_integer, _stretch_functions, profile_interpolator
 
 __all__ = [
@@ -179,70 +180,52 @@ class HodlrMatrix:
     S holds k_l(r_i, r_j), 0 on the diagonal.  `leaves` lists its diagonal
     leaves as (a, b, packed), the upper triangle of S[a:b, a:b] packed
     column by column (views into one buffer), applied by BLAS dspmv.
-    `nodes` maps each split node (a, b) to (m, U, V): U V^T is the block of
-    rows a:m and columns m:b, and V U^T its mirror image.  The factors sit
-    in stacks by tree level: `groups` holds runs of nodes with equal halves
-    at even spacing as (where, F), with F of shape (count, 2, q, r) holding
-    each node's U (zero-padded to q rows) and V, the rank padded by zeros to
-    the run's largest, and where = (a, step, count, p, q) the rows of the
-    first node's halves a:a + q and m:m + q, m = a + p, and the spacing of
-    the nodes.  `band` holds B once in LAPACK band storage,
+    `nodes` maps each split node (a, b) to (m, U, V), each factor its own
+    Fortran-ordered array: U V^T is the block of rows a:m and columns m:b,
+    and V U^T its mirror image.  `band` holds B once in LAPACK band storage,
     band[_REACH + i - j, j] = B[i, j], applied by dgbmv.  So a product
-    K x = S (w x) + B x takes, for each real column of a real, complex or
-    stacked (n, m) operand, one dspmv per leaf and one dgbmv, and two
-    batched matmuls for each run, F^T [x_top; x_bottom] and F times its
-    swapped halves.
+    K x = S (w x) + B x of a real vector x takes one dspmv per leaf, one
+    dgbmv, and four dgemv per node: U (V^T x_bottom) and V (U^T x_top),
+    each added straight into its rows of the output.
     """
 
-    def __init__(self, weights, leaves, nodes, groups, band):
+    def __init__(self, weights, leaves, nodes, band):
         self.shape = (weights.size,) * 2
         self.weights = weights
         self.leaves = leaves
         self.nodes = nodes
-        self.groups = groups
         self.band = band
+        self._rank = max((u.shape[1] for _, u, _ in nodes.values()), default=0)
 
     @property
     def nbytes(self):
         return (sum(packed.nbytes for _, _, packed in self.leaves) + self.band.nbytes
-                + sum(stack.nbytes for _, stack in self.groups))
+                + sum(u.nbytes + v.nbytes for _, u, v in self.nodes.values()))
 
     def __matmul__(self, x):
         x = np.asarray(x)
-        if x.shape[:1] != self.shape[1:]:
-            raise ValueError(f"operand of shape {x.shape} does not match {self.shape}")
-        dtype = np.result_type(float, x.dtype)
-        flat = np.ascontiguousarray(x, dtype=dtype).reshape(self.shape[0], -1)
-        if dtype.kind == "c":
-            flat = flat.view(flat.real.dtype)   # (n, 2m): real and imaginary columns
-        n, m = flat.shape
+        n = self.shape[0]
+        if x.shape != (n,) or x.dtype.kind not in "biuf":
+            raise GridMismatchError(
+                f"operand of shape {x.shape} and dtype {x.dtype} is not a real vector of length {n}")
+        scaled = self.weights * x
         # scipy's dgbmv takes no fewer rows than the band is wide, so a grid
         # narrower than that gets zero rows past its last
-        out = np.zeros((max(n, 2 * _REACH + 1), m))
-        if out.size == 0:       # no buffer to take windows of
-            return out[:n].view(dtype).reshape(x.shape)
-        scaled = flat * self.weights[:, None]
-        # BLAS reads column c of the flat (n, m) arrays at offset c, stride m.
+        out = np.zeros(max(n, 2 * _REACH + 1))
+        t = np.zeros(self._rank)
         # Positional arguments skip the wrappers' keyword parsing:
         # dspmv(n, alpha, ap, x, incx, offx, beta, y, incy, offy, lower, overwrite_y),
-        # dgbmv(m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
-        xs, xb, ys = scaled.reshape(-1), flat.reshape(-1), out.reshape(-1)
-        for c in range(m):
-            for a, b, packed in self.leaves:
-                dspmv(b - a, 1.0, packed, xs, m, a * m + c, 0.0, ys, m, a * m + c, 0, 1)
-            dgbmv(out.shape[0], n, _REACH, _REACH, 1.0, self.band, xb, m, c,
-                  1.0, ys, m, c, 0, 1)
-        for where, stack in self.groups:
-            p, q = where[3:]
-            half = stack.transpose(0, 1, 3, 2) @ _window(scaled, where)   # U^T x_top, V^T x_bottom
-            y = stack @ half[:, ::-1]
-            view = _window(out, where)
-            if p == q:
-                view += y
-            else:       # the upper half's padding row is the lower half's first
-                view[:, 0, :p] += y[:, 0, :p]
-                view[:, 1] += y[:, 1]
-        return out[:n].view(dtype).reshape(x.shape)
+        # dgbmv(m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y),
+        # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y)
+        for a, b, packed in self.leaves:
+            dspmv(b - a, 1.0, packed, scaled, 1, a, 0.0, out, 1, a, 0, 1)
+        dgbmv(out.size, n, _REACH, _REACH, 1.0, self.band, x, 1, 0, 1.0, out, 1, 0, 0, 1)
+        for (a, b), (m, u, v) in self.nodes.items():
+            dgemv(1.0, v, scaled, 0.0, t, m, 1, 0, 1, 1, 1)    # V^T x_bottom
+            dgemv(1.0, u, t, 1.0, out, 0, 1, a, 1, 0, 1)
+            dgemv(1.0, u, scaled, 0.0, t, a, 1, 0, 1, 1, 1)    # U^T x_top
+            dgemv(1.0, v, t, 1.0, out, 0, 1, m, 1, 0, 1)
+        return out[:n]
 
     def _band_entries(self):
         """(i, j, B[i, j]) over the band's slots inside the matrix, column by
@@ -319,41 +302,17 @@ def _unpacked(packed, size):
     return out
 
 
-def _window(a, where):
-    """The strided view of rows of the C-contiguous (n, m) array `a` with
-    shape (count, 2, size, m), whose [k, t, s] is row start + k step + t pair
-    + s, for where = (start, step, count, pair, size)."""
-    start, step, count, pair, size = where
-    row = a.strides[0]
-    return np.ndarray((count, 2, size) + a.shape[1:], a.dtype, a, start * row,
-                      (step * row, pair * row) + a.strides)
-
-
 def _bisection(n):
     """The HODLR tree of range(n): its leaves (a, b) of at most _LEAF rows,
     and its split nodes (a, m, b), m = (a + b) // 2, level by level from the
     root."""
-    leaves, levels, nodes = [], [], [(0, n)]
+    leaves, splits, nodes = [], [], [(0, n)]
     while nodes:
         leaves += [(a, b) for a, b in nodes if b - a <= _LEAF]
         split = [(a, (a + b) // 2, b) for a, b in nodes if b - a > _LEAF]
-        if split:
-            levels.append(split)
+        splits += split
         nodes = [half for a, m, b in split for half in ((a, m), (m, b))]
-    return leaves, levels
-
-
-def _runs(level):
-    """The split nodes (a, m, b) of one level, in row order, as runs of
-    equal halves (m - a, b - m) whose first rows are evenly spaced."""
-    runs, last = [], {}
-    for a, m, b in level:
-        run = last.get((m - a, b - m))
-        if run is None or len(run) > 1 and a - run[-1][0] != run[1][0] - run[0][0]:
-            run = last[m - a, b - m] = []
-            runs.append(run)
-        run.append((a, m, b))
-    return runs
+    return leaves, splits
 
 
 @dataclass(eq=False)
@@ -461,18 +420,18 @@ def _band_storage(near):
 
 
 def _hodlr_kernel(grid, l):
-    """The channel-l operator on `grid` as a HodlrMatrix, built level by level.
+    """The channel-l operator on `grid` as a HodlrMatrix.
 
     Each diagonal leaf's upper triangle of k_l(r_i, r_j) is evaluated
     straight into its slot of the packed buffer.  Each split node takes one
     cross approximation of its upper block k_l(r_i, r_j), which the symmetry
-    of the pointwise kernel makes the lower block's too; it is recompressed
-    and checked against a sample of its exact rows and columns, and each
-    level is packed into its stacks once all its nodes are made.  No
-    off-diagonal block is evaluated whole.  The band is `_near_field`'s.
+    of the pointwise kernel makes the lower block's too; it is recompressed,
+    checked against a sample of its exact rows and columns and held in
+    Fortran order, which dgemv reads without a copy.  No off-diagonal block
+    is evaluated whole.  The band is `_near_field`'s.
     """
     r = grid.nodes
-    leaves, levels = _bisection(grid.n)
+    leaves, splits = _bisection(grid.n)
     buffer = np.empty(sum((b - a) * (b - a + 1) // 2 for a, b in leaves))
     packed_leaves, start = [], 0
     for a, b in leaves:
@@ -482,29 +441,15 @@ def _hodlr_kernel(grid, l):
         packed[rows == cols] = 0.0
         packed_leaves.append((a, b, packed))
         start += rows.size
-    nodes, groups = {}, []
-    for level in levels:
-        made = {}
-        for a, m, b in level:
-            top, bottom = slice(a, m), slice(m, b)
-            u, v = _recompress(*_cross(lambda i: _kernel_values(l, r[a + i], r[bottom]),
-                                       lambda j: _kernel_values(l, r[top], r[m + j]),
-                                       m - a, b - m))
-            _check_block(l, r, top, bottom, u, v)
-            made[a] = u, v
-        for run in _runs(level):
-            (a, m, b), count = run[0], len(run)
-            step = run[1][0] - a if count > 1 else 0
-            rank = max(made[node[0]][0].shape[1] for node in run)
-            stack = np.zeros((count, 2, b - m, rank))
-            for f, (a_k, m_k, b_k) in zip(stack, run):
-                u, v = made.pop(a_k)
-                k = u.shape[1]
-                f[0, :m - a, :k], f[1, :, :k] = u, v
-                nodes[a_k, b_k] = m_k, f[0, :m - a, :k], f[1, :, :k]
-            groups.append(((a, step, count, m - a, b - m), stack))
-    return HodlrMatrix(grid.weights, packed_leaves, nodes, groups,
-                       _band_storage(_near_field(grid, l)))
+    nodes = {}
+    for a, m, b in splits:
+        top, bottom = slice(a, m), slice(m, b)
+        u, v = _recompress(*_cross(lambda i: _kernel_values(l, r[a + i], r[bottom]),
+                                   lambda j: _kernel_values(l, r[top], r[m + j]),
+                                   m - a, b - m))
+        _check_block(l, r, top, bottom, u, v)
+        nodes[a, b] = m, np.asfortranarray(u), np.asfortranarray(v)
+    return HodlrMatrix(grid.weights, packed_leaves, nodes, _band_storage(_near_field(grid, l)))
 
 
 def _rule_tables(x, w):
@@ -642,6 +587,7 @@ def nonlinear_potential(grid, values, mu):
 
 _CHORD_GL = np.polynomial.legendre.leggauss(48)   # per chord interval, at both resolutions
 _ORACLE_TOL = 1e-4    # relative agreement of the oracle's two resolutions
+_ORACLE_SUPPORT = 40.0   # a callable density's shells reach out to R + this
 
 
 def _shell_integrals(fun, l, radius, s, features):
@@ -679,7 +625,7 @@ def _oracle_once(fun, l, radius, s_panels, n_s, feature_radii):
     return total
 
 
-def brute_force_oracle(f, points, feature_radii=(), support=None):
+def brute_force_oracle(f, points, feature_radii=()):
     """Evaluate |x|^-2 * f by direct 3-D quadrature at the given radii.
 
     `f` is a RadialField of channel l, standing for the density p(|y|) P_l
@@ -692,8 +638,10 @@ def brute_force_oracle(f, points, feature_radii=(), support=None):
     QuadratureError carrying the achieved error estimate.
 
     A RadialField is represented by a smooth spline, appropriate for smooth
-    densities; pass discontinuous densities as callables (with their jump
-    radii in `feature_radii`) so the chord integrals see the true jump.
+    densities, and its shells reach out to R + r_max; pass discontinuous
+    densities as callables (with their jump radii in `feature_radii`) so the
+    chord integrals see the true jump.  A callable's shells reach out to
+    R + 40 (`_ORACLE_SUPPORT`), so it must vanish beyond |y| = 40.
     """
     if isinstance(f, RadialField):
         l = f.l
@@ -702,7 +650,7 @@ def brute_force_oracle(f, points, feature_radii=(), support=None):
     else:
         l = 0
         fun = f
-        s_support = support if support is not None else 40.0
+        s_support = _ORACLE_SUPPORT
 
     radii = np.atleast_1d(np.asarray(points, dtype=float))
     feature_radii = sorted(feature_radii)

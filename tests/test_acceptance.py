@@ -153,7 +153,7 @@ def test_criterion_4_hartree_calibration(grid_std):
     mine_b = build_multipole_kernel(gball, 0).matrix @ ball.values
     idxb = [int(np.argmin(np.abs(gball.nodes - p))) for p in (0.2, 0.6, 1.5, 3.0, 6.0)]
     vals_b = brute_force_oracle(lambda d: np.where(d < 1.0, 1.0, 0.0),
-                                gball.nodes[idxb], feature_radii=(1.0,), support=1.0)
+                                gball.nodes[idxb], feature_radii=(1.0,))
     worst = max(worst, float(np.max(np.abs(vals_b - mine_b[idxb]) / np.abs(vals_b))))
     cal = {l: calibrate_channel_coefficient(grid_std, l) for l in (0, 1, 2)}
     consts = {l: cal[l]["coefficient"] * cal[l]["fitted_ratio"] for l in cal}

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 from dcnls import hartree
-from dcnls.errors import ConfigurationError, QuadratureError
+from dcnls.errors import ConfigurationError, GridMismatchError, QuadratureError
 from dcnls.grid import RadialField, build_grid
 from dcnls.hartree import (
     brute_force_oracle,
@@ -369,13 +369,10 @@ def test_hodlr_kernel_matches_dense_fill(monkeypatch, l):
     kernel = build_multipole_kernel(build_grid(n, 40.0, "tanh"), l).matrix
     assert kernel.shape == (n, n)
     rng = np.random.default_rng(l)
-    real = rng.standard_normal(n)
-    cplx = real + 1j * rng.standard_normal(n)
-    stacked = rng.standard_normal((n, 3))
-    for x in (real, cplx, stacked):
-        out = kernel @ x
-        assert out.shape == x.shape and out.dtype == x.dtype
-        assert _rel(out, dense @ x) <= 1e-12
+    x = rng.standard_normal(n)
+    out = kernel @ x
+    assert out.shape == x.shape and out.dtype == x.dtype
+    assert _rel(out, dense @ x) <= 1e-12
     assert np.max(np.abs(kernel.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
     assert kernel.nbytes < 0.5 * dense.nbytes
     held = kernel.toarray()
@@ -394,32 +391,56 @@ def test_packed_apply_matches_dense_on_any_tree(monkeypatch, n, leaf, l):
         monkeypatch.setattr(hartree, "_LEAF", leaf)
     kernel = hartree._hodlr_kernel(build_grid(n, 40.0, "tanh"), l)
     dense = kernel.toarray()
-    rng = np.random.default_rng(n + l)
-    real, stacked = rng.standard_normal(n), rng.standard_normal((n, 3))
-    for x in (real, real + 1j * rng.standard_normal(n),
-              stacked, stacked + 1j * rng.standard_normal((n, 3))):
-        out = kernel @ x
-        assert out.shape == x.shape and out.dtype == x.dtype
-        assert _rel(out, dense @ x) <= 1e-14
-    assert (kernel @ np.empty((n, 0))).shape == (n, 0)
+    x = np.random.default_rng(n + l).standard_normal(n)
+    out = kernel @ x
+    assert out.shape == x.shape and out.dtype == x.dtype
+    assert _rel(out, dense @ x) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [np.ones(300, dtype=complex), np.ones((300, 2)), np.ones(299)],
+                         ids=["complex", "stacked", "short"])
+def test_kernel_product_takes_one_real_vector(x):
+    kernel = build_multipole_kernel(build_grid(300, 40.0, "tanh"), 0).matrix
+    with pytest.raises(GridMismatchError, match="not a real vector of length 300"):
+        kernel @ x
+
+
+@pytest.mark.parametrize("n", [256, 1025])
+def test_kernel_product_calls_blas_once_per_leaf_and_four_times_per_node(monkeypatch, n):
+    # 1025 bisects into unequal halves; 256 is a tree of one leaf
+    kernel = build_multipole_kernel(build_grid(n, 40.0, "tanh"), 0).matrix
+    calls = {"dspmv": 0, "dgbmv": 0, "dgemv": 0}
+
+    def counting(name):
+        blas = getattr(hartree, name)
+
+        def call(*args):
+            calls[name] += 1
+            return blas(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(hartree, name, counting(name))
+    x = np.random.default_rng(n).standard_normal(n)
+    assert _rel(kernel @ x, kernel.toarray() @ x) <= 1e-14
+    assert calls == {"dspmv": len(kernel.leaves), "dgbmv": 1, "dgemv": 4 * len(kernel.nodes)}
 
 
 @pytest.mark.parametrize("l", range(5))
 def test_kernel_factors_are_held_once(l):
-    # the leaves are views into one packed buffer and every node's factors
-    # into its level's stack, whose rank and row padding adds at most 5 % to
-    # the parts' own storage; holding both mirror images of every block and
-    # both triangles of every leaf took 4.37 MB here
+    # the leaves are views into one packed buffer, and every node's factors
+    # are their own Fortran-ordered arrays, which dgemv reads without a copy;
+    # holding both mirror images of every block and both triangles of every
+    # leaf took 4.37 MB here
     kernel = build_multipole_kernel(build_grid(1536, 40.0, "tanh"), l).matrix
     buffer = kernel.leaves[0][2].base
     assert all(packed.base is buffer for _, _, packed in kernel.leaves)
-    stacks = [stack for _, stack in kernel.groups]
     own = kernel.band.nbytes + buffer.nbytes
     for _, u, v in kernel.nodes.values():
         for f in (u, v):
-            assert any(np.shares_memory(f, stack) for stack in stacks)
+            assert f.flags.f_contiguous and f.flags.owndata
             own += f.nbytes
-    assert kernel.nbytes <= 1.05 * own
+    assert kernel.nbytes == own
     assert kernel.nbytes <= 0.6 * 4.37e6
 
 
