@@ -174,9 +174,12 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
 # radial evolution
 # ---------------------------------------------------------------------------
 
+_MAX_STEPS = 2_000_000   # a run that takes this many steps stops, by "max_steps"
+
+
 def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
            stop_grad_factor=None, min_scale_cells=8.0, lambda0=None,
-           linear_only=False, max_steps=2_000_000):
+           linear_only=False):
     """Propagate the radial equation by Strang splitting.
 
     Stops at `t_final`, when the gradient norm has grown by
@@ -257,7 +260,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     steps = 0
     dt_min = np.inf
     direction = 1.0 if dt > 0 else -1.0
-    while steps < max_steps:
+    while steps < _MAX_STEPS:
         if t_final is not None:
             remaining = (t_final - t) * direction
             if remaining <= 1e-14 * max(abs(t_final), 1.0):

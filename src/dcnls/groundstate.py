@@ -21,7 +21,7 @@ solver diagnostics throughout.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -111,8 +111,8 @@ class GroundState:
     pohozaev_residual: float
     gn_local: float
     gn_nonlocal: float
-    pathway: str = "newton"
-    diagnostics: dict = field(default_factory=dict)
+    pathway: str
+    diagnostics: dict
 
     @property
     def grid(self):

@@ -186,7 +186,9 @@ class HodlrMatrix:
     band[_REACH + i - j, j] = B[i, j], applied by dgbmv.  So a product
     K x = S (w x) + B x of a real vector x takes one dspmv per leaf, one
     dgbmv, and four dgemv per node: U (V^T x_bottom) and V (U^T x_top),
-    each added straight into its rows of the output.
+    each added straight into its rows of the output.  The spectral shift's
+    bound on the absolute row sums of the dressed kernel takes one pass over
+    the same parts, in absolute value (`dressed_row_sum_bound`).
     """
 
     def __init__(self, weights, leaves, nodes, band):
@@ -233,47 +235,29 @@ class HodlrMatrix:
         inside, i, j = _band_slots(self.shape[0])
         return i, j, self.band.T[inside]
 
-    def _far_band(self, i, j):
-        """S at the slots (i, j) of `_band_entries`, read from the leaves and
-        the factors: the slots of a block's columns within _REACH of its rows
-        are one run."""
-        out = np.zeros(i.shape)
+    def dressed_row_sum_bound(self, d):
+        """A bound on the largest absolute row sum of N = sym(D K D / W),
+        D = diag(d), and so on ||N||_2, N being symmetric.
 
-        def run(r0, r1, c0, c1):
-            """The block r0:r1 x c0:c1's slots: out's run, the mask of the
-            run's slots inside the block and their rows and columns in it."""
-            cut = slice(*np.searchsorted(j, (max(c0, r0 - _REACH), min(c1, r1 + _REACH))))
-            at = (i[cut] >= r0) & (i[cut] < r1)
-            return out[cut], at, i[cut][at] - r0, j[cut][at] - c0
-
+        The far part of N is D S D.  Its row i sums to at most |d_i| times
+        row i of |S| |d|, where a leaf gives |S| exactly and a node's block
+        U V^T at most |U| |V|^T, entry by entry; the near part
+        sym(D B D / W) adds half the row and column sums of |D B D / W|.
+        Every step is the triangle inequality, so the bound holds for any
+        signs of the leaves, the factors and the band.
+        """
+        d = np.abs(d)
+        far = np.empty(d.size)
         for a, b, packed in self.leaves:
-            view, at, rows, cols = run(a, b, a, b)
-            lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-            view[at] = packed[lo + hi * (hi + 1) // 2]
+            far[a:b] = dspmv(b - a, 1.0, np.abs(packed), d[a:b])
         for (a, b), (m, u, v) in self.nodes.items():
-            for r0, r1, c0, c1, f, g in ((a, m, m, b, u, v), (m, b, a, m, v, u)):
-                view, at, rows, cols = run(r0, r1, c0, c1)
-                view[at] = np.einsum("kr,kr->k", f[rows], g[cols])
-        return out
-
-    def scaled_frobenius(self, left, right):
-        """The Frobenius norm of diag(left) K diag(right), from the held parts."""
-        right_w = right * self.weights
-        total = 0.0
-        for a, b, packed in self.leaves:
-            # sum_ij (l_i S_ij r_j)^2 = (l^2)^T (S o S) r^2, S o S packed alike
-            total += left[a:b] ** 2 @ dspmv(b - a, 1.0, packed ** 2, right_w[a:b] ** 2)
-        for (a, b), (m, u, v) in self.nodes.items():
-            # ||A B^T||_F^2 = sum((A^T A) * (B^T B)), for each block's scaled factors
-            for f, g, rows, cols in ((u, v, slice(a, m), slice(m, b)),
-                                     (v, u, slice(m, b), slice(a, m))):
-                f, g = left[rows, None] * f, right_w[cols, None] * g
-                total += np.sum((f.T @ f) * (g.T @ g))
-        # where B is held, the entry is S w + B: trade S w's squares for the sums'
+            u, v = np.abs(u), np.abs(v)
+            far[a:m] += u @ (v.T @ d[m:b])
+            far[m:b] += v @ (u.T @ d[a:m])
         i, j, near = self._band_entries()
-        far = self._far_band(i, j) * right_w[j] * left[i]
-        total += np.sum((far + left[i] * near * right[j]) ** 2 - far ** 2)
-        return float(np.sqrt(total))
+        near = d[i] * np.abs(near) * d[j] / self.weights[j]
+        sums = np.bincount(i, near, d.size) + np.bincount(j, near, d.size)
+        return float(np.max(d * far + 0.5 * sums))
 
     def _far_array(self):
         """S as a dense array, for tests."""

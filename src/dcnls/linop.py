@@ -23,9 +23,13 @@ SOLVABILITY_TOL raises SolvabilityError, the discrete face of the
 solvability conditions.
 Spectra are those of the symmetrised similarity transform
 B = sym(W^{1/2} M W^{-1/2}), computed by shift-invert Lanczos from a shift
-below the spectrum: the inverse is the band Cholesky of the shifted
-balanced local part (`RadialGrid.band_solver`, whose success proves that
-part positive definite) or, with a nonlocal block, one direct factor of
+below the spectrum.  The shift bounds the local part from below by the
+least of 1 + potential + l(l+1)/r^2, and the symmetric nonlocal block N
+by its largest absolute row sum, ||N||_2 <= ||N||_inf, which the triangle
+inequality bounds from the kernel's held parts whatever their signs.  The
+inverse is the band Cholesky of the shifted balanced local part
+(`RadialGrid.band_solver`, whose success proves that part positive
+definite) or, with a nonlocal block, one direct factor of
 the whole shifted operator on the kernel's HODLR block tree, whose dense
 leaf Cholesky and capacitance LU factors call LAPACK through
 `grid._cholesky_solver` and `grid._lu_solver`, so each Lanczos step is one
@@ -190,15 +194,16 @@ def _spectral_shift(op):
 
     (-Delta)_l is the flux-form stiffness plus the diagonal l(l+1)/r^2, and
     W times the stiffness part is symmetric PSD, so lambda_min(B_loc) >=
-    min(1 + local potential + l(l+1)/r^2); and ||N||_2 <= ||N||_F <=
-    |s| ||D1 K D2||_F.  So B - sigma I and B_loc - sigma I are SPD.
+    min(1 + local potential + l(l+1)/r^2).  N is symmetric, so ||N||_2 is at
+    most its largest absolute row sum, which is at most |s| times
+    `HodlrMatrix.dressed_row_sum_bound(D1)`: D1 K D2 = D1 K D1 / W.  So
+    B - sigma I and B_loc - sigma I are SPD.
     """
-    w = np.sqrt(op.grid.weights)
     sigma = float(np.min(1.0 + op.local_potential + op.l * (op.l + 1) / op.grid.nodes ** 2))
     if op.nonlocal_scale != 0.0:
         kernel = build_multipole_kernel(op.grid, op.l).matrix
-        sigma -= abs(op.nonlocal_scale) * kernel.scaled_frobenius(w * op.soliton,
-                                                                  op.soliton / w)
+        d1 = np.sqrt(op.grid.weights) * op.soliton
+        sigma -= abs(op.nonlocal_scale) * kernel.dressed_row_sum_bound(d1)
     return sigma
 
 
@@ -274,13 +279,15 @@ def lowest_eigenpairs(op, k):
     kind at mu != 0, the symmetrised dressed kernel (s/2)(D1 K D2 + D2 K^T D1)
     with D1 = W^{1/2} q, D2 = q W^{-1/2} and s the nonlocal scale.  No n x n
     array is built.  Shift-invert Lanczos (ARPACK) runs on (B - sigma I)^{-1}
-    with the shift sigma = min(1 + local potential + l(l+1)/r^2)
-    - |s| ||D1 K D2||_F, a lower bound on the spectrum (`_spectral_shift`),
-    so the k eigenvalues nearest sigma are the k lowest.  The inverse is the
-    band Cholesky of B_loc - sigma I or, with N, one direct HODLR factor of
-    B - sigma I (`_shifted_inverse`); either raises ConvergenceError unless
-    its Cholesky factors exist.  That B - sigma I is positive definite rests
-    on the bound ||N||_2 <= ||N||_F.
+    with the shift sigma = min(1 + local potential + l(l+1)/r^2) minus
+    |s| times a bound on the absolute row sums of D1 K D2's symmetric part,
+    a lower bound on the spectrum (`_spectral_shift`), so the k eigenvalues
+    nearest sigma are the k lowest.  The inverse is the band Cholesky of
+    B_loc - sigma I or, with N, one direct HODLR factor of B - sigma I
+    (`_shifted_inverse`); either raises ConvergenceError unless its Cholesky
+    factors exist.  That B - sigma I is positive definite rests on the
+    bound ||N||_2 <= ||N||_inf, the largest absolute row sum, which holds
+    for any symmetric N.
     ARPACK stops at relative tolerance EIGSH_TOL and starts from the fixed
     vector W^{1/2} e^{-r}, so reruns agree bitwise.  A failed factor or
     ARPACK iteration raises ConvergenceError.

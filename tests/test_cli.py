@@ -173,7 +173,7 @@ def test_failed_eigensolve_exits_1(tmp_path, monkeypatch):
 
     # a negative bound lifts the shift above L_+,0's lowest eigenvalue, so the
     # Cholesky factor of B - sigma I fails
-    monkeypatch.setattr(hartree.HodlrMatrix, "scaled_frobenius", lambda self, left, right: -1e3)
+    monkeypatch.setattr(hartree.HodlrMatrix, "dressed_row_sum_bound", lambda self, d: -1e3)
     code = _run(["spectrum", "--mu", "0.02", "--grid-n", "256"], str(tmp_path))
     assert code == 1
     run_dir = tmp_path / "runs" / "spectrum-mu0.02-n256"

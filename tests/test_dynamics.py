@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcnls import dynamics
 from dcnls.errors import ConfigurationError
 from dcnls.grid import RadialField, build_grid
 from dcnls.groundstate import energy_mu, grad_sq_3d, mass_3d, solve_classical_Q, solve_Q_mu
@@ -325,7 +326,7 @@ def test_linear_step_matches_dense_crank_nicolson(dt):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_dt_min_is_the_smallest_step_taken():
+def test_dt_min_is_the_smallest_step_taken(monkeypatch):
     g = build_grid(128, 40.0, "tanh")
     dt = 1e-3
     u0 = make_initial_data("gaussian", grid=g, width=1.0, amplitude=5.0)
@@ -334,9 +335,9 @@ def test_dt_min_is_the_smallest_step_taken():
     assert fixed.dt_min == dt
     # without t_final no step is shortened to land on it, so only the
     # gradient growth shrinks dt; record_every=1 keeps every step's gradient
-    adaptive = evolve(u0, 0.0, dt=dt, adaptive=True, stop_grad_factor=10.0,
-                      record_every=1, max_steps=40)
-    assert adaptive.steps == 40
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 40)
+    adaptive = evolve(u0, 0.0, dt=dt, adaptive=True, stop_grad_factor=10.0, record_every=1)
+    assert adaptive.steps == 40 and adaptive.stopped_by == "max_steps"
     assert adaptive.dt_min < dt
     g_max = np.max(adaptive.grad_norm[:-1])
     assert adaptive.dt_min == pytest.approx(dt * (adaptive.grad_norm[0] / g_max) ** 2, rel=2e-3)

@@ -375,10 +375,41 @@ def test_hodlr_kernel_matches_dense_fill(monkeypatch, l):
     assert _rel(out, dense @ x) <= 1e-12
     assert np.max(np.abs(kernel.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
     assert kernel.nbytes < 0.5 * dense.nbytes
-    held = kernel.toarray()
-    left, right = np.exp(-rng.random(n)), rng.random(n)
-    assert kernel.scaled_frobenius(left, right) == pytest.approx(
-        np.linalg.norm(left[:, None] * held * right[None, :]), rel=1e-12)
+
+
+def _dense_row_sum(matrix, d):
+    """The largest absolute row sum of sym(diag(d) K diag(d / w)), densely."""
+    dressed = d[:, None] * matrix.toarray() * (d / matrix.weights)[None, :]
+    return np.max(np.sum(np.abs(dressed + dressed.T), axis=1)) / 2
+
+
+@pytest.mark.parametrize("l", [0, 2])
+@pytest.mark.parametrize("n", [257, 1025])
+def test_row_sum_bound_is_tight_on_the_kernel(n, l):
+    # 257 and 1025 bisect into unequal halves
+    g = build_grid(n, 40.0, "tanh")
+    kernel = hartree._hodlr_kernel(g, l)
+    d = np.sqrt(g.weights) * np.exp(-g.nodes)
+    dense = _dense_row_sum(kernel, d)
+    assert dense <= kernel.dressed_row_sum_bound(d) <= 1.01 * dense
+
+
+@pytest.mark.parametrize("rank", [1, 6])
+def test_row_sum_bound_holds_for_any_signs(rank):
+    # random signed leaves, factors, band and d on a tree of unequal halves:
+    # the bound may not rest on the kernel's signs.  At rank 1, |U| |V|^T is
+    # |U V^T|, so the leaves and the band are not hidden by the factors' slack
+    n = 601
+    rng = np.random.default_rng(rank)
+    leaves, splits = hartree._bisection(n)
+    held = [(a, b, rng.standard_normal((b - a) * (b - a + 1) // 2)) for a, b in leaves]
+    nodes = {(a, b): (m, np.asfortranarray(rng.standard_normal((m - a, rank))),
+                      np.asfortranarray(rng.standard_normal((b - m, rank))))
+             for a, m, b in splits}
+    band = rng.standard_normal((2 * hartree._REACH + 1, n))
+    matrix = hartree.HodlrMatrix(rng.uniform(0.5, 2.0, n), held, nodes, band)
+    d = rng.standard_normal(n)
+    assert matrix.dressed_row_sum_bound(d) >= _dense_row_sum(matrix, d)
 
 
 @pytest.mark.parametrize("l", [0, 2])

@@ -161,7 +161,7 @@ def _eigensolve_diagnostics(exc, op):
 def test_failed_shift_invert_factor_is_typed(gs_mu, monkeypatch):
     # a negative bound lifts sigma above L_+,0's lowest eigenvalue, about
     # -4.73, so B - sigma I is indefinite and the core leaf's Cholesky fails
-    monkeypatch.setattr(hartree.HodlrMatrix, "scaled_frobenius", lambda self, left, right: -50.0)
+    monkeypatch.setattr(hartree.HodlrMatrix, "dressed_row_sum_bound", lambda self, d: -50.0)
     op = assemble_channel_operator(gs_mu, "plus", 0)
     with pytest.raises(ConvergenceError) as exc:
         lowest_eigenpairs(op, 6)
@@ -198,6 +198,14 @@ def _assert_shifted_inverse_matches_dense(op):
 @pytest.fixture(scope="module")
 def gs_384():
     return solve_Q_mu(0.05, build_grid(384, 40.0, "tanh"))
+
+
+@pytest.mark.parametrize("l", range(3))
+def test_spectral_shift_lies_below_the_spectrum(gs_384, l):
+    op = assemble_channel_operator(gs_384, "plus", l)
+    w = np.sqrt(op.grid.weights)
+    balanced = w[:, None] * _dense_operator(op) / w[None, :]
+    assert linop._spectral_shift(op) < sla.eigvalsh(0.5 * (balanced + balanced.T))[0]
 
 
 @pytest.mark.parametrize("l", range(5))
