@@ -4,6 +4,13 @@
 
 import numpy as np
 
+
+def step_budget(traj):
+    """The split-step cost of a run: steps, band refactorisations, smallest dt."""
+    return (f"  {traj.steps} steps, {traj.refactorizations} refactorizations, "
+            f"dt_min {traj.dt_min:.2e}, stopped by {traj.stopped_by}")
+
+
 from dcnls.grid import build_grid
 from dcnls.groundstate import solve_classical_Q, solve_Q_mu
 from dcnls.profile import build_hierarchy
@@ -27,6 +34,7 @@ traj = evolve(u0, mu, dt=5e-4, t_final=6.0, adaptive=True,
 vir = virial_check(traj)
 print(f"  gradient growth {traj.grad_norm[-1] / traj.grad_norm[0]:.1f}x, "
       f"variance curvature / 16E = {vir['ratio']:.4f}, concave: {vir['concave']}")
+print(step_budget(traj))
 
 print("\n== minimal-mass blowup at mu = 0.02 ==")
 gs = solve_Q_mu(0.02, grid)
@@ -40,8 +48,8 @@ b_target = 1.0 / np.sqrt(ps.e_mu / u0.energy)
 traj = evolve(u0, 0.02, dt=1e-3, adaptive=True, stop_grad_factor=11.0,
               lambda0=1.0, min_scale_cells=10.0, t_final=6.0, record_every=40)
 fit = blowup_fit(traj)
-print(f"  stopped by {traj.stopped_by}; fitted blowup exponent "
-      f"gamma = {fit['gamma']:.3f}, T* = {fit['T_star']:.3f}")
+print(f"  fitted blowup exponent gamma = {fit['gamma']:.3f}, T* = {fit['T_star']:.3f}")
+print(step_budget(traj))
 trace = modulation_extract(traj, gs, ps)
 ok = trace.flags & (trace.lam > 0.12) & (trace.lam < 0.3)
 lam, b, tt = trace.lam[ok], trace.b[ok], trace.times[ok]

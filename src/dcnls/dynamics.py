@@ -32,7 +32,7 @@ from scipy.optimize import leastsq
 
 from .errors import ConfigurationError
 from .grid import RadialField, _check_integer, _parity_spline, profile_interpolator
-from .groundstate import _energy, _quartic, energy_mu, grad_sq_3d, mass_3d, power_3d
+from .groundstate import _abs_sq, _energy, _quartic, energy_mu, grad_sq_3d, mass_3d, power_3d
 from .hartree import build_multipole_kernel
 
 __all__ = [
@@ -177,6 +177,13 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
 _MAX_STEPS = 2_000_000   # a run that takes this many steps stops, by "max_steps"
 
 
+def _rotation(angle, out):
+    """exp(i angle) of the real `angle` into the complex `out`, from one cos and
+    one sin; the same bits as np.exp(1j * angle), without its complex exp."""
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+
+
 def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
            stop_grad_factor=None, min_scale_cells=8.0, lambda0=None,
            linear_only=False):
@@ -217,7 +224,9 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     g0 = u0.grad_norm
     h_core = grid.core_spacing()
     r2w = grid.weights * grid.nodes ** 2
-    d1, lap = grid.d1_free(0), grid.laplacian(0)
+    # complex copies for the run: a real CSR times the complex state recasts
+    # its data to complex on every product
+    d1, lap = grid.d1_free(0).astype(complex), grid.laplacian(0).astype(complex)
     kernel = None if linear_only or mu == 0.0 else build_multipole_kernel(grid, 0).matrix
     watch = adaptive or stop_grad_factor is not None or lambda0 is not None
 
@@ -225,19 +234,22 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     snapshots = []
 
     def grad_sq(vals):
-        # ||grad u||^2 as grad_sq_3d computes it, with d/dr fetched once per run
+        # ||grad u||^2 as grad_sq_3d computes it: d/dr is canonical, so its
+        # complex copy sums each row in the same order
         return mass_3d(grid, d1 @ vals)
 
     def potential(vals):
-        """V = |u|^{4/3} + mu A(|u|^2) from one |u|, and the quartic term
-        H = int A(|u|^2) |u|^2 as a callable, from the same A(|u|^2)."""
-        modulus = np.abs(vals)
-        pot = modulus ** (4.0 / 3.0)
+        """V = |u|^{4/3} + mu A(|u|^2) from one |u|^2 = re^2 + im^2, with
+        |u|^{4/3} = cbrt(|u|^2)^2, and the quartic term H = int A(|u|^2) |u|^2
+        as a callable, from the same A(|u|^2)."""
+        dens = _abs_sq(vals)
+        pot = np.cbrt(dens)
+        pot *= pot
         if kernel is None:
             return pot, None
-        dens = modulus ** 2
         hart = kernel @ dens
-        return pot + mu * hart, lambda: _quartic(grid, hart, dens)
+        pot += mu * hart
+        return pot, lambda: _quartic(grid, hart, dens)
 
     def record(vals, tt, g2, quartic):
         times.append(tt)
@@ -256,7 +268,8 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     step_dt = dt
     cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
     refactorizations = 1
-    phase = None      # exp(i dt/2 V) of the current potential and step, once computed
+    phase = np.empty(grid.n, dtype=complex)
+    phase_current = False     # phase holds exp(i dt/2 V) of this potential and step
     steps = 0
     dt_min = np.inf
     direction = 1.0 if dt > 0 else -1.0
@@ -281,20 +294,23 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
             step_dt = want
             cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
             refactorizations += 1
-            phase = None
+            phase_current = False
 
         if not linear_only:
             # the last step's closing half rotation opens this one, unless dt
             # changed; the two are not merged because the controller reads the
             # gradient of the rotated state
-            if phase is None:
-                phase = np.exp(0.5j * step_dt * pot)
-            u = u * phase
-        u = u - 1j * step_dt * cn_solve(lap @ u)
+            if not phase_current:
+                _rotation(0.5 * step_dt * pot, phase)
+            u *= phase
+        update = cn_solve(lap @ u)
+        update *= 1j * step_dt
+        u -= update
         if not linear_only:
             pot, quartic = potential(u)
-            phase = np.exp(0.5j * step_dt * pot)
-            u = u * phase
+            _rotation(0.5 * step_dt * pot, phase)
+            phase_current = True
+            u *= phase
         t += step_dt
         steps += 1
         dt_min = min(dt_min, abs(step_dt))
@@ -507,7 +523,8 @@ def modulation_extract(traj, gs, ps):
     g_ref = float(np.sqrt(grad_sq_3d(grid, gs.Q.values)))
 
     times, lams, bs, gammas, residuals, flags = [], [], [], [], [], []
-    guess = None
+    guess = None                  # the last converged fit
+    recent = (None, None)         # the last two frames' fits, None where one failed
     for t, vals in traj.snapshots:
         norm = np.sqrt(np.sum(w * np.abs(vals) ** 2))
         if guess is None:
@@ -515,8 +532,10 @@ def modulation_extract(traj, gs, ps):
             lam0 = g_ref / g_now * np.sqrt(mass_3d(grid, vals) / gs.mass)
             gamma0 = float(np.angle(vals[int(np.argmax(np.abs(vals)))]))
             x0 = np.array([np.log(lam0), gamma0, 0.05])
-        else:
+        elif recent[0] is None or recent[1] is None:
             x0 = guess
+        else:
+            x0 = 2.0 * recent[1] - recent[0]
         fun, jac = _frame_residual(family, grid, vals)
         # MINPACK lmder with scipy's least_squares(method="lm") settings
         x, _, info, _, ier = leastsq(fun, x0, Dfun=jac, full_output=True, maxfev=400,
@@ -530,6 +549,7 @@ def modulation_extract(traj, gs, ps):
         gammas.append(gamma if ok else np.nan)
         residuals.append(rel)
         flags.append(ok)
+        recent = (recent[1], x if ok else None)
         if ok:
             guess = x
     flags = np.array(flags, dtype=bool)

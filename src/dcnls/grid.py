@@ -318,7 +318,12 @@ def _build_d1(grid, parity):
     rows, cols, vals = (np.concatenate(t) for t in zip(_fd_rows_folded(n, _D1_STENCIL, parity),
                                                       _one_sided_d1_rows(n)))
     d1_xi = sp.csr_matrix((vals / h, (rows, cols)), shape=(n, n))
-    return sp.diags(1.0 / grid.jac) @ d1_xi
+    d1 = sp.diags(1.0 / grid.jac) @ d1_xi
+    # the product keeps each row's columns in stencil order, which the fold
+    # leaves unsorted; canonical CSR gives every copy (a complex one too)
+    # the same summation order
+    d1.sum_duplicates()
+    return d1
 
 
 def _staggered_gradient_line(n_nodes):

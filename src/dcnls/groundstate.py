@@ -50,8 +50,15 @@ _TAIL_FIT = (15.0, 25.0)    # radii of the log-linear fit of the soliton tail
 # shared functionals (3-D convention)
 # ---------------------------------------------------------------------------
 
+def _abs_sq(values):
+    """|u|^2 as re^2 + im^2, without the square root of abs."""
+    if np.iscomplexobj(values):
+        return values.real ** 2 + values.imag ** 2
+    return values * values
+
 def mass_3d(grid, values):
-    return float(4.0 * np.pi * np.sum(grid.weights * np.abs(values) ** 2))
+    """int |u|^2 over R^3, one weighted dot of re^2 + im^2."""
+    return float(4.0 * np.pi * np.dot(grid.weights, _abs_sq(values)))
 
 def grad_sq_3d(grid, values):
     return mass_3d(grid, grid.d1_free(0) @ values)

@@ -312,6 +312,58 @@ def test_modulation_recovers_windowed_stacked_family(grid, gs, ps):
     assert trace.gamma[0] == pytest.approx(gamma0, abs=1e-7)
 
 
+def test_extrapolated_start_matches_the_previous_fit_start(monkeypatch):
+    # a 9b-style run, cut at threefold gradient growth: the extrapolated start
+    # 2 x_k - x_{k-1} reaches the fits from the previous-fit start, for fewer
+    # residual evaluations
+    from scipy.optimize import leastsq
+
+    from dcnls.profile import build_hierarchy
+
+    g = build_grid(384, 40.0, "tanh")
+    gs = solve_Q_mu(0.02, g)
+    ps = build_hierarchy(gs)
+    u0 = make_initial_data("minimal_mass_profile", gs=gs, ps=ps, b0=0.25, mass_factor=1.0005)
+    traj = evolve(u0, 0.02, dt=1e-3, adaptive=True, stop_grad_factor=3.0, lambda0=1.0,
+                  min_scale_cells=12.0, t_final=8.0, record_every=20)
+    frame_residual = dynamics._frame_residual
+    evaluations = [0]
+
+    def counted(*args):
+        fun, jac = frame_residual(*args)
+
+        def fun_counted(x):
+            evaluations[0] += 1
+            return fun(x)
+
+        return fun_counted, jac
+
+    monkeypatch.setattr(dynamics, "_frame_residual", counted)
+    trace = modulation_extract(traj, gs, ps)
+    extrapolated, evaluations[0] = evaluations[0], 0
+
+    family = dynamics._profile_family(ps)
+    g_ref = np.sqrt(grad_sq_3d(g, gs.Q.values))
+    guess, lam, b, flags = None, [], [], []
+    for _, vals in traj.snapshots:
+        if guess is None:
+            lam0 = g_ref / np.sqrt(grad_sq_3d(g, vals)) * np.sqrt(mass_3d(g, vals) / gs.mass)
+            guess = np.array([np.log(lam0), np.angle(vals[np.argmax(np.abs(vals))]), 0.05])
+        fun, jac = counted(family, g, vals)
+        x, _, info, _, ier = leastsq(fun, guess, Dfun=jac, full_output=True, maxfev=400,
+                                     diag=np.ones(3), ftol=1e-8, xtol=1e-8, gtol=1e-8)
+        rel = np.linalg.norm(info["fvec"]) / np.sqrt(np.sum(g.weights * np.abs(vals) ** 2))
+        flags.append(ier in (1, 2, 3, 4) and rel <= 0.3)
+        lam.append(np.exp(x[0]))
+        b.append(x[2])
+        if flags[-1]:
+            guess = x
+    assert len(flags) > 100 and trace.flags.tolist() == flags
+    assert np.max(np.abs(trace.lam[trace.flags] / np.array(lam)[flags] - 1.0)) <= 1e-7
+    assert np.max(np.abs(trace.b[trace.flags] - np.array(b)[flags])) <= 1e-6
+    assert extrapolated < evaluations[0]
+
+
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
 def test_linear_step_matches_dense_crank_nicolson(dt):
     g = build_grid(128, 40.0, "tanh")
@@ -344,13 +396,21 @@ def test_dt_min_is_the_smallest_step_taken(monkeypatch):
 
 
 class _Counted:
-    """An operator whose products `@` are counted."""
+    """An operator whose products `@` are counted; its `astype` copies count
+    into the same tally."""
 
-    def __init__(self, op):
-        self.op, self.calls = op, 0
+    def __init__(self, op, tally=None):
+        self.op, self.tally = op, [0] if tally is None else tally
+
+    @property
+    def calls(self):
+        return self.tally[0]
+
+    def astype(self, dtype):
+        return _Counted(self.op.astype(dtype), self.tally)
 
     def __matmul__(self, x):
-        self.calls += 1
+        self.tally[0] += 1
         return self.op @ x
 
 

@@ -124,6 +124,16 @@ def test_derivative_annihilates_constants(grid):
     assert np.max(np.abs(d1 @ np.ones(grid.n))) <= 1e-12 * row_scale
 
 
+@pytest.mark.parametrize("l", [0, 1])
+def test_operators_are_canonical_csr(grid, l):
+    # sorted and summed, so a complex copy sums each row in the same order:
+    # its product with a complex vector has the real operator's bits
+    u = np.exp(-grid.nodes) * (1.0 + 0.3j) + 0.1j * np.cos(grid.nodes)
+    for op in (grid.d1_free(l), grid.laplacian(l)):
+        assert op.format == "csr" and op.has_canonical_format
+        assert np.array_equal(op.astype(complex) @ u, op @ u)
+
+
 def test_generator_of_constant(grid):
     c = RadialField(grid, 0, np.ones(grid.n))
     out = apply_generator(c)

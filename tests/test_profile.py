@@ -77,6 +77,21 @@ def test_constants_positive(ps0, ps_mu):
         assert ps.p_mu > 0
 
 
+@pytest.mark.parametrize("which, s01_bound, p_bound",
+                         [("ps0", 4.6e-9, 8.3e-10), ("ps_mu", 5.3e-9, 1.1e-9)],
+                         ids=["mu0", "mu0.02"])
+def test_d_branch_closed_forms(grid, request, which, s01_bound, p_bound):
+    # a Galilean boost multiplies Q by e^{i v.y/2}, whose first order is the
+    # d direction: S01 = r Q / 2, and its momentum constant p_mu = M(Q)/2;
+    # each bound is 10x the value measured at n = 1024
+    ps = request.getfixturevalue(which)
+    w = grid.weights
+    exact = grid.nodes * ps.gs.Q.values / 2
+    diff = ps.S01.values - exact
+    assert np.sqrt(np.sum(w * diff ** 2) / np.sum(w * exact ** 2)) <= s01_bound
+    assert abs(ps.p_mu / (ps.gs.mass / 2) - 1.0) <= p_bound
+
+
 def test_mass_identity(grid, ps_mu):
     # -2 (Q, T20) = (S10, S10)
     w = grid.weights
