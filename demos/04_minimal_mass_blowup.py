@@ -4,13 +4,6 @@
 
 import numpy as np
 
-
-def step_budget(traj):
-    """The split-step cost of a run: steps, band refactorisations, smallest dt."""
-    return (f"  {traj.steps} steps, {traj.refactorizations} refactorizations, "
-            f"dt_min {traj.dt_min:.2e}, stopped by {traj.stopped_by}")
-
-
 from dcnls.grid import build_grid
 from dcnls.groundstate import solve_classical_Q, solve_Q_mu
 from dcnls.profile import build_hierarchy
@@ -21,6 +14,13 @@ from dcnls.dynamics import (
     modulation_extract,
     virial_check,
 )
+
+
+def step_budget(traj):
+    """The split-step cost of a run: steps, band refactorisations, smallest dt."""
+    return (f"  {traj.steps} steps, {traj.refactorizations} refactorizations, "
+            f"dt_min {traj.dt_min:.2e}, stopped by {traj.stopped_by}")
+
 
 grid = build_grid(1024, 40.0, "tanh")
 

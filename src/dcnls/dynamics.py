@@ -13,7 +13,10 @@ band LU of `RadialGrid.band_solver`, refactored only when dt changes.  So a
 step applies the Hartree kernel once, for its trailing potential, and takes
 one gradient, of the rotated state, which the next step's controller and
 this step's record share; a record's quartic energy term reuses the step's
-A(|u|^2).
+A(|u|^2).  The step converts nothing: (-Delta)_0 and d/dr are held as
+complex CSR copies for the run, |u|^2 is re^2 + im^2, each half rotation
+comes from one cos and one sin of the real angle, and the rotations and the
+Crank-Nicolson correction are applied in place.
 
 Near blowup the step shrinks like the square of the focal scale and a
 resolution guard truncates the run cleanly once the core falls under a
@@ -200,7 +203,9 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     `t_final == u0.t` is a run of no steps.  `final` is the last record.
     A record's mass and gradient norm are those of its snapshot; its energy
     takes the quartic term from the step's own A(|u|^2), evaluated before
-    the closing rotation, which moves |u| by rounding only.
+    the closing rotation, which moves |u| by rounding only.  The complex
+    copy of the canonical d/dr gives each record's gradient norm the bits
+    of `grad_sq_3d`.
     """
     grid = u0.field.grid
     if t_final is None and stop_grad_factor is None:
@@ -512,8 +517,10 @@ def modulation_extract(traj, gs, ps):
 
     The model is 0 where r/lam > r_max, so S and S' are evaluated only on
     the nodes with r/lam <= r_max.  The first frame starts from the scale
-    of its gradient and mass and the phase of its core, every later frame
-    from the last converged fit.  Frames whose best fit leaves more than
+    of its gradient and mass and the phase of its core.  A later frame
+    starts from the linear extrapolation 2 x_k - x_{k-1} of the last two
+    frames' fits when both converged, and from the last converged fit
+    otherwise.  Frames whose best fit leaves more than
     0.3 relative residual are flagged and hold NaN in the series; the phase
     is unwrapped across the converged frames only.
     """

@@ -117,7 +117,8 @@ class RadialGrid:
     # -- operator cache ----------------------------------------------------
 
     def d1_free(self, l):
-        """d/dr with parity folding at 0 and one-sided closure at r_max."""
+        """d/dr with parity folding at 0 and one-sided closure at r_max, as a
+        canonical CSR (sorted columns, no duplicates)."""
         key = ("d1_free", l % 2)
         if key not in self._cache:
             self._cache[key] = _build_d1(self, parity=(-1) ** (l % 2))
