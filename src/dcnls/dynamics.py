@@ -182,7 +182,7 @@ _MAX_STEPS = 2_000_000   # a run that takes this many steps stops, by "max_steps
 
 def _rotation(angle, out):
     """exp(i angle) of the real `angle` into the complex `out`, from one cos and
-    one sin; the same bits as np.exp(1j * angle), without its complex exp."""
+    one sin, without a complex exp of the zero real part."""
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
 
