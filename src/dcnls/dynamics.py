@@ -12,10 +12,11 @@ its rounding scales with the update rather than with u: one solve against the
 band LU of `RadialGrid.band_solver`, refactored only when dt changes.  So a
 step applies the Hartree kernel once, for its trailing potential, and takes
 one gradient, of the rotated state, which the next step's controller and
-this step's record share; a record's quartic energy term reuses the step's
-A(|u|^2).  The step converts nothing: (-Delta)_0 and d/dr are held as
-complex CSR copies for the run, |u|^2 is re^2 + im^2, each half rotation
-comes from one cos and one sin of the real angle, and the rotations and the
+this step's record share; V, |u|^2 = re^2 + im^2 (`grid._abs_sq`) and
+A(|u|^2) come from `hartree.nonlinear_potential`, and a record's quartic
+energy term reuses them.  The step converts nothing: (-Delta)_0 and d/dr
+are held as complex CSR copies for the run, each half rotation comes from
+one cos and one sin of the real angle, and the rotations and the
 Crank-Nicolson correction are applied in place.
 
 Near blowup the step shrinks like the square of the focal scale and a
@@ -34,9 +35,9 @@ import numpy as np
 from scipy.optimize import leastsq
 
 from .errors import ConfigurationError
-from .grid import RadialField, _check_integer, _parity_spline, profile_interpolator
-from .groundstate import _abs_sq, _energy, _quartic, energy_mu, grad_sq_3d, mass_3d, power_3d
-from .hartree import build_multipole_kernel
+from .grid import RadialField, _abs_sq, _check_integer, _parity_spline, profile_interpolator
+from .groundstate import _energy, _quartic, energy_mu, grad_sq_3d, mass_3d, power_3d
+from .hartree import nonlinear_potential
 
 __all__ = [
     "EvolutionState",
@@ -232,7 +233,6 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     # complex copies for the run: a real CSR times the complex state recasts
     # its data to complex on every product
     d1, lap = grid.d1_free(0).astype(complex), grid.laplacian(0).astype(complex)
-    kernel = None if linear_only or mu == 0.0 else build_multipole_kernel(grid, 0).matrix
     watch = adaptive or stop_grad_factor is not None or lambda0 is not None
 
     times, masses, energies, grads, xu2s = [], [], [], [], []
@@ -244,17 +244,10 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
         return mass_3d(grid, d1 @ vals)
 
     def potential(vals):
-        """V = |u|^{4/3} + mu A(|u|^2) from one |u|^2 = re^2 + im^2, with
-        |u|^{4/3} = cbrt(|u|^2)^2, and the quartic term H = int A(|u|^2) |u|^2
-        as a callable, from the same A(|u|^2)."""
-        dens = _abs_sq(vals)
-        pot = np.cbrt(dens)
-        pot *= pot
-        if kernel is None:
-            return pot, None
-        hart = kernel @ dens
-        pot += mu * hart
-        return pot, lambda: _quartic(grid, hart, dens)
+        """V(u) and the quartic term H = int A(|u|^2) |u|^2 as a callable, from
+        the |u|^2 and A(|u|^2) that V came from."""
+        pot, dens, hart = nonlinear_potential(grid, vals, mu)
+        return pot, None if hart is None else lambda: _quartic(grid, hart, dens)
 
     def record(vals, tt, g2, quartic):
         times.append(tt)
@@ -262,7 +255,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
         energies.append(0.5 * g2 if linear_only else
                         _energy(g2, power_3d(grid, vals), mu, quartic))
         grads.append(float(np.sqrt(g2)))
-        xu2s.append(float(4 * np.pi * np.sum(r2w * np.abs(vals) ** 2)))
+        xu2s.append(float(4 * np.pi * np.sum(r2w * _abs_sq(vals))))
         if len(snapshots) == 0 or tt != snapshots[-1][0]:
             snapshots.append((tt, vals.copy()))
 
@@ -533,7 +526,7 @@ def modulation_extract(traj, gs, ps):
     guess = None                  # the last converged fit
     recent = (None, None)         # the last two frames' fits, None where one failed
     for t, vals in traj.snapshots:
-        norm = np.sqrt(np.sum(w * np.abs(vals) ** 2))
+        norm = np.sqrt(np.sum(w * _abs_sq(vals)))
         if guess is None:
             g_now = float(np.sqrt(grad_sq_3d(grid, vals)))
             lam0 = g_ref / g_now * np.sqrt(mass_3d(grid, vals) / gs.mass)

@@ -14,6 +14,8 @@ Legendre factor P_l(cos theta) with respect to a fixed axis.  The channel
 inner product is the W-weighted sum (f, g) = sum w_i conj(f_i) g_i, a
 discrete integral of conj(f) g r^2 dr; genuinely three-dimensional l = 0
 integrals carry the 4*pi solid angle on top (`groundstate.mass_3d`).
+Every |u|^2 in the package is `_abs_sq`: re^2 + im^2 of a complex u,
+u * u of a real one; `hartree.nonlinear_potential` builds V(u) from it.
 Operators act on raw sample arrays: `grid.laplacian(l) @ f` applies
 (-Delta)_l and `generator(grid, f, l)` the dilation generator
 (`apply_generator` wraps the latter for a RadialField).
@@ -378,10 +380,17 @@ def _build_laplacian(grid, l):
 # public operations
 # ---------------------------------------------------------------------------
 
+def _abs_sq(values):
+    """|u|^2 as re^2 + im^2, without the square root of abs."""
+    if np.iscomplexobj(values):
+        return values.real ** 2 + values.imag ** 2
+    return values * values
+
+
 def h2_norm_3d(grid, values):
     """Norm equivalent to H^2: || (1 - Delta) f ||_{L^2(R^3)} of a radial f."""
     lf = values + grid.laplacian(0) @ values
-    return float(np.sqrt(4.0 * np.pi * np.sum(grid.weights * np.abs(lf) ** 2)))
+    return float(np.sqrt(4.0 * np.pi * np.sum(grid.weights * _abs_sq(lf))))
 
 
 def generator(grid, values, l=0):

@@ -17,7 +17,8 @@ The energy is
 
 which vanishes exactly on the ground state; the Pohozaev identity and the
 equation-pairing identity are computed as relative defects and used as
-solver diagnostics throughout.
+solver diagnostics throughout.  Every |u|^2 is `grid._abs_sq`, and the
+residual and the flow take V from `hartree.nonlinear_potential`.
 """
 
 import math
@@ -29,7 +30,7 @@ from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
-from .grid import RadialField, h2_norm_3d, profile_interpolator
+from .grid import RadialField, _abs_sq, h2_norm_3d, profile_interpolator
 from .hartree import hartree_apply, nonlinear_potential
 from .linop import linearize
 
@@ -50,12 +51,6 @@ _TAIL_FIT = (15.0, 25.0)    # radii of the log-linear fit of the soliton tail
 # shared functionals (3-D convention)
 # ---------------------------------------------------------------------------
 
-def _abs_sq(values):
-    """|u|^2 as re^2 + im^2, without the square root of abs."""
-    if np.iscomplexobj(values):
-        return values.real ** 2 + values.imag ** 2
-    return values * values
-
 def mass_3d(grid, values):
     """int |u|^2 over R^3, one weighted dot of re^2 + im^2."""
     return float(4.0 * np.pi * np.dot(grid.weights, _abs_sq(values)))
@@ -73,7 +68,7 @@ def _quartic(grid, potential, dens):
 
 def hartree_quartic_3d(grid, values):
     """int A(|u|^2) |u|^2 over R^3."""
-    dens = np.abs(values) ** 2
+    dens = _abs_sq(values)
     return _quartic(grid, hartree_apply(grid, dens), dens)
 
 def _energy(g2, p, mu, quartic):
@@ -91,7 +86,7 @@ def energy_mu(grid, values, mu):
 
 def _equation_residual(grid, q, mu):
     """-Delta Q + Q - |Q|^{4/3} Q - mu A(Q^2) Q, as sampled values."""
-    return grid.laplacian(0) @ q + q - nonlinear_potential(grid, q, mu) * q
+    return grid.laplacian(0) @ q + q - nonlinear_potential(grid, q, mu)[0] * q
 
 
 def _integrals(grid, q):
@@ -116,9 +111,6 @@ class GroundState:
     energy: float
     eq_residual: float
     pohozaev_residual: float
-    gn_local: float
-    gn_nonlocal: float
-    pathway: str
     diagnostics: dict
 
     @property
@@ -126,18 +118,10 @@ class GroundState:
         return self.Q.grid
 
 
-def _finish_state(grid, q, mu, beta, pathway, extra, reference_mass=None):
-    """The GroundState of q with its diagnostics.
-
-    The local GN quotient is normalized by the best constant (5/3) ||Q||^{-4/3},
-    so Q scores 1; `reference_mass` is ||Q||^2 of the classical soliton
-    (computed on demand when omitted).
-    """
+def _finish_state(grid, q, mu, beta, extra):
+    """The GroundState of q with its diagnostics."""
     ints = _integrals(grid, q)
     m, g2, p, h = ints
-    if reference_mass is None:
-        reference_mass = solve_classical_Q(grid).mass
-    c_best = (5.0 / 3.0) / reference_mass ** (2.0 / 3.0)
     return GroundState(
         mu=mu,
         Q=RadialField(grid, 0, q),
@@ -146,9 +130,6 @@ def _finish_state(grid, q, mu, beta, pathway, extra, reference_mass=None):
         energy=_energy(g2, p, mu, lambda: h),
         eq_residual=float(np.max(np.abs(_equation_residual(grid, q, mu))) / np.max(np.abs(q))),
         pohozaev_residual=_pohozaev(ints, mu),
-        gn_local=p / (c_best * m ** (2.0 / 3.0) * g2),
-        gn_nonlocal=h / (g2 * m),
-        pathway=pathway,
         diagnostics=extra,
     )
 
@@ -300,9 +281,8 @@ def solve_classical_Q(grid):
     q0 = profile(grid.nodes)
     q, rnorm, iters = _newton_polish(grid, q0, 0.0)
     gs = _finish_state(
-        grid, q, 0.0, beta=1.0, pathway="shooting+newton",
+        grid, q, 0.0, beta=1.0,
         extra={"newton_iters": iters, "tail_logderiv": _tail_logderiv(grid, q)},
-        reference_mass=mass_3d(grid, q),
     )
     grid._cache[key] = gs
     return gs
@@ -345,7 +325,7 @@ def solve_Q_mu(mu, grid):
         exc.diagnostics["last_convergent_mu"] = last_good
         raise
     gs = _finish_state(
-        grid, q, float(mu), beta=1.0, pathway="continuation+newton",
+        grid, q, float(mu), beta=1.0,
         extra={"newton_iters": iters, "tail_logderiv": _tail_logderiv(grid, q)},
     )
     grid._cache[key] = gs
@@ -408,7 +388,7 @@ def minimize_constrained(a, mu, grid):
     flow_its = 0
     for it in range(40000):
         flow_its = it
-        psi = stepper(phi + tau * nonlinear_potential(grid, phi, mu) * phi)
+        psi = stepper(phi + tau * nonlinear_potential(grid, phi, mu)[0] * phi)
         if it % 100 == 0:
             psi = reanchor(psi)
         psi *= np.sqrt(a / mass_3d(grid, psi))
@@ -444,7 +424,7 @@ def minimize_constrained(a, mu, grid):
     q = beta ** (-0.75) * profile_interpolator(grid, phi)(r / np.sqrt(beta))
     q, _, iters = _newton_polish(grid, q, mu)
     return _finish_state(
-        grid, q, mu, beta=float(beta), pathway="gradient-flow",
+        grid, q, mu, beta=float(beta),
         extra={"newton_iters": iters, "flow_iterations": flow_its,
                "flow_residual": res_hist[-1]},
     )
@@ -460,10 +440,13 @@ def _flow_multiplier(grid, phi, mu):
 # ---------------------------------------------------------------------------
 
 def functional_report(gs):
-    """Mass, energy, identity defects and Gagliardo-Nirenberg quotients."""
+    """Mass, energy, identity defects and the Gagliardo-Nirenberg quotients,
+    which are computed here; the local one is normalized by the best constant
+    (5/3) M_0^{-2/3}, M_0 the grid's cached classical mass, so Q scores 1."""
     grid = gs.grid
     q = gs.Q.values
     m, g2, p, h = _integrals(grid, q)
+    c_best = (5.0 / 3.0) / solve_classical_Q(grid).mass ** (2.0 / 3.0)
     return {
         "mu": gs.mu,
         "mass": gs.mass,
@@ -472,8 +455,8 @@ def functional_report(gs):
         "pohozaev_defect": gs.pohozaev_residual,
         # the defect of the identity from pairing the equation with Q itself
         "pairing_defect": abs(g2 + m - p - gs.mu * h) / (g2 + m),
-        "gn_local": gs.gn_local,
-        "gn_nonlocal": gs.gn_nonlocal,
+        "gn_local": p / (c_best * m ** (2.0 / 3.0) * g2),
+        "gn_nonlocal": h / (g2 * m),
         "grad_norm_sq": g2,
         "tail_logderiv": _tail_logderiv(grid, q),
     }

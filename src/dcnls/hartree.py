@@ -42,6 +42,10 @@ for each leaf, four BLAS dgemv for each node, written straight into the
 output, and one BLAS dgbmv for the band, which is held once, in LAPACK band
 storage.
 
+The equation's one potential V(u) = |u|^{4/3} + mu A(|u|^2) is
+`nonlinear_potential`, which also returns the |u|^2 (`grid._abs_sq`) and
+the A(|u|^2) that V came from.
+
 One 3-D quadrature oracle, `brute_force_oracle`, provides the independent
 calibration path for every channel: spherical shells centered on an
 evaluation point on the axis cancel the |x|^-2 singularity exactly, each
@@ -59,7 +63,7 @@ from scipy.linalg.blas import dgbmv, dgemv, dspmv
 from scipy.special import erfc
 
 from .errors import GridMismatchError, QuadratureError
-from .grid import RadialField, _check_integer, _stretch_functions, profile_interpolator
+from .grid import RadialField, _abs_sq, _check_integer, _stretch_functions, profile_interpolator
 
 __all__ = [
     "MultipoleKernel",
@@ -558,11 +562,17 @@ def hartree_apply(grid, density_values):
 
 
 def nonlinear_potential(grid, values, mu):
-    """The self-consistent potential V(u) = |u|^{4/3} + mu A(|u|^2)."""
-    pot = np.abs(values) ** (4.0 / 3.0)
-    if mu != 0.0:
-        pot = pot + mu * hartree_apply(grid, np.abs(values) ** 2)
-    return pot
+    """(V, |u|^2, A(|u|^2)) for V(u) = |u|^{4/3} + mu A(|u|^2), from one |u|^2 =
+    `_abs_sq(values)`, with |u|^{4/3} = cbrt(|u|^2)^2; A(|u|^2) is None at
+    mu = 0, where no kernel is applied."""
+    dens = _abs_sq(values)
+    pot = np.cbrt(dens)
+    pot *= pot
+    if mu == 0.0:
+        return pot, dens, None
+    hart = hartree_apply(grid, dens)
+    pot += mu * hart
+    return pot, dens, hart
 
 
 # ---------------------------------------------------------------------------

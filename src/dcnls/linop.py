@@ -57,7 +57,6 @@ __all__ = [
     "lowest_eigenpairs",
     "solve_with_constraints",
     "nondegeneracy_report",
-    "algebraic_identity_report",
     "constrained_inverse_stats",
 ]
 
@@ -167,16 +166,16 @@ class SpectrumReport:
 
 def linearize(grid, q, mu, kind, l):
     """L_{kind,l} around the profile q at coupling mu."""
-    pot = -nonlinear_potential(grid, q, mu)
+    pot, dens, _ = nonlinear_potential(grid, q, mu)
     if kind == "plus":
-        pot = pot - (4.0 / 3.0) * np.abs(q) ** (4.0 / 3.0)
+        pot = pot + (4.0 / 3.0) * np.cbrt(dens) ** 2
     return ChannelOperator(
         kind=kind,
         l=l,
         mu=mu,
         grid=grid,
         soliton=q,
-        local_potential=pot,
+        local_potential=-pot,
         nonlocal_scale=(-2.0 * mu if kind == "plus" and mu != 0.0 else 0.0),
     )
 
@@ -370,8 +369,9 @@ def solve_with_constraints(op, source, constraints):
 
 
 def _identity_norms(gs, ops):
-    """The identities of `algebraic_identity_report`, from the operators keyed
-    ("minus", 0), ("plus", 0) and ("plus", 1)."""
+    """Relative norms of the linearization's defining identities L_{-,0} Q = 0,
+    L_{+,1} Q' = 0 and L_{+,0} Lambda Q = -2 Q, from the operators keyed
+    ("minus", 0), ("plus", 1) and ("plus", 0)."""
     grid = gs.grid
     q = gs.Q.values
     w = grid.weights
@@ -386,16 +386,6 @@ def _identity_norms(gs, ops):
         "plus1_on_Qprime": rel(ops["plus", 1].apply(qprime), qprime),
         "plus0_on_LambdaQ_plus_2Q": rel(ops["plus", 0].apply(lam_q) + 2.0 * q, q),
     }
-
-
-def algebraic_identity_report(gs):
-    """Relative norms of the defining algebraic identities of the linearization.
-
-    L_minus annihilates the soliton, L_plus on channel 1 annihilates its
-    radial derivative, and L_plus on channel 0 sends Lambda Q to -2 Q.
-    """
-    keys = (("minus", 0), ("plus", 0), ("plus", 1))
-    return _identity_norms(gs, {key: assemble_channel_operator(gs, *key) for key in keys})
 
 
 def check_spectrum_request(l_max, k):

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import RadialField, generator
+from .grid import RadialField, _abs_sq, generator
 from .groundstate import _energy
 from .hartree import build_multipole_kernel
 from .linop import _checked_solve, assemble_channel_operator
@@ -89,8 +89,6 @@ class ProfileSet:
 class AssembledProfile:
     """The finite-parameter profile with its conserved quantities."""
 
-    b: float
-    d: float
     channels: dict            # l -> complex samples (coefficient of P_l)
     mass: float
     energy: float
@@ -298,7 +296,7 @@ def _functionals(grid, channels, mu):
     w = grid.weights
     r = grid.nodes
     R = _on_product_grid(channels)
-    absR2 = np.abs(R) ** 2
+    absR2 = _abs_sq(R)
 
     def integrate(samples):
         return float(2.0 * np.pi * np.sum(w[:, None] * _CW[None, :] * samples))
@@ -306,7 +304,7 @@ def _functionals(grid, channels, mu):
     mass = integrate(absR2)
 
     dR_dr, dR_dc = _derivatives_on_product_grid(grid, channels)
-    grad2 = np.abs(dR_dr) ** 2 + (1.0 - _CG ** 2)[None, :] * np.abs(dR_dc) ** 2 / r[:, None] ** 2
+    grad2 = _abs_sq(dR_dr) + (1.0 - _CG ** 2)[None, :] * _abs_sq(dR_dc) / r[:, None] ** 2
     kinetic = integrate(grad2)
 
     p103 = integrate(absR2 ** (5.0 / 3.0))
@@ -338,8 +336,7 @@ def assemble_R(ps, b, d):
     core = grid.nodes <= 10.0
     ratio = np.max(np.abs(R[core, :]) / ps.gs.Q.values[core, None])
     return AssembledProfile(
-        b=float(b), d=float(d), channels=channels,
-        mass=mass, energy=energy, momentum=momentum,
+        channels=channels, mass=mass, energy=energy, momentum=momentum,
         ratio_sup=float(ratio),
     )
 
@@ -375,7 +372,7 @@ def residual_psi(ps, b, d):
     dR_dr, dR_dc = _derivatives_on_product_grid(grid, channels)
     dx1 = _CG[None, :] * dR_dr + (1.0 - _CG ** 2)[None, :] * dR_dc / r[:, None]
 
-    absR2 = np.abs(R) ** 2
+    absR2 = _abs_sq(R)
     nonlin = absR2 ** (2.0 / 3.0) * R
     equation = (
         -1j * b * b * _on_product_grid(db)

@@ -47,7 +47,7 @@ def test_classical_energy_vanishes(grid, classical):
 
 
 def test_classical_saturates_local_gn(classical):
-    assert classical.gn_local == pytest.approx(1.0, abs=1e-6)
+    assert functional_report(classical)["gn_local"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_classical_mass_resolution_consistency(classical):

@@ -13,6 +13,7 @@ from dcnls.hartree import (
     build_multipole_kernel,
     calibrate_channel_coefficient,
     hartree_apply,
+    nonlinear_potential,
 )
 
 
@@ -102,6 +103,32 @@ def test_channel_l0_matches_hartree_apply(grid):
     a = kernel.matrix @ f.values
     b = hartree_apply(grid, f.values)
     assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_nonlinear_potential_is_the_one_v(monkeypatch, mu):
+    # V(u) = |u|^{4/3} + mu A(|u|^2) from one |u|^2 = re^2 + im^2; at mu = 0
+    # A comes back as None and no kernel is applied
+    g = build_grid(256, 40.0, "tanh")
+    r = g.nodes
+    u = (1.0 + 0.5j * r) * np.exp(-r) / (1.0 + r) * np.exp(0.3j * r ** 2)
+    ref = np.abs(u) ** (4.0 / 3.0) + mu * hartree_apply(g, np.abs(u) ** 2)
+    calls = []
+    apply = hartree.HodlrMatrix.__matmul__
+
+    def counted(self, x):
+        calls.append(1)
+        return apply(self, x)
+
+    monkeypatch.setattr(hartree.HodlrMatrix, "__matmul__", counted)
+    pot, dens, hart = nonlinear_potential(g, u, mu)
+    assert len(calls) == (0 if mu == 0.0 else 1)
+    assert np.array_equal(dens, u.real ** 2 + u.imag ** 2)
+    np.testing.assert_allclose(pot, ref, rtol=1e-14, atol=0)
+    if mu == 0.0:
+        assert hart is None
+    else:
+        assert np.array_equal(hart, hartree_apply(g, dens))
 
 
 def test_channel_l1_against_dawson_form(grid):

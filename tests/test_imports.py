@@ -1,7 +1,7 @@
 """Every import and private helper in the package modules is used, every
-public function has a caller outside the tests, every exported name exists
-and no failure is swallowed (stdlib-only lints, plus one import of the
-package)."""
+public function has a caller outside the tests, every dataclass field is
+read, every exported name exists and no failure is swallowed (stdlib-only
+lints, plus one import of the package)."""
 
 import ast
 import pathlib
@@ -115,6 +115,35 @@ def test_public_functions_have_callers_outside_tests():
     assert public
     unused = sorted(f"{where} {name}" for name, where in public.items() if name not in referenced)
     assert unused == []
+
+
+def _is_dataclass(node):
+    """Whether `node` is a class decorated `@dataclass` or `@dataclass(...)`."""
+    if not isinstance(node, ast.ClassDef):
+        return False
+    targets = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def test_dataclass_fields_are_read():
+    # a field that no code loads is a result nothing reads; the scope is that
+    # of the public-function lint above
+    fields, loaded = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in filter(_is_dataclass, tree.body):
+            fields.update({f"{cls.name}.{node.target.id}": f"{path.name}:{node.lineno}"
+                           for node in cls.body if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)})
+    for path in sorted(p for d in (SRC, ROOT / "demos", ROOT / "perfbench")
+                       for p in d.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert fields
+    unread = sorted(f"{where} {name}" for name, where in fields.items()
+                    if name.split(".")[1] not in loaded)
+    assert unread == []
 
 
 def _defined_names(tree):
