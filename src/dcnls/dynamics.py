@@ -25,17 +25,17 @@ few cells, returning the last trusted state.
 
 A recorded trajectory is read by three diagnostics: `virial_check`
 compares the curvature of the variance with 16 E, `blowup_fit` fits the
-gradient growth to (T* - t)^-gamma, and `modulation_extract` fits the
-scale, the modulation b and the phase of the profile family frame by frame.
+gradient growth to (T* - t)^-gamma, and `modulation_extract` reads the
+scale and the modulation b off each record's gradient norm and energy in
+closed form, and the phase from one projection of the frame on Q_mu.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .errors import ConfigurationError
-from .grid import RadialField, _abs_sq, _check_integer, _parity_spline, profile_interpolator
+from .grid import RadialField, _abs_sq, _check_integer, profile_interpolator
 from .groundstate import _energy, _quartic, energy_mu, grad_sq_3d, mass_3d, power_3d
 from .hartree import nonlinear_potential
 
@@ -420,13 +420,14 @@ def blowup_fit(traj):
 
 @dataclass(eq=False)
 class ModulationTrace:
-    """Per-frame fit of u(t, r) ~ lam^{-3/2} P_b(r/lam) e^{i gamma}.
+    """Per-frame u(t, r) ~ lam^{-3/2} Q_mu(r/lam) e^{i gamma - i b r^2/(4 lam^2)}.
 
-    `times` are the frame times; `lam`, `b` and `gamma` the fitted scale,
-    modulation and phase, with the phase unwrapped across the converged
-    frames; `residual` the weighted L2 misfit relative to the frame's norm;
-    `flags` True where the fit converged with residual <= 0.3.  `lam`, `b`
-    and `gamma` hold NaN where `flags` is False; `residual` is always set.
+    `times` are the frame times; `lam`, `b` and `gamma` the scale, modulation
+    and phase in closed form, with the phase unwrapped across the frames
+    that pass; `residual` the W-weighted L2 misfit of that model relative to
+    the frame's norm; `flags` True where the residual is <= 0.3.  `lam`, `b`
+    and `gamma` hold NaN where `flags` is False; `residual` is NaN only
+    where `lam` or `b` has no value.
     """
 
     times: np.ndarray
@@ -437,129 +438,46 @@ class ModulationTrace:
     flags: np.ndarray
 
 
-def _profile_family(ps):
-    """The stacked spline S of [Q, T20, T40, S10, S30] and its derivative S'."""
-    fields = [ps.gs.Q, ps.T20, ps.T40, ps.S10, ps.S30]
-    spline = _parity_spline(ps.grid, np.column_stack([f.values for f in fields]), 0)
-    return spline, spline.derivative()
-
-
-def _frame_residual(family, grid, vals):
-    """The weighted residual of one frame and its Jacobian, as callables of x.
-
-    x = (log lam, gamma, b).  S and S' are evaluated on the node prefix with
-    r/lam <= r_max only, where the model is nonzero; the residual still
-    covers every node.  The Jacobian reuses the S(r/lam) of the last
-    residual when it is asked at the same x, as MINPACK does.
-    """
-    spline, dspline = family
-    r, sw, r_max, n = grid.nodes, np.sqrt(grid.weights), grid.r_max, grid.n
-    frame = vals * sw
-    last = {"x": None}
-
-    def model(x):
-        if not np.array_equal(last["x"], x):
-            lam, gamma, b = np.exp(x[0]), x[1], x[2]
-            y = r / lam
-            y = y[:np.searchsorted(y, r_max, side="right")]
-            s = spline(y)
-            c = np.array([1.0, b * b, b ** 4, 1j * b, 1j * b ** 3])
-            scale, sc = lam ** -1.5 * np.exp(1j * gamma), s @ c
-            last.update(x=np.array(x), y=y, s=s, c=c, scale=scale, sc=sc, m=scale * sc)
-        return last
-
-    def fun(x):
-        e = model(x)
-        k = e["y"].size
-        d = frame.copy()
-        d[:k] = (vals[:k] - e["m"]) * sw[:k]
-        return np.concatenate([d.real, d.imag])
-
-    def jac(x):
-        e = model(x)
-        b, y, k = x[2], e["y"], e["y"].size
-        dc = np.array([0.0, 2.0 * b, 4.0 * b ** 3, 1j, 3j * b * b])
-        dm = np.column_stack([
-            e["scale"] * (-1.5 * e["sc"] - y * (dspline(y) @ e["c"])),
-            1j * e["m"],
-            e["scale"] * (e["s"] @ dc),
-        ]) * -sw[:k, None]
-        out = np.zeros((2 * n, 3))
-        out[:k] = dm.real
-        out[n:n + k] = dm.imag
-        return out
-
-    return fun, jac
-
-
 def modulation_extract(traj, gs, ps):
-    """Per-frame (lambda, b, gamma) by weighted nonlinear least squares.
+    """Per-frame (lambda, b, gamma) in closed form from the records.
 
-    Each frame u is fitted by the profile family
+    Both nonlinearities are L2-critical, so along a minimal-mass solution
+    ||grad u||^2 - 2E = ||grad Q_mu||^2 / lam^2 exactly, and the modulation
+    law lam_s / lam = -b, ds = dt / lam^2, gives b = -lam dlam/dt:
 
-        m(r) = lam^{-3/2} e^{i gamma} S(y) c(b),   y = r / lam,
+        lam   = ||grad Q_mu|| / (||grad u||^2 - 2E)^{1/2},
+        b     = -lam * np.gradient(lam, t),
+        gamma = arg <u, lam^{-3/2} Q_mu(r/lam) e^{-i b r^2/(4 lam^2)}>_W,
 
-    where S(y) stacks the quintic splines of [Q, T20, T40, S10, S30] and
-    c(b) = [1, b^2, b^4, i b, i b^3], minimising the W-weighted |u - m|^2
-    over x = (log lam, gamma, b) by Levenberg-Marquardt with the analytic
-    Jacobian
-
-        dm/dlog lam = lam^{-3/2} e^{i gamma} (-3/2 S(y) c(b) - y S'(y) c(b)),
-        dm/dgamma   = i m,
-        dm/db       = lam^{-3/2} e^{i gamma} S(y) c'(b).
-
-    The model is 0 where r/lam > r_max, so S and S' are evaluated only on
-    the nodes with r/lam <= r_max.  The first frame starts from the scale
-    of its gradient and mass and the phase of its core.  A later frame
-    starts from the linear extrapolation 2 x_k - x_{k-1} of the last two
-    frames' fits when both converged, and from the last converged fit
-    otherwise.  Frames whose best fit leaves more than
-    0.3 relative residual are flagged and hold NaN in the series; the phase
-    is unwrapped across the converged frames only.
+    from each record's gradient norm and energy, with lam NaN where the gap
+    is <= 0 and Q_mu sampled through `profile_interpolator` (0 where
+    r/lam > r_max).  A frame whose model, turned by e^{i gamma}, leaves more
+    than 0.3 relative residual fails (`flags` False) and holds NaN in the
+    series; the phase is unwrapped across the frames that pass only.  `ps`
+    is unused.  A trajectory of fewer than two records raises
+    ConfigurationError, since b needs a difference of lam.
     """
+    if len(traj.times) < 2:
+        raise ConfigurationError("modulation extraction needs at least two records")
     grid = gs.grid
-    w = grid.weights
-    family = _profile_family(ps)
-    g_ref = float(np.sqrt(grad_sq_3d(grid, gs.Q.values)))
+    r, w = grid.nodes, grid.weights
+    profile = profile_interpolator(grid, gs.Q.values)
+    gap = traj.grad_norm ** 2 - 2.0 * traj.energy
+    lam = np.full(gap.shape, np.nan)
+    lam[gap > 0] = np.sqrt(grad_sq_3d(grid, gs.Q.values) / gap[gap > 0])
+    b = -lam * np.gradient(lam, traj.times)
 
-    times, lams, bs, gammas, residuals, flags = [], [], [], [], [], []
-    guess = None                  # the last converged fit
-    recent = (None, None)         # the last two frames' fits, None where one failed
-    for t, vals in traj.snapshots:
-        norm = np.sqrt(np.sum(w * _abs_sq(vals)))
-        if guess is None:
-            g_now = float(np.sqrt(grad_sq_3d(grid, vals)))
-            lam0 = g_ref / g_now * np.sqrt(mass_3d(grid, vals) / gs.mass)
-            gamma0 = float(np.angle(vals[int(np.argmax(np.abs(vals)))]))
-            x0 = np.array([np.log(lam0), gamma0, 0.05])
-        elif recent[0] is None or recent[1] is None:
-            x0 = guess
-        else:
-            x0 = 2.0 * recent[1] - recent[0]
-        fun, jac = _frame_residual(family, grid, vals)
-        # MINPACK lmder with scipy's least_squares(method="lm") settings
-        x, _, info, _, ier = leastsq(fun, x0, Dfun=jac, full_output=True, maxfev=400,
-                                     diag=np.ones(3), ftol=1e-8, xtol=1e-8, gtol=1e-8)
-        rel = np.sqrt(np.sum(info["fvec"] ** 2)) / norm
-        ok = ier in (1, 2, 3, 4) and rel <= 0.3
-        lam, gamma, b = float(np.exp(x[0])), float(x[1]), float(x[2])
-        times.append(t)
-        lams.append(lam if ok else np.nan)
-        bs.append(b if ok else np.nan)
-        gammas.append(gamma if ok else np.nan)
-        residuals.append(rel)
-        flags.append(ok)
-        recent = (recent[1], x if ok else None)
-        if ok:
-            guess = x
-    flags = np.array(flags, dtype=bool)
-    gammas = np.array(gammas)
-    gammas[flags] = np.unwrap(gammas[flags])
-    return ModulationTrace(
-        times=np.array(times),
-        lam=np.array(lams),
-        b=np.array(bs),
-        gamma=gammas,
-        residual=np.array(residuals),
-        flags=flags,
-    )
+    gamma, residual = np.full(lam.shape, np.nan), np.full(lam.shape, np.nan)
+    for k, (_, vals) in enumerate(traj.snapshots):
+        if np.isnan(b[k]):
+            continue
+        y = r / lam[k]
+        model = lam[k] ** -1.5 * profile(y) * np.exp(-0.25j * b[k] * y * y)
+        gamma[k] = np.angle(np.sum(w * vals * np.conj(model)))
+        misfit = _abs_sq(vals - np.exp(1j * gamma[k]) * model)
+        residual[k] = np.sqrt(np.sum(w * misfit) / np.sum(w * _abs_sq(vals)))
+    flags = residual <= 0.3
+    lam[~flags], b[~flags], gamma[~flags] = np.nan, np.nan, np.nan
+    gamma[flags] = np.unwrap(gamma[flags])
+    return ModulationTrace(times=np.array(traj.times, dtype=float), lam=lam, b=b,
+                           gamma=gamma, residual=residual, flags=flags)

@@ -403,27 +403,19 @@ def apply_generator(f):
     return RadialField(f.grid, f.l, generator(f.grid, f.values, f.l))
 
 
-def _parity_spline(grid, values, l):
-    """The quintic interpolating BSpline of channel-l samples over the nodes.
+def profile_interpolator(grid, values, l=0):
+    """Quintic spline of channel-l samples as a callable of the radius.
 
-    The first six nodes are mirrored with the channel parity (-1)^l, so the
-    spline is smooth through r = 0.  `values` may be real, complex, or
-    stacked as (n, m).  It is meaningful for 0 <= r <= r_max only.
+    The interpolating BSpline runs over the nodes with the first six mirrored
+    with the channel parity (-1)^l, so it is smooth through r = 0.  `values`
+    may be real, complex, or stacked as (n, m); a radius array y maps to
+    shape y.shape + values.shape[1:].  Radii are clamped at r_max and the
+    interpolant is 0 beyond it.
     """
     npad = 6
     r = np.concatenate([-grid.nodes[:npad][::-1], grid.nodes])
     v = np.concatenate([(-1.0) ** l * values[:npad][::-1], values])
-    return make_interp_spline(r, v, k=5)
-
-
-def profile_interpolator(grid, values, l=0):
-    """Quintic spline of channel-l samples as a callable of the radius.
-
-    The spline is `_parity_spline`'s; a radius array y maps to shape
-    y.shape + values.shape[1:].  Radii are clamped at r_max and the
-    interpolant is 0 beyond it.
-    """
-    spline = _parity_spline(grid, values, l)
+    spline = make_interp_spline(r, v, k=5)
     r_max = grid.r_max
 
     def sample(y):

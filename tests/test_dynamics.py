@@ -239,129 +239,115 @@ def test_modulation_recovers_exact_parameters(grid, gs, ps):
     assert abs(trace.b[0]) <= 1e-6
 
 
-def test_flagged_frame_leaves_later_phases(grid, gs, ps):
+def _records(grid, frames, mu=0.0):
+    """A trajectory of the frames at t = 0, 1, ... with their own records."""
     from types import SimpleNamespace
 
-    q = gs.Q.values
+    return SimpleNamespace(
+        times=np.arange(len(frames), dtype=float),
+        grad_norm=np.sqrt([grad_sq_3d(grid, f) for f in frames]),
+        energy=np.array([energy_mu(grid, f, mu) for f in frames]),
+        snapshots=list(enumerate(frames)),
+    )
+
+
+def _noise_and_q_frames(grid, gs):
     noise = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, grid.n))
     noise *= np.sqrt(gs.mass / mass_3d(grid, noise))
-    frames = [q * np.exp(1j * phase) for phase in (0.7, 2.5, 4.0, 5.5)]
+    frames = [gs.Q.values * np.exp(1j * phase) for phase in (0.7, 2.5, 4.0, 5.5)]
     frames.insert(2, noise)
-    traj = SimpleNamespace(snapshots=list(enumerate(frames)))
+    return frames
+
+
+def test_flagged_frame_leaves_later_phases(grid, gs, ps):
+    # every frame carries Q's records, so only the residual flags the noise
+    frames = _noise_and_q_frames(grid, gs)
+    traj = _records(grid, [gs.Q.values] * len(frames))
+    traj.snapshots = list(enumerate(frames))
     trace = modulation_extract(traj, gs, ps)
     assert trace.flags.tolist() == [True, True, False, True, True]
     assert np.isnan(trace.gamma[2])
     assert trace.gamma[[0, 1, 3, 4]] == pytest.approx([0.7, 2.5, 4.0, 5.5], abs=1e-6)
 
 
-def _family_frame(grid, ps, lam, b, gamma):
-    """lam^{-3/2} e^{i gamma} P_b(r/lam) sampled through the clamped interpolator."""
+def test_noise_frame_records_flag_its_neighbours(grid, gs):
+    # b at a frame takes its neighbours' lambda, so the noise frame's own
+    # records spoil the models of frames 1 and 3 too
+    trace = modulation_extract(_records(grid, _noise_and_q_frames(grid, gs)), gs, None)
+    assert trace.flags.tolist() == [True, False, False, False, True]
+    assert np.isnan(trace.lam[1:4]).all() and np.isnan(trace.b[1:4]).all()
+    # two frames 4.8 apart in phase unwrap to -0.78, not 5.5
+    assert np.exp(1j * trace.gamma[[0, 4]]) == pytest.approx(np.exp([0.7j, 5.5j]), abs=1e-6)
+
+
+def test_modulation_needs_two_records(grid, gs):
+    traj = _records(grid, [gs.Q.values])
+    with pytest.raises(ConfigurationError):
+        modulation_extract(traj, gs, None)
+
+
+@pytest.fixture(scope="module")
+def gs_mu():
+    return solve_Q_mu(0.02, build_grid(1024, 40.0, "tanh"))
+
+
+def _pseudo_conformal(gs, b0, t):
+    """The exact minimal-mass solution l^{-3/2} Q_mu(r/l) e^{i t/l - i b0 r^2/(4 l)},
+    l = 1 - b0 t, which blows up at T = 1/b0 with lambda = l and b = b0 l."""
     from dcnls.grid import profile_interpolator
 
-    fields = [ps.gs.Q, ps.T20, ps.T40, ps.S10, ps.S30]
-    spline = profile_interpolator(grid, np.column_stack([f.values for f in fields]))
-    coeffs = np.array([1.0, b * b, b ** 4, 1j * b, 1j * b ** 3])
-    return lam ** -1.5 * (spline(grid.nodes / lam) @ coeffs) * np.exp(1j * gamma)
+    r, ell = gs.grid.nodes, 1.0 - b0 * t
+    q = profile_interpolator(gs.grid, gs.Q.values)(r / ell)
+    return ell ** -1.5 * q * np.exp(1j * t / ell - 0.25j * b0 * r ** 2 / ell)
 
 
-@pytest.mark.parametrize("lam", [0.2, 1.3])      # r/lam reaches r_max only at 0.2
-@pytest.mark.parametrize("b", [0.0, 0.25])
-def test_modulation_jacobian_matches_central_differences(grid, ps, lam, b):
-    from dcnls.dynamics import _frame_residual, _profile_family
-
-    vals = _family_frame(grid, ps, 0.7, 0.1, 0.3)
-    fun, jac = _frame_residual(_profile_family(ps), grid, vals)
-    x = np.array([np.log(lam), 0.4, b])
-    fun(x)
-    got = jac(x)
-    h = 1e-5
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = h
-        want = (fun(x + step) - fun(x - step)) / (2 * h)
-        assert np.linalg.norm(got[:, j] - want) <= 1e-6 * np.linalg.norm(want)
-
-
-def test_modulation_fit_takes_no_finite_differences(grid, gs, ps, monkeypatch):
-    import scipy.optimize._differentiable_functions as diff_functions
-    import scipy.optimize._numdiff as numdiff
-    from types import SimpleNamespace
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("finite-difference Jacobian requested")
-
-    # the optimizer's function wrapper binds its own name for the helper
-    monkeypatch.setattr(numdiff, "approx_derivative", refuse)
-    monkeypatch.setattr(diff_functions, "approx_derivative", refuse, raising=False)
-    frames = [_family_frame(grid, ps, lam, 0.1, 0.5) for lam in (1.0, 0.9)]
-    traj = SimpleNamespace(snapshots=list(enumerate(frames)))
-    trace = modulation_extract(traj, gs, ps)
+def test_modulation_reads_exact_pseudo_conformal_frames(gs_mu):
+    grid, b0 = gs_mu.grid, 0.25
+    times = np.array([0.0, 0.5, 1.0, 1.7, 2.4, 3.0, 3.2])
+    ell = 1.0 - b0 * times
+    assert grid.nodes[-1] / ell[-1] > grid.r_max     # the model vanishes on the outer nodes
+    traj = _records(grid, [_pseudo_conformal(gs_mu, b0, t) for t in times], gs_mu.mu)
+    traj.times = times
+    trace = modulation_extract(traj, gs_mu, None)
     assert trace.flags.all()
+    assert np.max(np.abs(trace.lam / ell - 1.0)) <= 1e-9
+    assert np.max(np.abs(trace.b / (trace.lam * b0) - 1.0)) <= 1e-9
+    assert np.max(np.abs(np.angle(np.exp(1j * (trace.gamma - times / ell))))) <= 1e-10
+    assert np.max(trace.residual) <= 1e-9
 
 
-def test_modulation_recovers_windowed_stacked_family(grid, gs, ps):
-    from types import SimpleNamespace
-
-    lam0, b0, gamma0 = 0.3, 0.2, 1.1
-    assert grid.nodes[-1] / lam0 > grid.r_max     # the model vanishes on the outer nodes
-    traj = SimpleNamespace(snapshots=[(0.0, _family_frame(grid, ps, lam0, b0, gamma0))])
-    trace = modulation_extract(traj, gs, ps)
-    assert trace.flags[0]
-    assert trace.lam[0] == pytest.approx(lam0, abs=1e-7)
-    assert trace.b[0] == pytest.approx(b0, abs=1e-7)
-    assert trace.gamma[0] == pytest.approx(gamma0, abs=1e-7)
-
-
-def test_extrapolated_start_matches_the_previous_fit_start(monkeypatch):
-    # a 9b-style run, cut at threefold gradient growth: the extrapolated start
-    # 2 x_k - x_{k-1} reaches the fits from the previous-fit start, for fewer
-    # residual evaluations
-    from scipy.optimize import leastsq
-
-    from dcnls.profile import build_hierarchy
-
-    g = build_grid(384, 40.0, "tanh")
+def test_strang_step_is_second_order_on_the_exact_solution():
+    g = build_grid(512, 40.0, "tanh")
     gs = solve_Q_mu(0.02, g)
-    ps = build_hierarchy(gs)
-    u0 = make_initial_data("minimal_mass_profile", gs=gs, ps=ps, b0=0.25, mass_factor=1.0005)
-    traj = evolve(u0, 0.02, dt=1e-3, adaptive=True, stop_grad_factor=3.0, lambda0=1.0,
-                  min_scale_cells=12.0, t_final=8.0, record_every=20)
-    frame_residual = dynamics._frame_residual
-    evaluations = [0]
+    b0, t_final = 0.25, 0.3
+    u0 = EvolutionState.from_values(g, _pseudo_conformal(gs, b0, 0.0), gs.mu)
+    exact = _pseudo_conformal(gs, b0, t_final)
+    errors = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        u = evolve(u0, gs.mu, dt=dt, t_final=t_final).final.field.values
+        errors.append(np.sqrt(mass_3d(g, u - exact) / mass_3d(g, exact)))
+    assert errors[1] <= 5e-6
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
 
-    def counted(*args):
-        fun, jac = frame_residual(*args)
 
-        def fun_counted(x):
-            evaluations[0] += 1
-            return fun(x)
-
-        return fun_counted, jac
-
-    monkeypatch.setattr(dynamics, "_frame_residual", counted)
-    trace = modulation_extract(traj, gs, ps)
-    extrapolated, evaluations[0] = evaluations[0], 0
-
-    family = dynamics._profile_family(ps)
-    g_ref = np.sqrt(grad_sq_3d(g, gs.Q.values))
-    guess, lam, b, flags = None, [], [], []
-    for _, vals in traj.snapshots:
-        if guess is None:
-            lam0 = g_ref / np.sqrt(grad_sq_3d(g, vals)) * np.sqrt(mass_3d(g, vals) / gs.mass)
-            guess = np.array([np.log(lam0), np.angle(vals[np.argmax(np.abs(vals))]), 0.05])
-        fun, jac = counted(family, g, vals)
-        x, _, info, _, ier = leastsq(fun, guess, Dfun=jac, full_output=True, maxfev=400,
-                                     diag=np.ones(3), ftol=1e-8, xtol=1e-8, gtol=1e-8)
-        rel = np.linalg.norm(info["fvec"]) / np.sqrt(np.sum(g.weights * np.abs(vals) ** 2))
-        flags.append(ier in (1, 2, 3, 4) and rel <= 0.3)
-        lam.append(np.exp(x[0]))
-        b.append(x[2])
-        if flags[-1]:
-            guess = x
-    assert len(flags) > 100 and trace.flags.tolist() == flags
-    assert np.max(np.abs(trace.lam[trace.flags] / np.array(lam)[flags] - 1.0)) <= 1e-7
-    assert np.max(np.abs(trace.b[trace.flags] - np.array(b)[flags])) <= 1e-6
-    assert extrapolated < evaluations[0]
+def test_blowup_of_the_exact_datum(gs_mu):
+    # the pseudo-conformal solution blows up at T = 1/b0 with lambda = 1 - b0 t,
+    # so lambda/(T - t) is constant and b/lambda = b0
+    b0 = 0.25
+    u0 = EvolutionState.from_values(gs_mu.grid, _pseudo_conformal(gs_mu, b0, 0.0), gs_mu.mu)
+    traj = evolve(u0, gs_mu.mu, dt=2e-3, adaptive=True, stop_grad_factor=10.5,
+                  lambda0=1.0, record_every=20)
+    assert traj.stopped_by == "grad_factor"
+    fit = blowup_fit(traj)
+    trace = modulation_extract(traj, gs_mu, None)
+    window = trace.flags & (trace.lam > 0.12) & (trace.lam < 0.3)
+    lam, b, t = trace.lam[window], trace.b[window], trace.times[window]
+    ratio = lam / (fit["T_star"] - t)
+    assert fit["T_star"] == pytest.approx(1.0 / b0, rel=0.015)
+    assert abs(fit["gamma"] - 1.0) <= 0.05
+    assert ratio.max() / ratio.min() - 1.0 <= 0.06
+    assert np.mean(b / lam) == pytest.approx(b0, rel=0.02)
 
 
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
