@@ -150,7 +150,7 @@ def make_initial_data(kind, grid=None, gs=None, ps=None, **params):
     if kind == "minimal_mass_profile":
         from .profile import assemble_R
 
-        b0 = float(params.get("b0", 0.2))
+        b0 = param("b0", 0.2)
         mass_factor = param("mass_factor", 1.0)
         if ps is None or gs is None:
             raise ConfigurationError("minimal_mass_profile needs the profile hierarchy")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import make_interp_spline
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs, zgbtrf, zgbtrs
 
 from .errors import ConfigurationError, ConvergenceError, GridMismatchError
@@ -403,25 +403,92 @@ def apply_generator(f):
     return RadialField(f.grid, f.l, generator(f.grid, f.values, f.l))
 
 
+def _bspline_bases(t, k, x, span):
+    """[B_0, ..., B_k] at the points x, each in its span [t[span], t[span + 1])
+    of the knots t: B_p is the (p + 1, x.size) array of the degree-p
+    B-splines that can be nonzero there, row q holding B_{span - p + q}.
+    De Boor's recurrence, over nondegenerate spans only, so no divisor is 0.
+    """
+    near = t[span + np.arange(-k, k + 2)[:, None]]        # t[span - k .. span + k + 1]
+    bases = [np.ones((1, x.size))]
+    for j in range(1, k + 1):
+        right, left = near[k + 1:k + j + 1], near[k + 1 - j:k + 1]
+        w = bases[-1] / (right - left)
+        basis = np.zeros((j + 1, x.size))
+        basis[1:] = w * (x - left)
+        basis[:-1] += w * (right - x)
+        bases.append(basis)
+    return bases
+
+
+def _quintic_pieces(x, v):
+    """The not-a-knot quintic interpolating spline of the columns of v at the
+    increasing sites x, as (breaks, pieces): on [breaks[s], breaks[s + 1]]
+    it is sum_m pieces[m, s] (y - breaks[s])^m.
+
+    The B-spline coefficients solve the banded collocation system (LAPACK
+    gbsv, as `scipy.interpolate.make_interp_spline` does); the m-th
+    derivative's coefficients follow by differencing, and its values at the
+    left end of each span, over m!, are the power-form coefficients.
+    """
+    k, n = 5, x.size
+    t = np.concatenate([np.full(k + 1, x[0]), x[3:-3], np.full(k + 1, x[-1])])
+    site_span = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    cols = site_span - k + np.arange(k + 1)[:, None]
+    bases = _bspline_bases(t, k, x, site_span)
+    ab = np.zeros((2 * k + 1, n))                  # row k + i - j holds A[i, j]
+    ab[k + np.arange(n) - cols, cols] = bases[k]
+    d = solve_banded((k, k), ab, v)
+    # the left ends of the nondegenerate spans k .. n - 1 are the sites 0, 3 .. n - 4
+    ends = np.r_[0, 3:n - 3]
+    bases = [b[:, ends] for b in bases]
+    pieces = np.zeros((k + 1, n - k, v.shape[1]))
+    for m in range(k + 1):
+        p = k - m                                  # the degree of the m-th derivative
+        if m:                                      # d[i] for i >= m; below m it is not read
+            d[m:] = (p + 1) * np.diff(d[m - 1:], axis=0) / (t[k + 1:n + p + 1] - t[m:n])[:, None]
+        for q in range(p + 1):                     # span s takes d[s - p + q], q = 0 .. p
+            pieces[m] += bases[p][q][:, None] * d[m + q:n - p + q]
+        pieces[m] /= math.factorial(m)
+    return t[k:n + 1], pieces
+
+
 def profile_interpolator(grid, values, l=0):
     """Quintic spline of channel-l samples as a callable of the radius.
 
-    The interpolating BSpline runs over the nodes with the first six mirrored
-    with the channel parity (-1)^l, so it is smooth through r = 0.  `values`
-    may be real, complex, or stacked as (n, m); a radius array y maps to
-    shape y.shape + values.shape[1:].  Radii are clamped at r_max and the
-    interpolant is 0 beyond it.
+    The not-a-knot interpolating quintic spline (that of
+    `scipy.interpolate.make_interp_spline(..., k=5)`) runs over the nodes
+    with the first six mirrored with the channel parity (-1)^l, so it is
+    smooth through r = 0.  It is built once, by `_quintic_pieces`, in
+    piecewise-polynomial form, and each call evaluates it by Horner's rule
+    on the span of each radius.  `values` may be real, complex, or stacked
+    as (n, m); a radius array y maps to shape y.shape + values.shape[1:].
+    Radii are clamped at r_max and the interpolant is 0 beyond it.
     """
     npad = 6
     r = np.concatenate([-grid.nodes[:npad][::-1], grid.nodes])
     v = np.concatenate([(-1.0) ** l * values[:npad][::-1], values])
-    spline = make_interp_spline(r, v, k=5)
+    trailing = v.shape[1:]
+    v = v.reshape(r.size, -1)
+    cols = v.shape[1]
+    is_complex = np.iscomplexobj(v)
+    if is_complex:
+        v = np.hstack([v.real, v.imag])
+    breaks, pieces = _quintic_pieces(r, v)
     r_max = grid.r_max
 
     def sample(y):
         y = np.asarray(y, dtype=float)
-        out = spline(np.minimum(y, r_max))
-        inside = (y <= r_max).reshape(y.shape + (1,) * (out.ndim - y.ndim))
+        z = np.minimum(y, r_max).ravel()
+        span = np.searchsorted(breaks[1:-1], z, side="right")     # the end spans extrapolate
+        s = (z - breaks[span])[:, None]
+        out = pieces[-1][span]
+        for c in pieces[-2::-1]:
+            out = out * s + c[span]
+        if is_complex:
+            out = out[:, :cols] + 1j * out[:, cols:]
+        out = out.reshape(y.shape + trailing)
+        inside = (y <= r_max).reshape(y.shape + (1,) * len(trailing))
         return np.where(inside, out, 0.0)
 
     return sample

@@ -1,13 +1,14 @@
 """Ground states of the doubly critical focusing equation.
 
 Two independent seeds of the same collocation Newton polish produce the
-soliton profile and serve as mutual oracles: an ODE shooting integration
-(compiled DOP853, bisection on the central value), and a projected
-imaginary-time gradient flow at fixed mass whose multiplier at handover
-is scaled out to reach the unit-multiplier state.  The Newton polish runs
-on the working grid up to its rounding floor.  The shooting profile is
-grid-independent, so it is computed once per process, on first use, and
-every grid reuses it; only the Newton polish runs per grid.
+soliton profile and serve as mutual oracles: an ODE shooting profile, and
+a projected imaginary-time gradient flow at fixed mass whose multiplier at
+handover is scaled out to reach the unit-multiplier state.  The Newton
+polish runs on the working grid up to its rounding floor.  The shooting
+profile is grid-independent: the shot (DOP853, bisection on the central
+value) is a committed table, `dcnls._soliton_table`, which
+tests/shooting_reference.py rebuilds and checks, and each process reads it
+once, on first use, for every grid; only the Newton polish runs per grid.
 
 Conventions: all reported scalars (mass, energy, norms) are genuine 3-D
 integrals, i.e. they carry the 4*pi solid angle of the radial embedding.
@@ -21,13 +22,10 @@ solver diagnostics throughout.  Every |u|^2 is `grid._abs_sq`, and the
 residual and the flow take V from `hartree.nonlinear_potential`.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import CoercivityError, ConfigurationError, ConvergenceError, FlowStagnationError
 from .grid import RadialField, _abs_sq, h2_norm_3d, profile_interpolator
@@ -138,83 +136,41 @@ def _finish_state(grid, q, mu, beta, extra):
 # pathway 1: shooting + collocation Newton
 # ---------------------------------------------------------------------------
 
-def _shoot_once(a0):
-    """Integrate the radial equation outward from the center value a0.
-
-    Hairer's compiled DOP853 (rtol 1e-12, atol 1e-14) classifies the shot at
-    its accepted steps: -1 once u < 0 (overshoot), +1 once u' >= 0 past r0
-    (undershoot; so is the equilibrium a0 = 1).  Returns the sign and the
-    accepted rows (r, u, u'); an undecided shot raises ConvergenceError.
-    """
-    r0 = 1e-6
-    upp0 = (a0 - a0 ** (7.0 / 3.0)) / 3.0
-
-    def rhs(r, y):
-        u, v = y.tolist()
-        return [v, -2.0 * v / r + u - math.copysign(abs(u) ** (7.0 / 3.0), u)]
-
-    rows, sign = [], 0
-
-    def solout(r, y):
-        nonlocal sign
-        u, v = y.tolist()
-        rows.append((r, u, v))
-        if u < 0:
-            sign = -1
-        elif v >= 0 and r > r0:
-            sign = +1
-        return -1 if sign else 0
-
-    ode = integrate.ode(rhs).set_integrator("dop853", rtol=1e-12, atol=1e-14)
-    ode.set_solout(solout)
-    ode.set_initial_value([a0 + 0.5 * upp0 * r0 ** 2, upp0 * r0], r0)
-    ode.integrate(30.0)
-    if not sign:
-        raise ConvergenceError(
-            "shooting integration stopped before the shot was decided",
-            diagnostics={"a0": a0, "r_last": rows[-1][0], "status": ode.get_return_code()},
-        )
-    return sign, np.array(rows)
-
-
 @cache
 def _shooting_profile():
-    """Bisect the central value of the classical soliton; returns a spline.
+    """The classical soliton by shooting, as a function of the radius.
 
-    Only mu = 0 is integrated by shooting (the nonlocal term would make the
-    ODE an integro-differential equation); Newton continuation handles mu>0.
-    The spline is cubic Hermite through the final shot's rows with
-    u > 1e-11, continued by the linear far field c e^{-r}/r.  It does not
-    depend on any grid, so it is computed once per process, on first use,
+    Only mu = 0 is shot (the nonlocal term would make the ODE an
+    integro-differential equation); Newton continuation handles mu > 0.
+    The shot is grid-free, so it is a committed table,
+    `dcnls._soliton_table.ROWS`: the rows (r, u, u') with u > 1e-11 of the
+    DOP853 shot from the bisected central value, which
+    tests/shooting_reference.py rebuilds and checks.  The profile is the
+    cubic Hermite interpolant through the rows, extended below the first
+    row by its first piece and continued past the last by the linear far
+    field c e^{-r}/r.  The table is read once per process, on first use,
     and shared by every grid; only the Newton polish in `solve_classical_Q`
     runs per grid.  Each call of the returned function builds new arrays,
     so callers may modify what it returns.
     """
-    lo, hi = 1.0, 10.0
-    s_lo, _ = _shoot_once(lo)
-    s_hi, _ = _shoot_once(hi)
-    if not (s_lo > 0 and s_hi < 0):
-        raise ConvergenceError(
-            "shooting bracket failed",
-            diagnostics={"lo": lo, "hi": hi, "sign_lo": s_lo, "sign_hi": s_hi},
-        )
-    for _ in range(80):
-        midv = 0.5 * (lo + hi)
-        if _shoot_once(midv)[0] > 0:
-            lo = midv
-        else:
-            hi = midv
-        if hi - lo < 1e-14 * midv:
-            break
-    _, rows = _shoot_once(0.5 * (lo + hi))
-    rr, uu, vv = rows[rows[:, 1] > 1e-11].T
-    spline = CubicHermiteSpline(rr, uu, vv)
+    from ._soliton_table import ROWS
+
+    rr, uu, vv = np.array(ROWS).T
+    dx = np.diff(rr)
+    slope = np.diff(uu) / dx
+    t = (vv[:-1] + vv[1:] - 2 * slope) / dx
+    cubic = (uu[:-1], vv[:-1], (slope - vv[:-1]) / dx - t, t / dx)   # powers 0..3 of r - r_i
     c_tail = uu[-1] * rr[-1] * np.exp(rr[-1])
 
     def profile(r):
         r = np.asarray(r, dtype=float)
+        i = np.searchsorted(rr[1:-1], r, side="right")     # the end pieces extrapolate
+        s = r - rr[i]
+        # summed from the constant term up, in scipy's PPoly order, so that
+        # the Newton seed keeps the bits it had from scipy's CubicHermiteSpline
+        hermite = cubic[0][i] + cubic[1][i] * s + cubic[2][i] * (s * s) + cubic[3][i] * (s * s * s)
         tail = c_tail * np.exp(-np.clip(r, 0, 700)) / np.maximum(r, 1e-12)
-        return np.where(r > rr[-1], tail, spline(r))
+        return np.where(r > rr[-1], tail, hermite)
 
     return profile
 

@@ -54,13 +54,13 @@ P_l(cos theta_y), and the result, the channel profile (A_l p)(R), is
 checked for convergence between two shell resolutions.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dgbmv, dgemv, dspmv
-from scipy.special import erfc
 
 from .errors import GridMismatchError, QuadratureError
 from .grid import RadialField, _abs_sq, _check_integer, _stretch_functions, profile_interpolator
@@ -448,11 +448,13 @@ def _rule_tables(x, w):
     cell d cells from the row's own, 1 left of the row for core rows (core
     = 1); lagrange[s, m, q] is the m-th Lagrange polynomial of the cell's
     6-node stencil, whose s-th node is the cell's own, at node q.  Both
-    depend on the cell offset and stencil position alone.
+    depend on the cell offset and stencil position alone, so the few
+    thousand window values take the standard library's `math.erfc` one by
+    one.
     """
     d = np.arange(-_BAND, _BAND + 1)[:, None] + x
     centre, width = _WINDOW
-    window = 0.5 * erfc((np.abs(d) - centre) / width)
+    window = 0.5 * np.vectorize(math.erfc)((np.abs(d) - centre) / width)
     nodes = np.arange(6)
     lagrange = np.array([[np.prod([(x + s - j) / (m - j) for j in nodes if j != m], axis=0)
                           for m in nodes] for s in nodes])

@@ -265,7 +265,7 @@ def test_threads_flag_caps_blas(tmp_path):
 
 
 def test_groundstate_cold_and_warm_shooting_byte_identical(tmp_path):
-    # a fresh process shoots the classical soliton itself; in-process, the
+    # a fresh process reads the soliton table itself; in-process, the
     # shooting profile cached by an earlier grid seeds the Newton polish
     from dcnls.grid import build_grid
     from dcnls.groundstate import solve_classical_Q

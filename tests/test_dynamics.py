@@ -95,6 +95,7 @@ _HOSTILE = [("gaussian", {"width": np.nan}), ("gaussian", {"width": np.inf}),
             ("minimal_mass_profile", {"mass_factor": np.nan}),
             ("minimal_mass_profile", {"mass_factor": -1.0}),
             ("minimal_mass_profile", {"mass_factor": np.inf}),
+            ("minimal_mass_profile", {"b0": np.nan}), ("minimal_mass_profile", {"b0": -0.3}),
             ("RadialField", {"l": np.nan}), ("RadialField", {"l": 1.5}),
             ("RadialField", {"l": True}),
             ("assemble_channel_operator", {"l": np.nan}), ("assemble_channel_operator", {"l": 1.5}),

@@ -169,6 +169,25 @@ def test_profile_interpolator_matches_fitpack_oracle():
         assert err <= 1e-9 * np.max(np.abs(f))
 
 
+@pytest.mark.parametrize("n", [384, 1024])
+def test_profile_interpolator_matches_make_interp_spline(n):
+    # the same not-a-knot quintic as scipy's B-spline, in piecewise-polynomial form
+    from scipy.interpolate import make_interp_spline
+
+    g = build_grid(n, 40.0, "tanh")
+    r = g.nodes
+    y = np.concatenate([np.linspace(0.0, g.r_max, 2001),
+                        0.5 * (np.concatenate([[-r[0]], r[:-1]]) + r)])
+    for l, f in enumerate(_channel_profiles(r)):
+        for values in (f, (1.0 - 0.5j) * f, np.column_stack([f, np.cos(r) * f])):
+            rr = np.concatenate([-r[:6][::-1], r])
+            vv = np.concatenate([(-1.0) ** l * values[:6][::-1], values])
+            oracle = make_interp_spline(rr, vv, k=5)(y)
+            got = profile_interpolator(g, values, l)(y)
+            assert got.shape == oracle.shape
+            assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(values))
+
+
 def test_profile_interpolator_complex_stacked_and_tail():
     g = build_grid(384, 40.0, "tanh")
     r = g.nodes

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, interpolate
 
 import dcnls.groundstate as groundstate
 from dcnls.errors import CoercivityError, ConfigurationError, ConvergenceError
@@ -18,6 +18,8 @@ from dcnls.groundstate import (
     solve_classical_Q,
     solve_Q_mu,
 )
+
+import shooting_reference
 
 
 @pytest.fixture(scope="module")
@@ -57,20 +59,34 @@ def test_classical_mass_resolution_consistency(classical):
     assert gs2.mass == pytest.approx(classical.mass, rel=1e-6)
 
 
-def test_shooting_runs_once_per_process(monkeypatch):
-    # whatever ran before, the first grid leaves the shooting profile cached
+def test_shooting_table_read_once_per_process(monkeypatch):
+    # whatever ran before, the first grid leaves the shooting profile cached,
+    # so a later grid starts from it with the table gone
+    import dcnls._soliton_table as table
+
     solve_classical_Q(build_grid(128, 40.0, "tanh"))
-    calls = []
-    shoot = groundstate._shoot_once
-
-    def counted(a0):
-        calls.append(a0)
-        return shoot(a0)
-
-    monkeypatch.setattr(groundstate, "_shoot_once", counted)
+    monkeypatch.delattr(table, "ROWS")
     gs = solve_classical_Q(build_grid(192, 40.0, "tanh"))
-    assert calls == []
     assert gs.eq_residual <= 1e-9
+
+
+def test_soliton_table_is_the_bisected_shot():
+    # the reference bisects the central value and shoots again by DOP853
+    from dcnls._soliton_table import ROWS
+
+    a0, rows = shooting_reference.shoot_soliton()
+    table = np.array(ROWS)
+    assert a0 == pytest.approx(4.191723335108508, rel=1e-13)
+    assert rows.shape == table.shape == (133, 3)
+    assert np.all(np.abs(rows - table) <= 1e-13 * np.abs(table))
+    # the bracket ends; a0 = 1 is the equilibrium u = 1, an undershoot
+    assert shooting_reference.shoot_once(1.0)[0] == +1
+    assert shooting_reference.shoot_once(10.0)[0] == -1
+    # the profile is the cubic Hermite interpolant through the rows
+    rr, uu, vv = table.T
+    r = np.linspace(0.0, rr[-1], 4001)
+    np.testing.assert_allclose(groundstate._shooting_profile()(r),
+                               interpolate.CubicHermiteSpline(rr, uu, vv)(r), rtol=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore:dop853")
@@ -82,7 +98,7 @@ def test_failed_shot_raises_convergence_error(monkeypatch):
 
     monkeypatch.setattr(integrate.ode, "set_integrator", capped)
     with pytest.raises(ConvergenceError) as exc:
-        groundstate._shoot_once(4.0)
+        shooting_reference.shoot_once(4.0)
     assert exc.value.diagnostics["a0"] == 4.0
     assert exc.value.diagnostics["r_last"] < 30.0
 
@@ -104,9 +120,6 @@ def test_shooting_profile_matches_independent_integration():
     r = np.linspace(r0, 12.0, 6001)
     expected = oracle.sol(r)[0]
     assert np.max(np.abs(profile(r) - expected)) <= 1e-6 * np.max(expected)
-    # the bracket ends; a0 = 1 is the equilibrium u = 1, an undershoot
-    assert groundstate._shoot_once(1.0)[0] == +1
-    assert groundstate._shoot_once(10.0)[0] == -1
 
 
 def test_newton_stops_one_evaluation_after_the_floor(monkeypatch):

@@ -272,8 +272,13 @@ def _one_leaf(monkeypatch, n, l):
 
 @pytest.mark.parametrize("l", range(5))
 def test_row_block_fill_matches_single_block(monkeypatch, l):
-    # neither n is a multiple of the row chunk, so the last chunk is partial;
-    # at n = 260 it is narrower than the band
+    """The near field filled in row chunks has the bits of one whole-block fill.
+
+    Neither n is a multiple of the row chunk, so the last chunk is partial;
+    at n = 260 it is narrower than the band.  Bit equality relies on BLAS
+    giving each output row of a matmul the same bits whatever the number of
+    rows, which holds for the builds tested here but is no BLAS guarantee.
+    """
     for n in (700, 260):
         blocked = _one_leaf(monkeypatch, n, l)
         with monkeypatch.context() as m:

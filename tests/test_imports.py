@@ -1,10 +1,14 @@
 """Every import and private helper in the package modules is used, every
 public function has a caller outside the tests, every dataclass field is
-read, every exported name exists and no failure is swallowed (stdlib-only
-lints, plus one import of the package)."""
+read, every exported name exists, no failure is swallowed and scipy is
+reached only through scipy.linalg and scipy.sparse (stdlib-only lints, plus
+one import of the package and one run of each pipeline in a fresh
+process)."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dcnls"
@@ -267,3 +271,64 @@ def test_local_factorisations_have_one_home():
     assert lapack == ["grid.py"]
     assert splu == ["linop.py ChannelOperator.solve"]
     assert wrapped == []
+
+
+def _scipy_subpackage(name):
+    """"scipy.<sub>" of a dotted module name under scipy ("scipy" itself for a
+    bare import), None for a name outside scipy."""
+    parts = name.split(".")
+    return ".".join(parts[:2]) if parts[0] == "scipy" else None
+
+
+def test_scipy_is_reached_through_linalg_and_sparse_alone():
+    # the rest of scipy (special, interpolate, integrate, and what they pull
+    # in) costs every process start-up time and memory that no run needs
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            stray += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if _scipy_subpackage(name) not in (None, "scipy.linalg", "scipy.sparse")]
+    assert stray == []
+
+
+_FOOTPRINT = """
+import sys
+
+import dcnls.cli
+from dcnls.dynamics import evolve, make_initial_data, modulation_extract
+from dcnls.grid import build_grid
+from dcnls.groundstate import solve_classical_Q, solve_Q_mu
+from dcnls.profile import build_hierarchy
+
+grid = build_grid(256, 40.0, "tanh")
+solve_classical_Q(grid)
+gs = solve_Q_mu(0.02, grid)
+ps = build_hierarchy(gs)
+u0 = make_initial_data("minimal_mass_profile", gs=gs, ps=ps, b0=0.25, mass_factor=1.0005)
+traj = evolve(u0, gs.mu, dt=1e-3, t_final=0.05, record_every=10)
+modulation_extract(traj, gs, ps)
+code = dcnls.cli.run_command(["groundstate", "--grid-n", "256", "--out", sys.argv[1]])
+print(code, *sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}))
+"""
+
+
+def test_pipelines_load_no_other_scipy_subpackage(tmp_path):
+    # a ground state, its continuation, the hierarchy, a short evolution with
+    # its modulation, and one CLI command, all at n = 256 in a fresh process
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()     # the CLI prints first
+    assert code == "0"
+    assert {"linalg", "sparse"} <= set(loaded)
+    assert set(loaded).isdisjoint({"integrate", "interpolate", "special", "optimize",
+                                   "spatial", "fft"})
