@@ -167,7 +167,7 @@ def _shooting_profile():
         i = np.searchsorted(rr[1:-1], r, side="right")     # the end pieces extrapolate
         s = r - rr[i]
         # summed from the constant term up, in scipy's PPoly order, so that
-        # the Newton seed keeps the bits it had from scipy's CubicHermiteSpline
+        # the Newton seed has the bits of a CubicHermiteSpline through the rows
         hermite = cubic[0][i] + cubic[1][i] * s + cubic[2][i] * (s * s) + cubic[3][i] * (s * s * s)
         tail = c_tail * np.exp(-np.clip(r, 0, 700)) / np.maximum(r, 1e-12)
         return np.where(r > rr[-1], tail, hermite)
