@@ -134,8 +134,6 @@ def _field_csv(run_dir, name, grid, values):
 
 
 def _cmd_groundstate(cfg, run_dir):
-    import numpy as np
-
     from .groundstate import functional_report, solve_Q_mu
     from .grid import build_grid
 
@@ -399,11 +397,9 @@ def run_command(argv):
         from .errors import ConfigurationError
 
         kind = "configuration" if isinstance(exc, ConfigurationError) else "numerical"
-        # the typed errors of `errors` carry a dict or one of these figures
-        found = {name: getattr(exc, name) for name in ("error_estimate", "defect", "threshold")
-                 if getattr(exc, name, None) is not None}
+        # the numerical errors of `errors` carry their figures in `diagnostics`
         _finish_run(run_dir, args.command, cfg, f"FAILED ({kind}): {exc}", started,
-                    diagnostics=_jsonable({**getattr(exc, "diagnostics", {}), **found}))
+                    diagnostics=_jsonable(getattr(exc, "diagnostics", {})))
         print(f"{kind} failure: {exc}", file=sys.stderr)
         return 2 if kind == "configuration" else 1
     finally:

@@ -78,7 +78,6 @@ class EvolutionState:
 class Trajectory:
     """Recorded series plus decimated snapshots of an evolution run."""
 
-    mu: float
     times: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
@@ -326,7 +325,6 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     final = EvolutionState(t=t, field=RadialField(grid, 0, u), mass=masses[-1],
                            energy=energies[-1], grad_norm=grads[-1])
     return Trajectory(
-        mu=mu,
         times=np.array(times),
         mass=np.array(masses),
         energy=np.array(energies),

@@ -1,4 +1,9 @@
-"""Shared exception types for the dcnls package."""
+"""Shared exception types for the dcnls package.
+
+Every numerical error carries the figures of its failure in one dict,
+`diagnostics` (a residual, a defect, an error estimate, a threshold), which
+the CLI writes into a failed run's manifest as it stands.
+"""
 
 
 class ConfigurationError(ValueError):
@@ -6,40 +11,35 @@ class ConfigurationError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """A field's samples do not match its grid: their length is not the grid's n."""
+    """A field does not match its grid or operator: its length is not the grid's
+    n, or it lives on another grid."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+class _DiagnosedError(Exception):
+    """An error whose figures are in the dict `diagnostics`."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
 
 
+class ConvergenceError(_DiagnosedError, RuntimeError):
+    """An iterative solver failed to reach its tolerance."""
+
+
 class FlowStagnationError(ConvergenceError):
     """Constrained gradient flow stopped making progress."""
 
 
-class CoercivityError(ConfigurationError):
-    """Requested constrained mass exceeds the coercive range."""
-
-    def __init__(self, message, threshold=None):
-        super().__init__(message)
-        self.threshold = threshold
+class CoercivityError(_DiagnosedError, ConfigurationError):
+    """Requested constrained mass exceeds the coercive range; `threshold` is the
+    largest mass allowed."""
 
 
-class SolvabilityError(RuntimeError):
-    """Linear constrained solve violates its orthogonality requirement."""
-
-    def __init__(self, message, defect=None):
-        super().__init__(message)
-        self.defect = defect
+class SolvabilityError(_DiagnosedError, RuntimeError):
+    """Linear constrained solve violates its orthogonality requirement; `defect`
+    is the kernel component or relative residual that failed the gate."""
 
 
-class QuadratureError(RuntimeError):
-    """Oracle quadrature failed to converge; carries the error estimate."""
-
-    def __init__(self, message, error_estimate=None):
-        super().__init__(message)
-        self.error_estimate = error_estimate
+class QuadratureError(_DiagnosedError, RuntimeError):
+    """Oracle quadrature failed to converge; `error_estimate` is the error reached."""

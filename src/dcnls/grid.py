@@ -422,7 +422,7 @@ def _bspline_bases(t, k, x, span):
 
 
 def _quintic_pieces(x, v):
-    """The not-a-knot quintic interpolating spline of the columns of v at the
+    """The not-a-knot quintic interpolating spline of the real values v at the
     increasing sites x, as (breaks, pieces): on [breaks[s], breaks[s + 1]]
     it is sum_m pieces[m, s] (y - breaks[s])^m.
 
@@ -442,13 +442,13 @@ def _quintic_pieces(x, v):
     # the left ends of the nondegenerate spans k .. n - 1 are the sites 0, 3 .. n - 4
     ends = np.r_[0, 3:n - 3]
     bases = [b[:, ends] for b in bases]
-    pieces = np.zeros((k + 1, n - k, v.shape[1]))
+    pieces = np.zeros((k + 1, n - k))
     for m in range(k + 1):
         p = k - m                                  # the degree of the m-th derivative
         if m:                                      # d[i] for i >= m; below m it is not read
-            d[m:] = (p + 1) * np.diff(d[m - 1:], axis=0) / (t[k + 1:n + p + 1] - t[m:n])[:, None]
+            d[m:] = (p + 1) * np.diff(d[m - 1:]) / (t[k + 1:n + p + 1] - t[m:n])
         for q in range(p + 1):                     # span s takes d[s - p + q], q = 0 .. p
-            pieces[m] += bases[p][q][:, None] * d[m + q:n - p + q]
+            pieces[m] += bases[p][q] * d[m + q:n - p + q]
         pieces[m] /= math.factorial(m)
     return t[k:n + 1], pieces
 
@@ -461,34 +461,24 @@ def profile_interpolator(grid, values, l=0):
     with the first six mirrored with the channel parity (-1)^l, so it is
     smooth through r = 0.  It is built once, by `_quintic_pieces`, in
     piecewise-polynomial form, and each call evaluates it by Horner's rule
-    on the span of each radius.  `values` may be real, complex, or stacked
-    as (n, m); a radius array y maps to shape y.shape + values.shape[1:].
-    Radii are clamped at r_max and the interpolant is 0 beyond it.
+    on the span of each radius.  `values` are n real samples, and a radius
+    array maps to an array of its shape.  Radii are clamped at r_max and the
+    interpolant is 0 beyond it.
     """
     npad = 6
     r = np.concatenate([-grid.nodes[:npad][::-1], grid.nodes])
     v = np.concatenate([(-1.0) ** l * values[:npad][::-1], values])
-    trailing = v.shape[1:]
-    v = v.reshape(r.size, -1)
-    cols = v.shape[1]
-    is_complex = np.iscomplexobj(v)
-    if is_complex:
-        v = np.hstack([v.real, v.imag])
     breaks, pieces = _quintic_pieces(r, v)
     r_max = grid.r_max
 
     def sample(y):
         y = np.asarray(y, dtype=float)
-        z = np.minimum(y, r_max).ravel()
+        z = np.minimum(y, r_max)
         span = np.searchsorted(breaks[1:-1], z, side="right")     # the end spans extrapolate
-        s = (z - breaks[span])[:, None]
+        s = z - breaks[span]
         out = pieces[-1][span]
         for c in pieces[-2::-1]:
             out = out * s + c[span]
-        if is_complex:
-            out = out[:, :cols] + 1j * out[:, cols:]
-        out = out.reshape(y.shape + trailing)
-        inside = (y <= r_max).reshape(y.shape + (1,) * len(trailing))
-        return np.where(inside, out, 0.0)
+        return np.where(y <= r_max, out, 0.0)
 
     return sample

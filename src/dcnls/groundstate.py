@@ -10,6 +10,11 @@ value) is a committed table, `dcnls._soliton_table`, which
 tests/shooting_reference.py rebuilds and checks, and each process reads it
 once, on first use, for every grid; only the Newton polish runs per grid.
 
+The classical soliton Q is the mu = 0 member of the family Q_mu, and
+`solve_Q_mu` is the one solve of the family: at mu = 0 it polishes the
+shooting profile, and at mu > 0 it continues from its own mu = 0 state.
+`solve_classical_Q` is that mu = 0 call.
+
 Conventions: all reported scalars (mass, energy, norms) are genuine 3-D
 integrals, i.e. they carry the 4*pi solid angle of the radial embedding.
 The energy is
@@ -149,7 +154,7 @@ def _shooting_profile():
     cubic Hermite interpolant through the rows, extended below the first
     row by its first piece and continued past the last by the linear far
     field c e^{-r}/r.  The table is read once per process, on first use,
-    and shared by every grid; only the Newton polish in `solve_classical_Q`
+    and shared by every grid; only the Newton polish in `solve_Q_mu`
     runs per grid.  Each call of the returned function builds new arrays,
     so callers may modify what it returns.
     """
@@ -222,26 +227,8 @@ def _newton_polish(grid, q0, mu):
 
 
 def solve_classical_Q(grid):
-    """The positive radial soliton of the local equation (mu = 0).
-
-    Every ground state starts here, so a grid that ends before the tail fit
-    of `_tail_logderiv` does (r_max < 25) is refused with ConfigurationError.
-    """
-    if not grid.r_max >= _TAIL_FIT[1]:
-        raise ConfigurationError(f"ground states need r_max >= {_TAIL_FIT[1]:g} for the "
-                                 f"tail fit, got {grid.r_max:g}")
-    key = ("groundstate", 0.0)
-    if key in grid._cache:
-        return grid._cache[key]
-    profile = _shooting_profile()
-    q0 = profile(grid.nodes)
-    q, rnorm, iters = _newton_polish(grid, q0, 0.0)
-    gs = _finish_state(
-        grid, q, 0.0, beta=1.0,
-        extra={"newton_iters": iters, "tail_logderiv": _tail_logderiv(grid, q)},
-    )
-    grid._cache[key] = gs
-    return gs
+    """The positive radial soliton of the local equation: `solve_Q_mu(0.0, grid)`."""
+    return solve_Q_mu(0.0, grid)
 
 
 def _tail_logderiv(grid, q):
@@ -253,33 +240,40 @@ def _tail_logderiv(grid, q):
 
 
 def solve_Q_mu(mu, grid):
-    """Continuation in the coupling from the classical soliton.
+    """The ground state Q_mu on the grid, 0 <= mu <= MU_MAX, cached per grid.
 
-    0 <= mu <= MU_MAX in steps of 0.02; each step is Newton-polished, so the
-    returned state satisfies the full nonlocal equation on the grid.  Its
-    `newton_iters` counts the Newton steps of every polish of the
-    continuation (the classical solve's are its own).
+    mu = 0 is the classical soliton: the shooting profile, Newton-polished.
+    Every ground state starts there, so a grid that ends before the tail fit
+    of `_tail_logderiv` does (r_max < 25) is refused with ConfigurationError.
+    mu > 0 continues from the classical soliton in steps of 0.02, each
+    Newton-polished, so the returned state satisfies the full nonlocal
+    equation on the grid.  Its `newton_iters` counts the Newton steps of its
+    own polishes (the classical solve's are the classical state's).  A
+    failed continuation step raises ConvergenceError with the last coupling
+    reached, `last_convergent_mu`, in its diagnostics.
     """
     if not 0 <= mu <= MU_MAX:     # a NaN coupling is refused here too
         raise ConfigurationError(f"coupling must lie in [0, {MU_MAX}], got {mu}")
     key = ("groundstate", float(mu))
     if key in grid._cache:
         return grid._cache[key]
-    base = solve_classical_Q(grid)
     if mu == 0.0:
-        return base
-    q = base.Q.values.copy()
-    mus = np.arange(0.02, mu, 0.02)
-    last_good = 0.0
-    iters = 0
-    try:
-        for m in [*mus, mu]:
-            q, _, steps = _newton_polish(grid, q, float(m))
-            iters += steps
-            last_good = float(m)
-    except ConvergenceError as exc:
-        exc.diagnostics["last_convergent_mu"] = last_good
-        raise
+        if not grid.r_max >= _TAIL_FIT[1]:
+            raise ConfigurationError(f"ground states need r_max >= {_TAIL_FIT[1]:g} for the "
+                                     f"tail fit, got {grid.r_max:g}")
+        q, _, iters = _newton_polish(grid, _shooting_profile()(grid.nodes), 0.0)
+    else:
+        q = solve_Q_mu(0.0, grid).Q.values
+        last_good = 0.0
+        iters = 0
+        try:
+            for m in [*np.arange(0.02, mu, 0.02), mu]:
+                q, _, steps = _newton_polish(grid, q, float(m))
+                iters += steps
+                last_good = float(m)
+        except ConvergenceError as exc:
+            exc.diagnostics["last_convergent_mu"] = last_good
+            raise
     gs = _finish_state(
         grid, q, float(mu), beta=1.0,
         extra={"newton_iters": iters, "tail_logderiv": _tail_logderiv(grid, q)},
@@ -317,7 +311,7 @@ def minimize_constrained(a, mu, grid):
     if a > a_crit * (1.0 + 1e-9):
         raise CoercivityError(
             f"mass {a:g} exceeds the soliton mass {a_crit:g} at coupling {mu:g}",
-            threshold=a_crit,
+            diagnostics={"threshold": a_crit},
         )
 
     r = grid.nodes

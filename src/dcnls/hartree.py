@@ -355,7 +355,7 @@ def _cross(row, col, p, q):
             return u[:k + 1].T, v[:k + 1].T
         i = int(np.argmax(np.where(free, np.abs(u[k]), -1.0)))
     raise QuadratureError(f"cross approximation of a {p} x {q} block did not converge",
-                          error_estimate=float(np.sqrt(cross2 / norm2)))
+                          diagnostics={"error_estimate": float(np.sqrt(cross2 / norm2))})
 
 
 def _recompress(u, v):
@@ -384,7 +384,7 @@ def _check_block(l, r, rows, cols, u, v):
     if not err <= _CHECK_TOL:
         raise QuadratureError(
             f"low-rank block {rows[0]}:{rows[-1] + 1} x {cols[0]}:{cols[-1] + 1} "
-            f"misses its sampled entries", error_estimate=float(err))
+            f"misses its sampled entries", diagnostics={"error_estimate": float(err)})
 
 
 def _band_slots(n):
@@ -667,9 +667,8 @@ def brute_force_oracle(f, points, feature_radii=()):
         fine = _oracle_once(fun, l, radius, panels, 28, feature_radii)
         err = abs(fine - coarse) / max(abs(fine), 1e-300)
         if not err <= _ORACLE_TOL:
-            raise QuadratureError(
-                f"oracle failed to converge at r={radius:g}", error_estimate=err
-            )
+            raise QuadratureError(f"oracle failed to converge at r={radius:g}",
+                                  diagnostics={"error_estimate": err})
         out[idx] = fine
     return out
 

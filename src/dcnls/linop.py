@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, ConvergenceError, SolvabilityError
+from .errors import ConfigurationError, ConvergenceError, GridMismatchError, SolvabilityError
 from .grid import (RadialField, _check_integer, _cholesky_solver, _lu_solver, generator,
                    h2_norm_3d)
 from .hartree import (_L_MAX_TABLE, _recompress, _unpacked, build_multipole_kernel,
@@ -347,19 +347,25 @@ def _checked_solve(op, src, constraints):
                   for c in constraints), default=0.0)
     if not defect <= SOLVABILITY_TOL:
         raise SolvabilityError(f"source for L_{op.kind},{op.l} has a kernel component "
-                               f"{defect:.1e} above {SOLVABILITY_TOL:g}", defect=defect)
+                               f"{defect:.1e} above {SOLVABILITY_TOL:g}",
+                               diagnostics={"defect": defect})
     x = op.solve(src, constraints)
     res = op.apply(x) - src
     residual = float(np.sqrt(np.sum(w * res ** 2) / src_sq))
     if not residual <= SOLVABILITY_TOL:      # NaN fails too
         raise SolvabilityError(f"solve of L_{op.kind},{op.l} left a residual "
-                               f"{residual:.1e} above {SOLVABILITY_TOL:g}", defect=residual)
+                               f"{residual:.1e} above {SOLVABILITY_TOL:g}",
+                               diagnostics={"defect": residual})
     return x, defect, residual
 
 
 def solve_with_constraints(op, source, constraints):
     """Solve op x = source with exact discrete orthogonality to `constraints`
-    (RadialFields or sample arrays), gated by `_checked_solve`."""
+    (RadialFields or sample arrays), gated by `_checked_solve`.  A source or
+    constraint field on another grid than the operator's raises
+    GridMismatchError before any work."""
+    if any(isinstance(f, RadialField) and f.grid is not op.grid for f in [source, *constraints]):
+        raise GridMismatchError("source or constraint lives on another grid than the operator")
     if source.l != op.l:
         raise ConfigurationError("source lives in a different channel than the operator")
     cons = [np.asarray(c.values if isinstance(c, RadialField) else c, dtype=float)

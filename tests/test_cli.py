@@ -203,6 +203,37 @@ def test_failed_run_keeps_its_diagnostics(tmp_path, monkeypatch):
     assert manifest["diagnostics"]["tol"] == 1e-9
 
 
+def test_failed_solvability_gate_writes_its_defect(tmp_path, monkeypatch):
+    from dcnls import linop
+
+    # a gate no source passes: the first hierarchy solve fails on its kernel defect
+    monkeypatch.setattr(linop, "SOLVABILITY_TOL", 1e-30)
+    code = _run(["profile", "--grid-n", "256"], str(tmp_path))
+    assert code == 1
+    manifest = json.loads((tmp_path / "runs" / "profile-mu0-n256" / "manifest.json").read_text())
+    assert "kernel component" in manifest["status"]
+    assert manifest["diagnostics"]["defect"] > 1e-30
+
+
+def test_failed_kernel_check_writes_its_error_estimate(tmp_path, monkeypatch):
+    from dcnls import hartree
+
+    cross = hartree._cross
+
+    def truncated(*args):
+        u, v = cross(*args)
+        return u[:, :-6], v[:, :-6]
+
+    # a cross that drops its last terms fails the kernel's sampled-entry check
+    monkeypatch.setattr(hartree, "_cross", truncated)
+    code = _run(["groundstate", "--mu", "0.02", "--grid-n", "512"], str(tmp_path))
+    assert code == 1
+    run_dir = tmp_path / "runs" / "groundstate-mu0.02-n512"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert "sampled entries" in manifest["status"]
+    assert manifest["diagnostics"]["error_estimate"] > hartree._CHECK_TOL
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -179,29 +179,23 @@ def test_profile_interpolator_matches_make_interp_spline(n):
     y = np.concatenate([np.linspace(0.0, g.r_max, 2001),
                         0.5 * (np.concatenate([[-r[0]], r[:-1]]) + r)])
     for l, f in enumerate(_channel_profiles(r)):
-        for values in (f, (1.0 - 0.5j) * f, np.column_stack([f, np.cos(r) * f])):
-            rr = np.concatenate([-r[:6][::-1], r])
-            vv = np.concatenate([(-1.0) ** l * values[:6][::-1], values])
-            oracle = make_interp_spline(rr, vv, k=5)(y)
-            got = profile_interpolator(g, values, l)(y)
-            assert got.shape == oracle.shape
-            assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(values))
+        rr = np.concatenate([-r[:6][::-1], r])
+        vv = np.concatenate([(-1.0) ** l * f[:6][::-1], f])
+        oracle = make_interp_spline(rr, vv, k=5)(y)
+        got = profile_interpolator(g, f, l)(y)
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(f))
 
 
-def test_profile_interpolator_complex_stacked_and_tail():
+def test_profile_interpolator_is_zero_beyond_r_max():
     g = build_grid(384, 40.0, "tanh")
-    r = g.nodes
-    f0, f1, f2 = _channel_profiles(r)
     y = np.linspace(0.0, 1.2 * g.r_max, 1001)
-    re, im = profile_interpolator(g, f0)(y), profile_interpolator(g, f2)(y)
-    scale = np.max(np.abs(re + 1j * im))
-    assert np.max(np.abs(profile_interpolator(g, f0 + 1j * f2)(y) - (re + 1j * im))) <= 1e-14 * scale
-    stacked = profile_interpolator(g, np.column_stack([f0, f1, f2]))(y)
-    assert stacked.shape == (y.size, 3)
-    for k, f in enumerate((f0, f1, f2)):
-        assert np.max(np.abs(stacked[:, k] - profile_interpolator(g, f)(y))) <= 1e-14 * scale
     beyond = y > g.r_max
-    assert np.any(beyond) and np.all(stacked[beyond] == 0.0)
+    assert np.any(beyond)
+    for l, f in enumerate(_channel_profiles(g.nodes)):
+        got = profile_interpolator(g, f, l)(y.reshape(7, -1))     # keeps the radii's shape
+        assert got.shape == (7, 143)
+        assert np.all(got.ravel()[beyond] == 0.0)
 
 
 def test_laplacian_banded_matches_sparse():

@@ -175,6 +175,55 @@ def test_solve_q_mu_base_case(grid, classical):
     assert gs is classical
 
 
+@pytest.mark.parametrize("classical_first", [True, False])
+def test_classical_solve_is_the_mu_zero_solve(classical_first):
+    # one cache entry whichever name asks first
+    g = build_grid(128, 40.0, "tanh")
+    if classical_first:
+        first = solve_classical_Q(g)
+        assert solve_Q_mu(0.0, g) is first
+    else:
+        first = solve_Q_mu(0.0, g)
+        assert solve_classical_Q(g) is first
+
+
+def _failing_polish_at(monkeypatch, failing_mu):
+    polish = groundstate._newton_polish
+
+    def polish_or_fail(grid, q0, mu):
+        if abs(mu - failing_mu) < 1e-12:
+            raise ConvergenceError("Newton did not reach tolerance",
+                                   diagnostics={"mu": mu, "best_residual": 1e-3, "tol": 1e-9})
+        return polish(grid, q0, mu)
+
+    monkeypatch.setattr(groundstate, "_newton_polish", polish_or_fail)
+
+
+def test_failed_continuation_names_the_last_convergent_coupling(monkeypatch):
+    _failing_polish_at(monkeypatch, 0.04)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_Q_mu(0.05, build_grid(128, 40.0, "tanh"))
+    assert exc.value.diagnostics["mu"] == pytest.approx(0.04)
+    assert exc.value.diagnostics["last_convergent_mu"] == pytest.approx(0.02)
+
+
+def test_failed_classical_polish_has_no_last_convergent_coupling(monkeypatch):
+    _failing_polish_at(monkeypatch, 0.0)
+    for mu in (0.0, 0.05):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_Q_mu(mu, build_grid(128, 40.0, "tanh"))
+        assert exc.value.diagnostics["mu"] == 0.0
+        assert "last_convergent_mu" not in exc.value.diagnostics
+
+
+def test_short_grid_refused_before_the_solve(monkeypatch):
+    # the tail fit of every ground state needs r_max >= 25
+    monkeypatch.setattr(groundstate, "_newton_polish", None)
+    for mu in (0.0, 0.02):
+        with pytest.raises(ConfigurationError, match="r_max >= 25"):
+            solve_Q_mu(mu, build_grid(128, 20.0, "tanh"))
+
+
 def test_solve_q_mu_rejects_out_of_range(grid):
     with pytest.raises(ConfigurationError):
         solve_Q_mu(-0.01, grid)
@@ -249,8 +298,8 @@ def test_subcritical_mass_refused(grid, classical, fraction):
 def test_supercritical_mass_refused(grid, classical):
     with pytest.raises(CoercivityError) as exc:
         minimize_constrained(classical.mass * 1.5, 0.02, grid)
-    assert exc.value.threshold is not None
-    assert exc.value.threshold < classical.mass
+    assert exc.value.diagnostics["threshold"] is not None
+    assert exc.value.diagnostics["threshold"] < classical.mass
 
 
 def test_perturbation_rate_asymptotic(grid):

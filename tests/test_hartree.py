@@ -79,7 +79,7 @@ def test_oracle_reports_nonconvergence():
     f = RadialField(g, 0, np.maximum(0.0, 1.0 - g.nodes) ** 0.5)
     with pytest.raises(QuadratureError) as exc:
         brute_force_oracle(f, [0.7])
-    assert exc.value.error_estimate is not None
+    assert exc.value.diagnostics["error_estimate"] is not None
     # a NaN estimate is a failure, not a value
     with pytest.raises(QuadratureError):
         brute_force_oracle(lambda d: np.full_like(d, np.nan), [0.7])
@@ -359,7 +359,7 @@ def test_incompressible_block_raises(monkeypatch):
     monkeypatch.setattr(hartree, "_kernel_values", jump)
     with pytest.raises(QuadratureError, match="did not converge") as exc:
         build_multipole_kernel(build_grid(600, 40.0, "tanh"), 0)
-    assert exc.value.error_estimate > hartree._CHECK_TOL
+    assert exc.value.diagnostics["error_estimate"] > hartree._CHECK_TOL
 
 
 def test_sample_check_catches_a_truncated_cross(monkeypatch):
@@ -373,7 +373,7 @@ def test_sample_check_catches_a_truncated_cross(monkeypatch):
     monkeypatch.setattr(hartree, "_cross", truncated)
     with pytest.raises(QuadratureError, match="sampled entries") as exc:
         build_multipole_kernel(build_grid(600, 40.0, "tanh"), 0)
-    assert exc.value.error_estimate > hartree._CHECK_TOL
+    assert exc.value.diagnostics["error_estimate"] > hartree._CHECK_TOL
 
 
 def test_kernel_build_frees_the_dense_fill():

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from dcnls import hartree, linop
-from dcnls.errors import ConvergenceError, SolvabilityError
+from dcnls.errors import ConvergenceError, GridMismatchError, SolvabilityError
 from dcnls.grid import RadialField, apply_generator, build_grid, generator
 from dcnls.groundstate import solve_Q_mu, solve_classical_Q
 from dcnls.linop import (
@@ -415,7 +415,23 @@ def test_solvability_violation_detected(grid, gs0):
     polluted = RadialField(grid, 0, src.values + 0.05 * gs0.Q.values)
     with pytest.raises(SolvabilityError) as exc:
         solve_with_constraints(lm, polluted, [gs0.Q])
-    assert exc.value.defect > 1e-8
+    assert exc.value.diagnostics["defect"] > 1e-8
+
+
+def test_fields_from_another_grid_are_refused(monkeypatch):
+    # another n used to fail in numpy broadcasting, and another r_max at the
+    # same n in the solvability gate, as if the source were not solvable
+    g = build_grid(256, 40.0, "tanh")
+    gs = solve_classical_Q(g)
+    op = assemble_channel_operator(gs, "minus", 0)
+    src = apply_generator(gs.Q)
+    monkeypatch.setattr(linop, "_checked_solve", None)     # refused before any work
+    for other in (build_grid(128, 40.0, "tanh"), build_grid(256, 30.0, "tanh")):
+        foreign = RadialField(other, 0, generator(other, np.exp(-other.nodes)))
+        with pytest.raises(GridMismatchError, match="another grid"):
+            solve_with_constraints(op, foreign, [gs.Q])
+        with pytest.raises(GridMismatchError, match="another grid"):
+            solve_with_constraints(op, src, [RadialField(other, 0, np.exp(-other.nodes))])
 
 
 def test_non_finite_source_is_refused(grid, gs0):
@@ -445,7 +461,7 @@ def test_kernel_component_gate_is_the_manifest_bound(grid, gs0, factor, accepted
     else:
         with pytest.raises(SolvabilityError) as exc:
             solve_with_constraints(lm, polluted, [gs0.Q])
-        assert exc.value.defect == pytest.approx(defect, rel=1e-3)
+        assert exc.value.diagnostics["defect"] == pytest.approx(defect, rel=1e-3)
 
 
 def test_nondegeneracy_report_passes(gs_mu):
