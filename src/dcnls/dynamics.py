@@ -263,7 +263,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
     record(u, t, g2, quartic)
     stopped_by = "t_final"
     step_dt = dt
-    cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
+    cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt, factor="lu")
     refactorizations = 1
     phase = np.empty(grid.n, dtype=complex)
     phase_current = False     # phase holds exp(i dt/2 V) of this potential and step
@@ -289,7 +289,7 @@ def evolve(u0, mu, dt=1e-3, t_final=None, record_every=25, adaptive=False,
             want = direction * min(abs(want), remaining)
         if abs(want - step_dt) > 1e-3 * abs(step_dt):
             step_dt = want
-            cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt)
+            cn_solve = grid.band_solver(0, 1.0, 0.5j * step_dt, factor="lu")
             refactorizations += 1
             phase_current = False
 

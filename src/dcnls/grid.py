@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs, zgbtrf, zgbtrs
+from scipy.linalg.lapack import (dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs,
+                                 zgbtrf, zgbtrs)
 
 from .errors import ConfigurationError, ConvergenceError, GridMismatchError
 
@@ -150,22 +151,31 @@ class RadialGrid:
                 ab[hw - d, max(d, 0):max(d, 0) + self.n - abs(d)] = lap.diagonal(d)
         return self._cache[key]
 
-    def band_solver(self, l, a, b, potential=None):
-        """The solve of M = a I + b ((-Delta)_l + diag potential), factored once:
-        band LU for complex b (a Crank-Nicolson half); for real a, b band Cholesky
-        of B = sym(W^{1/2} M W^{-1/2}), which proves B positive definite, solving
-        by W^{-1/2} B^{-1} W^{1/2}.  A failed factorisation raises ConvergenceError."""
+    def band_solver(self, l, a, b, potential=None, *, factor):
+        """The solve of M = a I + b ((-Delta)_l + diag potential), factored once.
+
+        `factor` is "lu" or "cholesky".  "lu" is LAPACK's partially pivoted
+        band LU of M itself, real (dgbtrf) or complex (zgbtrf) as a and b are:
+        the Crank-Nicolson half, and the local part of an unbordered
+        `linop.ChannelOperator.solve`, which may be indefinite.  "cholesky"
+        takes real a, b and factors B = sym(W^{1/2} M W^{-1/2}), solving by
+        W^{-1/2} B^{-1} W^{1/2}; its success proves B positive definite (the
+        spectral shift, the gradient flow's step).  A failed factorisation
+        raises ConvergenceError."""
         band = self.laplacian_banded(l)
         hw = band.shape[0] // 2
         diag = band[hw] if potential is None else band[hw] + potential
-        if np.iscomplexobj(b):
-            # hw extra rows for pivoting, which zgbtrf sets itself; Fortran
+        if factor == "lu":
+            # hw extra rows for pivoting, which ?gbtrf sets itself; Fortran
             # order lets it factor the buffer in place
-            ab = np.empty((3 * hw + 1, self.n), dtype=complex, order="F")
+            ab = np.empty((3 * hw + 1, self.n), dtype=np.result_type(a, b, diag), order="F")
             np.multiply(band, b, out=ab[hw:])
             ab[2 * hw] = b * diag + a
-            lu, piv, info = zgbtrf(ab, hw, hw, overwrite_ab=1)
-        else:
+            if np.iscomplexobj(ab):
+                lu, piv, info = zgbtrf(ab, hw, hw, overwrite_ab=1)
+            else:
+                lu, piv, info = dgbtrf(ab, hw, hw, overwrite_ab=1)
+        elif factor == "cholesky":
             s = np.sqrt(self.weights)
             ab = np.zeros((hw + 1, self.n))        # upper band: row hw - d holds B[j - d, j]
             ab[hw] = b * diag + a
@@ -173,12 +183,17 @@ class RadialGrid:
                 ab[hw - d, d:] = 0.5 * b * (s[:-d] * band[hw - d, d:] / s[d:]
                                             + s[d:] * band[hw + d, :-d] / s[:-d])
             chol, info = dpbtrf(ab)
+        else:
+            raise ConfigurationError(f"factor must be 'lu' or 'cholesky', got {factor!r}")
         if info != 0:
             raise ConvergenceError("band factorisation of a I + b ((-Delta)_l + V) failed",
-                                   diagnostics={"info": int(info), "l": l, "a": a, "b": b})
-        if np.iscomplexobj(b):
+                                   diagnostics={"info": int(info), "l": l, "a": a, "b": b,
+                                                "factor": factor})
+        if factor == "cholesky":
+            return lambda rhs: dpbtrs(chol, s * rhs)[0] / s
+        if np.iscomplexobj(lu):
             return lambda rhs: zgbtrs(lu, hw, hw, rhs, piv)[0]
-        return lambda rhs: dpbtrs(chol, s * rhs)[0] / s
+        return lambda rhs: dgbtrs(lu, hw, hw, rhs, piv)[0]
 
 
 def _cholesky_solver(a, diagnostics):

@@ -12,7 +12,8 @@ once, on first use, for every grid; only the Newton polish runs per grid.
 
 The classical soliton Q is the mu = 0 member of the family Q_mu, and
 `solve_Q_mu` is the one solve of the family: at mu = 0 it polishes the
-shooting profile, and at mu > 0 it continues from its own mu = 0 state.
+shooting profile, and at mu > 0 it continues from its own mu = 0 state,
+polishing only the requested coupling to the floor.
 `solve_classical_Q` is that mu = 0 call.
 
 Conventions: all reported scalars (mass, energy, norms) are genuine 3-D
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 MU_MAX = 0.1
+_WAYPOINT_TOL = 1e-6        # Newton's stop at an intermediate coupling of the continuation
 _TAIL_FIT = (15.0, 25.0)    # radii of the log-linear fit of the soliton tail
 
 
@@ -87,9 +89,10 @@ def energy_mu(grid, values, mu):
                    lambda: hartree_quartic_3d(grid, values))
 
 
-def _equation_residual(grid, q, mu):
-    """-Delta Q + Q - |Q|^{4/3} Q - mu A(Q^2) Q, as sampled values."""
-    return grid.laplacian(0) @ q + q - nonlinear_potential(grid, q, mu)[0] * q
+def _equation_residual(grid, q, potential):
+    """-Delta Q + Q - V Q, as sampled values, for the potential
+    V = |Q|^{4/3} + mu A(Q^2), `nonlinear_potential(grid, q, mu)[0]`."""
+    return grid.laplacian(0) @ q + q - potential * q
 
 
 def _integrals(grid, q):
@@ -131,7 +134,8 @@ def _finish_state(grid, q, mu, beta, extra):
         beta=beta,
         mass=m,
         energy=_energy(g2, p, mu, lambda: h),
-        eq_residual=float(np.max(np.abs(_equation_residual(grid, q, mu))) / np.max(np.abs(q))),
+        eq_residual=float(np.max(np.abs(_equation_residual(
+            grid, q, nonlinear_potential(grid, q, mu)[0]))) / np.max(np.abs(q))),
         pohozaev_residual=_pohozaev(ints, mu),
         diagnostics=extra,
     )
@@ -180,32 +184,43 @@ def _shooting_profile():
     return profile
 
 
-def _newton_polish(grid, q0, mu):
+def _newton_polish(grid, q0, mu, stop=0.0):
     """Collocation Newton; the Jacobian is the plus-kind l = 0 operator.
 
-    At mu != 0 each step solves with the full Jacobian, nonlocal piece
-    2 mu A(Q .) Q included, by GMRES to relative residual 1e-8; only the
-    preconditioner, the sparse LU of the local part, leaves that piece out.
-    Once the best residual is below `tol` = 1e-9, the first evaluation
-    that does not cut it tenfold marks the rounding floor (the core rows of
-    the Laplacian amplify eps by 1/h^2), and the best iterate is returned
-    with its residual and the number of Newton steps taken (one
-    `linearize` each).
+    Each step takes V from the residual's `nonlinear_potential` call and
+    hands it to `linearize`, so a step applies the kernel once.  At mu = 0
+    the step is the band LU solve of the Jacobian.  At mu != 0 it solves
+    with the full Jacobian, nonlocal piece 2 mu A(Q .) Q included, by GMRES
+    preconditioned with the band LU of the local part.  GMRES stops at the
+    forcing term rtol = max(1e-8, min(1e-2, r^2)), r the relative max-norm
+    residual of the iterate (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+    1996): a loose inner solve while r is large, 1e-8 once r <= 1e-4.
+    With `stop` > 0, a continuation waypoint, the first iterate whose r is
+    at most `stop` is returned, with no floor test.  Otherwise, once the
+    best residual is below `tol` = 1e-9, the first evaluation that does not
+    cut it tenfold marks the rounding floor (the core rows of the Laplacian
+    amplify eps by 1/h^2), and the best iterate is returned.  Either way
+    the iterate comes with its residual and the number of Newton steps
+    taken (one `linearize` each).
     """
     tol = 1e-9
     maxiter = 80
     q = q0.copy()
     best, q_best = np.inf, q.copy()
     for it in range(maxiter):
-        res = _equation_residual(grid, q, mu)
+        nonlinear = nonlinear_potential(grid, q, mu)
+        res = _equation_residual(grid, q, nonlinear[0])
         rnorm = np.max(np.abs(res)) / np.max(np.abs(q))
+        if rnorm <= stop:
+            return q, rnorm, it
         at_floor = best < tol and not rnorm < 0.1 * best
         if rnorm < best:
             best, q_best = rnorm, q.copy()
         if at_floor:
             return q_best, best, it
         try:
-            delta = linearize(grid, q, mu, "plus", 0).solve(res, rtol=1e-8)
+            delta = linearize(grid, q, mu, "plus", 0, nonlinear).solve(
+                res, rtol=max(1e-8, min(1e-2, rnorm ** 2)))
         except ConvergenceError as exc:
             exc.diagnostics["residual"] = rnorm
             raise
@@ -222,7 +237,7 @@ def _newton_polish(grid, q0, mu):
         return q_best, best, maxiter
     raise ConvergenceError(
         "Newton did not reach tolerance",
-        diagnostics={"mu": mu, "best_residual": best, "tol": tol},
+        diagnostics={"mu": mu, "best_residual": best, "tol": max(tol, stop)},
     )
 
 
@@ -245,12 +260,15 @@ def solve_Q_mu(mu, grid):
     mu = 0 is the classical soliton: the shooting profile, Newton-polished.
     Every ground state starts there, so a grid that ends before the tail fit
     of `_tail_logderiv` does (r_max < 25) is refused with ConfigurationError.
-    mu > 0 continues from the classical soliton in steps of 0.02, each
-    Newton-polished, so the returned state satisfies the full nonlocal
-    equation on the grid.  Its `newton_iters` counts the Newton steps of its
-    own polishes (the classical solve's are the classical state's).  A
-    failed continuation step raises ConvergenceError with the last coupling
-    reached, `last_convergent_mu`, in its diagnostics.
+    mu > 0 continues from the classical soliton in steps of 0.02.  Each
+    intermediate coupling, a waypoint that only seeds the next, stops its
+    Newton at relative residual _WAYPOINT_TOL = 1e-6 with no floor test;
+    only mu itself is polished to the rounding floor, so the returned state
+    satisfies the full nonlocal equation on the grid.  Its `newton_iters`
+    counts the Newton steps of its own polishes (the classical solve's are
+    the classical state's).  A failed continuation step, waypoint or final,
+    raises ConvergenceError with the last coupling reached,
+    `last_convergent_mu`, in its diagnostics.
     """
     if not 0 <= mu <= MU_MAX:     # a NaN coupling is refused here too
         raise ConfigurationError(f"coupling must lie in [0, {MU_MAX}], got {mu}")
@@ -267,10 +285,12 @@ def solve_Q_mu(mu, grid):
         last_good = 0.0
         iters = 0
         try:
-            for m in [*np.arange(0.02, mu, 0.02), mu]:
-                q, _, steps = _newton_polish(grid, q, float(m))
+            for m in np.arange(0.02, mu, 0.02):
+                q, _, steps = _newton_polish(grid, q, float(m), stop=_WAYPOINT_TOL)
                 iters += steps
                 last_good = float(m)
+            q, _, steps = _newton_polish(grid, q, float(mu))
+            iters += steps
         except ConvergenceError as exc:
             exc.diagnostics["last_convergent_mu"] = last_good
             raise
@@ -321,7 +341,7 @@ def minimize_constrained(a, mu, grid):
     phi *= np.sqrt(a / mass_3d(grid, phi))
     amp_ref = float(np.max(phi))
     tau = 0.4        # implicit Euler step of the flow
-    stepper = grid.band_solver(0, 1.0, tau)     # band Cholesky of I + tau (-Delta)_0
+    stepper = grid.band_solver(0, 1.0, tau, factor="cholesky")     # I + tau (-Delta)_0
 
     # The energy is scale-flat along the soliton family, so the descent can
     # drift toward the domain wall while it relaxes transversally.  Sparse
@@ -345,7 +365,8 @@ def minimize_constrained(a, mu, grid):
         phi = psi
         if it % 25 == 24:
             beta = _flow_multiplier(grid, phi, mu)
-            res = _equation_residual(grid, phi, mu) + (beta - 1.0) * phi
+            res = (_equation_residual(grid, phi, nonlinear_potential(grid, phi, mu)[0])
+                   + (beta - 1.0) * phi)
             rnorm = np.max(np.abs(res)) / np.max(np.abs(phi))
             res_hist.append(rnorm)
             if rnorm < 5e-3:     # close enough for the Newton polish

@@ -9,13 +9,15 @@ A `ChannelOperator` holds the sparse local part (the channel Laplacian plus
 a diagonal) and, for the plus kind at mu != 0, the nonlocal channel block:
 the channel kernel (a HODLR matrix, see `hartree`) dressed with the
 exponentially decaying soliton on both sides.
-Every linear solve goes through `ChannelOperator.solve`, which borders the
-local part with W-weighted constraint rows and factors it with a sparse LU
-whose fill stays that of the band plus the border.
-Without a nonlocal block that factor is the solve; with one it
-preconditions GMRES on the full bordered operator.  Newton steps and the
-profile hierarchy both use it, and the bordering keeps discrete
-orthogonality to the constraints exact.
+Every linear solve goes through `ChannelOperator.solve`.  Without
+constraints it factors the local part by LAPACK's band LU
+(`RadialGrid.band_solver`); with constraints it borders the local part
+with W-weighted constraint rows and factors that with a sparse LU whose
+fill stays that of the band plus the border, and the bordering keeps
+discrete orthogonality to the constraints exact.  Without a nonlocal
+block the factor is the solve; with one it preconditions GMRES on the
+full operator.  Newton steps (unbordered) and the profile hierarchy
+(both kinds) use it.
 A constrained solve (`solve_with_constraints`, and every hierarchy solve in
 `profile`) passes one gate, `_checked_solve`: a non-finite source raises
 ConvergenceError, and a kernel component or a relative residual above
@@ -97,30 +99,36 @@ class ChannelOperator:
         return out
 
     def solve(self, rhs, constraints=(), rtol=1e-11):
-        """Solve the bordered system [[M, C], [(W C)^T, 0]] [x; y] = [rhs; 0].
+        """Solve M x = rhs, or with constraints the bordered system
+        [[M, C], [(W C)^T, 0]] [x; y] = [rhs; 0]; returns x.
 
+        Without constraints the local part is factored by LAPACK's band LU
+        (`RadialGrid.band_solver`), partially pivoted since it may be
+        indefinite (L_{+,0} has a negative eigenvalue).
         C holds the constraint profiles as columns, so x is W-orthogonal to
-        each of them; returns x (the multipliers y are dropped).  The sparse
-        LU of the bordered matrix A orders the unknowns by minimum degree on
-        A^T + A, which puts the dense border last, and keeps the diagonal as
-        pivot unless it is below 1e-4 of its column.  So the constraint row
-        is promoted, if at all, only near the end of the elimination, where
-        it meets the near-kernel of a singular M such as L_{-,0}, and L + U
-        holds about 14 n nonzeros (full partial pivoting promoted it hundreds
-        of columns early: about 440 n).  A Schur complement through a band
-        factor of M would divide by that near-kernel's pivot, so the border
-        stays in the factor.  The price is that near pivot: a source's
-        component along M's near-kernel, which `_checked_solve` caps at
-        SOLVABILITY_TOL, moves the factor's x by about 1e-4 of that
-        component relative (n = 1536), so a gated solve stays within 2e-12
-        of a dense solve.
-        With a nonlocal block, GMRES stops at relative residual `rtol` and
-        raises ConvergenceError if it cannot get there within four restart
-        cycles of 20 inner steps.  Across the test suite and the benchmark
-        workloads the solves take at most two cycles (the second re-checks
-        the true residual) and nine inner steps, so one that needs more has
-        failed; `test_gmres_inner_steps_stay_within_the_documented_bound`
-        pins the nine at n = 1536.
+        each of them (the multipliers y are dropped).  The bordered matrix A
+        is the one sparse LU of the package: it orders the unknowns by
+        minimum degree on A^T + A, which puts the dense border last, and
+        keeps the diagonal as pivot unless it is below 1e-4 of its column.
+        So the constraint row is promoted, if at all, only near the end of
+        the elimination, where it meets the near-kernel of a singular M such
+        as L_{-,0}, and L + U holds about 14 n nonzeros (full partial
+        pivoting promoted it hundreds of columns early: about 440 n).  A
+        Schur complement through a band factor of M would divide by that
+        near-kernel's pivot, so the border stays in the factor.  The price
+        is that near pivot: a source's component along M's near-kernel,
+        which `_checked_solve` caps at SOLVABILITY_TOL, moves the factor's x
+        by about 1e-4 of that component relative (n = 1536), so a gated
+        solve stays within 2e-12 of a dense solve.
+        Either factor is the solve itself without a nonlocal block.  With
+        one, it preconditions GMRES on the full (bordered) operator, which
+        stops at relative residual `rtol` and raises ConvergenceError if it
+        cannot get there within four restart cycles of 20 inner steps.
+        Across the test suite and the benchmark workloads the solves take at
+        most two cycles (the second re-checks the true residual) and nine
+        inner steps, so one that needs more has failed;
+        `test_gmres_inner_steps_stay_within_the_documented_bound` pins the
+        nine at n = 1536.
         """
         n = self.grid.n
         k = len(constraints)
@@ -131,12 +139,15 @@ class ChannelOperator:
                  [sp.csc_matrix((self.grid.weights[:, None] * cols).T), None]],
                 format="csc",
             )
+            factor_solve = spla.splu(border, permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=1e-4).solve
         else:
             border = self.local
+            factor_solve = self.grid.band_solver(self.l, 0.0, 1.0, 1.0 + self.local_potential,
+                                                 factor="lu")
         full_rhs = np.concatenate([rhs, np.zeros(k)])
-        lu = spla.splu(border, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4)
         if self.nonlocal_scale == 0.0:
-            return lu.solve(full_rhs)[:n]
+            return factor_solve(full_rhs)[:n]
 
         def matvec(x):
             out = border @ x
@@ -146,7 +157,7 @@ class ChannelOperator:
         shape = (n + k, n + k)
         sol, info = spla.gmres(
             spla.LinearOperator(shape, matvec=matvec), full_rhs,
-            M=spla.LinearOperator(shape, matvec=lu.solve),
+            M=spla.LinearOperator(shape, matvec=factor_solve),
             rtol=rtol, atol=0.0, restart=20, maxiter=4,
         )
         if info != 0:
@@ -164,9 +175,14 @@ class SpectrumReport:
     eigenfields: list
 
 
-def linearize(grid, q, mu, kind, l):
-    """L_{kind,l} around the profile q at coupling mu."""
-    pot, dens, _ = nonlinear_potential(grid, q, mu)
+def linearize(grid, q, mu, kind, l, nonlinear=None):
+    """L_{kind,l} around the profile q at coupling mu.
+
+    `nonlinear` is `hartree.nonlinear_potential(grid, q, mu)` where the
+    caller holds it already (Newton's residual does), else it is computed
+    here; either way the operator has the same bits.
+    """
+    pot, dens, _ = nonlinear_potential(grid, q, mu) if nonlinear is None else nonlinear
     if kind == "plus":
         pot = pot + (4.0 / 3.0) * np.cbrt(dens) ** 2
     return ChannelOperator(
@@ -300,7 +316,8 @@ def lowest_eigenpairs(op, k):
     if op.nonlocal_scale != 0.0:
         shifted_solve = _shifted_inverse(op, sigma, diagnostics)
     else:
-        local_solve = op.grid.band_solver(op.l, -sigma, 1.0, 1.0 + op.local_potential)
+        local_solve = op.grid.band_solver(op.l, -sigma, 1.0, 1.0 + op.local_potential,
+                                           factor="cholesky")
 
         def shifted_solve(x):
             return w * local_solve(x / w)
@@ -362,14 +379,17 @@ def _checked_solve(op, src, constraints):
 def solve_with_constraints(op, source, constraints):
     """Solve op x = source with exact discrete orthogonality to `constraints`
     (RadialFields or sample arrays), gated by `_checked_solve`.  A source or
-    constraint field on another grid than the operator's raises
-    GridMismatchError before any work."""
+    constraint field on another grid than the operator's, or a sample array
+    whose shape is not (n,), raises GridMismatchError before any work."""
     if any(isinstance(f, RadialField) and f.grid is not op.grid for f in [source, *constraints]):
         raise GridMismatchError("source or constraint lives on another grid than the operator")
-    if source.l != op.l:
-        raise ConfigurationError("source lives in a different channel than the operator")
     cons = [np.asarray(c.values if isinstance(c, RadialField) else c, dtype=float)
             for c in constraints]
+    if any(c.shape != (op.grid.n,) for c in cons):
+        raise GridMismatchError(f"constraint shapes {[c.shape for c in cons]} are not "
+                                f"({op.grid.n},), one value per node")
+    if source.l != op.l:
+        raise ConfigurationError("source lives in a different channel than the operator")
     x, _, _ = _checked_solve(op, np.asarray(source.values, dtype=float), cons)
     return RadialField(op.grid, op.l, x)
 

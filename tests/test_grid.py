@@ -213,18 +213,30 @@ def test_laplacian_banded_matches_sparse():
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_band_solver_matches_dense_solve(l):
+    from dcnls.groundstate import solve_Q_mu
+    from dcnls.linop import assemble_channel_operator
+
     g = build_grid(256, 40.0, "tanh")
     r = g.nodes
     rhs = r ** l * np.exp(-r) * (1.0 + np.sin(3.0 * r))
     potential = 1.0 - 2.0 * np.exp(-r ** 2)
-    # real a, b: band Cholesky; complex b, a Crank-Nicolson half: band LU
-    for a, b, v in [(2.0, 0.7, potential), (1.0, 0.5j * 1e-3, potential), (1.0, 0.5j * 1e-3, None)]:
+    # real a, b: band Cholesky; complex b, a Crank-Nicolson half: band LU;
+    # the plus-kind local part (-Delta)_l + 1 - V - (4/3)|Q|^{4/3} around
+    # Q_0.05, indefinite at l = 0: real band LU
+    cases = [(2.0, 0.7, potential, "cholesky"), (1.0, 0.5j * 1e-3, potential, "lu"),
+             (1.0, 0.5j * 1e-3, None, "lu")]
+    if l <= 1:
+        plus = assemble_channel_operator(solve_Q_mu(0.05, g), "plus", l)
+        cases.append((0.0, 1.0, 1.0 + plus.local_potential, "lu"))
+    for a, b, v, factor in cases:
         dense = a * np.eye(g.n) + b * g.laplacian(l).toarray()
         if v is not None:
             dense += b * np.diag(v)
         exact = np.linalg.solve(dense, rhs)
-        x = g.band_solver(l, a, b, v)(rhs)
-        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+        x = g.band_solver(l, a, b, v, factor=factor)(rhs)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact)), factor
+    if l == 0:     # the indefinite case really is indefinite
+        assert np.min(np.linalg.eigvals(dense).real) < 0
 
 
 def test_band_cholesky_certifies_the_shift():
@@ -237,9 +249,9 @@ def test_band_cholesky_certifies_the_shift():
     g = build_grid(256, 40.0, "tanh")
     op = assemble_channel_operator(solve_Q_mu(0.05, g), "minus", 0)
     potential = 1.0 + op.local_potential
-    g.band_solver(0, 1e-6, 1.0, potential)
+    g.band_solver(0, 1e-6, 1.0, potential, factor="cholesky")
     for sigma in (1e-6, 0.1):
         with pytest.raises(ConvergenceError) as exc:
-            g.band_solver(0, -sigma, 1.0, potential)
+            g.band_solver(0, -sigma, 1.0, potential, factor="cholesky")
         assert exc.value.diagnostics["info"] > 0
         assert exc.value.diagnostics["a"] == -sigma

@@ -190,11 +190,11 @@ def test_classical_solve_is_the_mu_zero_solve(classical_first):
 def _failing_polish_at(monkeypatch, failing_mu):
     polish = groundstate._newton_polish
 
-    def polish_or_fail(grid, q0, mu):
+    def polish_or_fail(grid, q0, mu, **stop):
         if abs(mu - failing_mu) < 1e-12:
             raise ConvergenceError("Newton did not reach tolerance",
                                    diagnostics={"mu": mu, "best_residual": 1e-3, "tol": 1e-9})
-        return polish(grid, q0, mu)
+        return polish(grid, q0, mu, **stop)
 
     monkeypatch.setattr(groundstate, "_newton_polish", polish_or_fail)
 
@@ -268,6 +268,18 @@ def test_flow_pathway_on_coarse_grids(n, mu):
     gs = solve_Q_mu(mu, coarse)
     flow = minimize_constrained(gs.mass, mu, coarse)
     assert np.sqrt(mass_3d(coarse, flow.Q.values - gs.Q.values) / gs.mass) <= 1e-10
+
+
+def test_loose_waypoints_reach_the_floor_polished_state(grid, classical):
+    # the waypoints 0.02 and 0.04 stop at residual 1e-6; polishing each to
+    # the rounding floor instead gives the same Q_0.05
+    q = classical.Q.values
+    for m in (0.02, 0.04, 0.05):
+        q, _, _ = groundstate._newton_polish(grid, q, m)
+    gs = solve_Q_mu(0.05, grid)
+    w = grid.weights
+    assert np.sqrt(np.sum(w * (gs.Q.values - q) ** 2) / np.sum(w * q ** 2)) <= 1e-10
+    assert gs.eq_residual <= 1e-9
 
 
 def test_newton_iters_count_every_polish(monkeypatch):

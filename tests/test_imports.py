@@ -263,7 +263,7 @@ def test_local_factorisations_have_one_home():
     # band factors of a I + b ((-Delta)_l + V) live in RadialGrid.band_solver
     # and the dense Cholesky and LU helpers beside it; the bordered solve is
     # the one sparse LU, and no scipy.linalg factor wrapper is called
-    lapack, splu, wrapped = [], [], []
+    lapack, splu, band_lu, wrapped = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -276,11 +276,16 @@ def test_local_factorisations_have_one_home():
             if any(name.startswith("scipy.linalg.lapack") for name in names):
                 lapack.append(path.name)
         splu += [f"{path.name} {scope}" for scope in _scoped_calls(tree, "splu")]
+        band_lu += [f"{path.name} {scope} {name}"
+                    for name in ("dgbtrf", "dgbtrs", "zgbtrf", "zgbtrs")
+                    for scope in _scoped_calls(tree, name)]
         wrapped += [f"{path.name} {scope} {name}"
                     for name in ("cho_factor", "cho_solve", "lu_factor", "lu_solve")
                     for scope in _scoped_calls(tree, name)]
     assert lapack == ["grid.py"]
     assert splu == ["linop.py ChannelOperator.solve"]
+    assert band_lu == [f"grid.py RadialGrid.band_solver {name}"
+                       for name in ("dgbtrf", "dgbtrs", "zgbtrf", "zgbtrs")]
     assert wrapped == []
 
 

@@ -434,6 +434,43 @@ def test_fields_from_another_grid_are_refused(monkeypatch):
             solve_with_constraints(op, src, [RadialField(other, 0, np.exp(-other.nodes))])
 
 
+def test_raw_constraints_of_another_shape_are_refused(monkeypatch):
+    # a sample array of the wrong length or rank used to fail in numpy
+    # broadcasting inside the solvability gate
+    g = build_grid(256, 40.0, "tanh")
+    gs = solve_classical_Q(g)
+    op = assemble_channel_operator(gs, "minus", 0)
+    src = apply_generator(gs.Q)
+    monkeypatch.setattr(linop, "_checked_solve", None)     # refused before any work
+    for bad in (np.ones(200), np.ones((256, 2)), np.ones((1, 256))):
+        with pytest.raises(GridMismatchError, match="one value per node"):
+            solve_with_constraints(op, src, [gs.Q.values, bad])
+
+
+def test_only_the_bordered_solve_takes_a_sparse_lu(gs_std_mu05, monkeypatch):
+    # an unbordered solve is one band LU; a bordered one is one sparse LU
+    grid = gs_std_mu05.grid
+    r, q = grid.nodes, gs_std_mu05.Q.values
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    for kind, l in (("minus", 1), ("plus", 0), ("plus", 2)):
+        op = assemble_channel_operator(gs_std_mu05, kind, l)
+        x = op.solve(r ** l * np.exp(-r))
+        assert calls == [], (kind, l)
+        assert np.max(np.abs(op.apply(x) - r ** l * np.exp(-r))) <= 1e-8 * np.max(r ** l * np.exp(-r))
+    qprime = grid.d1_free(0) @ q
+    for kind, l, con in (("minus", 0, q), ("plus", 1, qprime)):     # S10's and T11's borders
+        calls.clear()
+        assemble_channel_operator(gs_std_mu05, kind, l).solve(r ** l * np.exp(-r), [con])
+        assert calls == [(grid.n + 1, grid.n + 1)], (kind, l)
+
+
 def test_non_finite_source_is_refused(grid, gs0):
     op = assemble_channel_operator(gs0, "plus", 0)
     src = np.exp(-grid.nodes)
